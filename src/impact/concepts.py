@@ -681,6 +681,14 @@ def concept_to_dict(concept: Concept) -> dict:
     return {"type": "adfsa", "n": concept.n, "states": states, "start": concept.start}
 
 
+def json_int(value) -> int:
+    """An integer field of an input file. Floats and bools raise TypeError
+    instead of truncating, so 0.5 never becomes 0 nor 2.7 become 2."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _require(mapping: dict, key: str, kind: str):
     if key not in mapping:
         raise InvalidConceptError(f"{kind} concept file is missing {key!r}")
@@ -697,20 +705,20 @@ def concept_from_dict(data: dict) -> Concept:
             for entry in _require(data, "nodes", "dag"):
                 op = _require(entry, "op", "dag node")
                 if op == "lit":
-                    nodes.append(Literal(int(entry["bit"])))
+                    nodes.append(Literal(json_int(entry["bit"])))
                 elif op == "not":
-                    nodes.append(Not(int(entry["child"])))
+                    nodes.append(Not(json_int(entry["child"])))
                 elif op == "and":
-                    nodes.append(And(int(entry["left"]), int(entry["right"])))
+                    nodes.append(And(json_int(entry["left"]), json_int(entry["right"])))
                 elif op == "or":
-                    nodes.append(Or(int(entry["left"]), int(entry["right"])))
+                    nodes.append(Or(json_int(entry["left"]), json_int(entry["right"])))
                 else:
                     raise InvalidConceptError(f"unknown dag op {op!r}")
-            bound = max(int(data["n"]) ** 3, len(nodes))
+            bound = max(json_int(data["n"]) ** 3, len(nodes))
             return ConceptDag(
                 nodes=tuple(nodes),
-                root=int(_require(data, "root", "dag")),
-                n=int(_require(data, "n", "dag")),
+                root=json_int(_require(data, "root", "dag")),
+                n=json_int(_require(data, "n", "dag")),
                 size_bound=bound,
             )
         if ctype == "threshold":
@@ -719,16 +727,16 @@ def concept_from_dict(data: dict) -> Concept:
                 wires = []
                 for ref in _require(entry, "inputs", "gate"):
                     if "bit" in ref:
-                        wires.append(Wire("bit", int(ref["bit"])))
+                        wires.append(Wire("bit", json_int(ref["bit"])))
                     elif "gate" in ref:
-                        wires.append(Wire("gate", int(ref["gate"])))
+                        wires.append(Wire("gate", json_int(ref["gate"])))
                     else:
                         raise InvalidConceptError(f"unknown wire {ref!r}")
-                gates.append(Gate(int(_require(entry, "threshold", "gate")), tuple(wires)))
+                gates.append(Gate(json_int(_require(entry, "threshold", "gate")), tuple(wires)))
             return ThresholdCircuit(
                 gates=tuple(gates),
-                root=int(_require(data, "root", "threshold")),
-                n=int(_require(data, "n", "threshold")),
+                root=json_int(_require(data, "root", "threshold")),
+                n=json_int(_require(data, "n", "threshold")),
             )
         if ctype == "adfsa":
             states: list[State] = []
@@ -739,13 +747,13 @@ def concept_from_dict(data: dict) -> Concept:
                 elif kind == "reject":
                     states.append(RejectState())
                 elif kind == "branch":
-                    states.append(BranchState(int(entry["on0"]), int(entry["on1"])))
+                    states.append(BranchState(json_int(entry["on0"]), json_int(entry["on1"])))
                 else:
                     raise InvalidConceptError(f"unknown state kind {kind!r}")
             return Adfsa(
                 states=tuple(states),
-                start=int(_require(data, "start", "adfsa")),
-                n=int(_require(data, "n", "adfsa")),
+                start=json_int(_require(data, "start", "adfsa")),
+                n=json_int(_require(data, "n", "adfsa")),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConceptError(f"malformed concept file: {exc}") from exc

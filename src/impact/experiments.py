@@ -7,6 +7,7 @@ learner to a config never changes any other learner's rows.
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import fit_majority, fit_stumps, fit_tree
-from .concepts import build_parity
+from .concepts import build_parity, json_int
 from .errors import ConfigError
 from .generate import random_parity_subset
 from .sampling import Distribution, accuracy, derive_seed, draw_sample
@@ -96,15 +97,15 @@ def config_from_dict(raw: dict) -> SweepConfig:
         return SweepConfig(
             name=str(raw["name"]),
             kind=str(kind),
-            n=int(raw["n"]),
-            trials=int(raw["trials"]),
-            seed=int(raw["seed"]),
-            values=tuple(int(v) for v in values),
-            subset=None if subset is None else tuple(int(b) for b in subset),
-            fixed_m=None if fixed_m is None else int(fixed_m),
+            n=json_int(raw["n"]),
+            trials=json_int(raw["trials"]),
+            seed=json_int(raw["seed"]),
+            values=tuple(json_int(v) for v in values),
+            subset=None if subset is None else tuple(json_int(b) for b in subset),
+            fixed_m=None if fixed_m is None else json_int(fixed_m),
             learners=tuple(raw.get("learners", ("impact", "tree", "stumps", "majority"))),
-            test_size=int(raw.get("test_size", 1000)),
-            workers=int(raw.get("workers", 1)),
+            test_size=json_int(raw.get("test_size", 1000)),
+            workers=json_int(raw.get("workers", 1)),
             out_dir=str(raw.get("out_dir", "sweep-out")),
         )
     except KeyError as exc:
@@ -257,9 +258,11 @@ def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
         for learner in cfg.learners
         for trial in range(cfg.trials)
     ]
-    if cfg.workers > 1:
+    # every worker is a process: no more than there are tasks or cores
+    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         raw = _config_raw(cfg)
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_task, [(raw, *t) for t in tasks]))
     else:
         done = [run_one_trial(cfg, *t) for t in tasks]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -297,75 +296,61 @@ def pair_space_size(attribute_count: int) -> int:
     return 2 * (math.comb(2 * a, 2) + 2 * a)
 
 
-@lru_cache(maxsize=32)
-def _pair_candidates(A: int) -> tuple[np.ndarray, ...]:
-    """Candidate arrays in canonical order: operator-major (and before or),
-    then left attribute, right attribute, un-negated before negated."""
-    li, ri, ln, rn = [], [], [], []
-    for left in range(A):
-        for right in range(left, A):
-            if left < right:
-                flag_pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
-            else:
-                flag_pairs = ((0, 0), (0, 1), (1, 1))
-            for fl, fr in flag_pairs:
-                li.append(left)
-                ri.append(right)
-                ln.append(fl)
-                rn.append(fr)
-    li = np.array(li * 2)
-    ri = np.array(ri * 2)
-    ln = np.array(ln * 2)
-    rn = np.array(rn * 2)
-    half = len(li) // 2
-    ops = np.zeros(len(li), dtype=np.uint8)
-    ops[half:] = 1  # 0 = and, 1 = or
-    return ops, li, ri, ln, rn
-
-
 def _pair_errors(V: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Disagreement count of every canonical pair hypothesis, via label-split
-    co-occurrence counts."""
+    """Disagreement count of every pair hypothesis, as an array of shape
+    (op, left, right, left_negated, right_negated) = (2, A, A, 2, 2), op 0
+    being and.
+
+    The canonical entries (left < right, or left == right with
+    left_negated <= right_negated), taken in C order, are in canonical
+    order. Every other entry repeats the count of its canonical twin, the same hypothesis
+    with the two references swapped, which comes earlier in C order; so the
+    first argmin is canonical. Counts are float64, exact up to 2**53 rows.
+    """
     A, m = V.shape
-    W = np.vstack([V, 1 - V]).astype(np.float32)
     pos = y == 1
-    W1 = W[:, pos]
-    W0 = W[:, ~pos]
-    m1 = int(pos.sum())
-    m0 = m - m1
-    both1_pos = W1 @ W1.T
-    both1_neg = W0 @ W0.T
-    comp1 = 1 - W1
-    comp0 = 1 - W0
-    both0_pos = comp1 @ comp1.T
-    both0_neg = comp0 @ comp0.T
-    err_and = (m1 - both1_pos) + both1_neg
-    err_or = both0_pos + (m0 - both0_neg)
-    ops, li, ri, ln, rn = _pair_candidates(A)
-    lref = li + A * ln
-    rref = ri + A * rn
-    errs = np.where(ops == 0, err_and[lref, rref], err_or[lref, rref])
-    return np.rint(errs).astype(np.int64)
+    V1 = V[:, pos].astype(np.float64)
+    V0 = V[:, ~pos].astype(np.float64)
+    m1 = V1.shape[1]
+    # rows where both plain refs are 1: negatives minus positives
+    both = V0 @ V0.T - V1 @ V1.T
+    ones = V0.sum(axis=1) - V1.sum(axis=1)
+    errs = np.empty((2, A, A, 2, 2))
+    err_and = errs[0]
+    err_and[:, :, 0, 0] = m1 + both
+    err_and[:, :, 0, 1] = m1 + ones[:, None] - both
+    err_and[:, :, 1, 0] = m1 + ones[None, :] - both
+    err_and[:, :, 1, 1] = (m - m1) - ones[:, None] - ones[None, :] + both
+    # a or b = not (not a and not b), and a hypothesis and its complement
+    # disagree with m rows between them
+    np.subtract(m, err_and[:, :, ::-1, ::-1], out=errs[1])
+    return errs
 
 
-def _candidate_hypothesis(A: int, index: int) -> PairHypothesis:
-    ops, li, ri, ln, rn = _pair_candidates(A)
-    return PairHypothesis(
-        op=AND if ops[index] == 0 else OR,
-        left_attr=int(li[index]),
-        left_negated=bool(ln[index]),
-        right_attr=int(ri[index]),
-        right_negated=bool(rn[index]),
-    )
+def _hypotheses(index: tuple[np.ndarray, ...]) -> list[PairHypothesis]:
+    """Pair hypotheses at (op, left, right, left_negated, right_negated)
+    index arrays into an error array from _pair_errors."""
+    return [
+        PairHypothesis(
+            op=OR if op else AND,
+            left_attr=left,
+            left_negated=bool(ln),
+            right_attr=right,
+            right_negated=bool(rn),
+        )
+        for op, left, right, ln, rn in zip(*(a.tolist() for a in index))
+    ]
 
 
-def canonical_first_pair(attribute_count: int) -> PairHypothesis:
+def canonical_first_pair() -> PairHypothesis:
     """First candidate in canonical order: the identity on attribute 0.
 
     Every candidate fits an empty round equally well, so this is what
     best-fit degenerates to when moderation leaves nothing behind.
     """
-    return _candidate_hypothesis(attribute_count, 0)
+    return PairHypothesis(
+        op=AND, left_attr=0, left_negated=False, right_attr=0, right_negated=False
+    )
 
 
 def learn_pair_node(
@@ -381,16 +366,15 @@ def learn_pair_node(
         raise InvalidParameterError(f"unknown learning mode {mode!r}")
     if len(s) == 0:
         raise UndefinedMetricError("cannot learn from an empty sample")
-    V = z.values(s.bits)
-    errs = _pair_errors(V, s.labels)
-    A = len(z)
+    errs = _pair_errors(z.values(s.bits), s.labels)
     if mode == "best-fit":
-        return _candidate_hypothesis(A, int(np.argmin(errs)))
-    consistent = np.flatnonzero(errs == 0)
-    if consistent.size == 0:
+        return _hypotheses(np.unravel_index([np.argmin(errs)], errs.shape))[0]
+    index = np.unravel_index(np.flatnonzero(errs == 0), errs.shape)
+    _, left, right, ln, rn = index
+    if left.size == 0:
         return DONT_KNOW
-    members = tuple(_candidate_hypothesis(A, int(i)) for i in consistent)
-    return ReliablePairSet(members=members)
+    canonical = (left < right) | ((left == right) & (ln <= rn))
+    return ReliablePairSet(members=tuple(_hypotheses(tuple(a[canonical] for a in index))))
 
 
 def pair_training_error(z: AttributeSpace, h, s: Sample) -> float:

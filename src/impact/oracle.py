@@ -25,6 +25,7 @@ from .concepts import (
     ThresholdCircuit,
 )
 from .errors import EnumerationCapError, InvalidParameterError, UndefinedMetricError
+from .learner import AND, OR, PairHypothesis
 from .sampling import Distribution, Sample, rng_from
 
 ENUMERATION_CAP = 20
@@ -141,6 +142,44 @@ def relevance_by_substitution(
         low = _eval_circuit(concept, bits, concept.root, {node: 0})
         high = _eval_circuit(concept, bits, concept.root, {node: 1})
     return low != high
+
+
+# ---------------------------------------------------------------------------
+# Pair-learner reference
+# ---------------------------------------------------------------------------
+
+
+def reference_pair_candidates(attribute_count: int) -> list[PairHypothesis]:
+    """Every canonical pair hypothesis in canonical order: and before or,
+    then left attribute, right attribute, un-negated before negated. A
+    repeated attribute keeps its negation flags non-decreasing."""
+    out = []
+    for op in (AND, OR):
+        for left in range(attribute_count):
+            for right in range(left, attribute_count):
+                for ln in (False, True):
+                    for rn in (False, True):
+                        if left == right and ln and not rn:
+                            continue
+                        out.append(PairHypothesis(op, left, ln, right, rn))
+    return out
+
+
+def reference_pair_errors(V, y) -> list[int]:
+    """Disagreement count of each reference_pair_candidates entry on the
+    attribute matrix V (A, m) against labels y, one row at a time."""
+    rows = [[int(v) for v in row] for row in np.asarray(V)]
+    labels = [int(v) for v in y]
+    errors = []
+    for h in reference_pair_candidates(len(rows)):
+        wrong = 0
+        for i, label in enumerate(labels):
+            a = rows[h.left_attr][i] ^ h.left_negated
+            b = rows[h.right_attr][i] ^ h.right_negated
+            out = (a & b) if h.op == AND else (a | b)
+            wrong += out != label
+        errors.append(wrong)
+    return errors
 
 
 # ---------------------------------------------------------------------------

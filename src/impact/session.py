@@ -25,7 +25,12 @@ from .concepts import (
     push_negations_to_leaves,
     relevance_mask,
 )
-from .errors import InsufficientDataError, InvalidConceptError, InvalidParameterError
+from .errors import (
+    ImpactError,
+    InsufficientDataError,
+    InvalidConceptError,
+    InvalidParameterError,
+)
 from .learner import (
     DONT_KNOW,
     AdfsaNodeHypothesis,
@@ -405,8 +410,13 @@ def run_teaching_session(
                 required=required,
             )
         if subset is not None:
-            assert np.all(subset.source_indices < len(s))
-            assert np.array_equal(s.labels[subset.source_indices], subset.labels)
+            # moderation only removes rows: every kept row is a sample row,
+            # with its label unchanged
+            kept = subset.source_indices
+            if not np.all((kept >= 0) & (kept < len(s))):
+                raise ImpactError(f"round {r} subset names rows outside the sample")
+            if not np.array_equal(s.labels[kept], subset.labels):
+                raise ImpactError(f"round {r} subset changed the sample's labels")
 
         dont_know = False
         if subset is None:
@@ -417,7 +427,7 @@ def run_teaching_session(
                 candidates = 0
             else:
                 candidates = pair_space_size(len(z))
-                attr_h = canonical_first_pair(len(z))
+                attr_h = canonical_first_pair()
                 if mode == "reliable":
                     dont_know = True
                     h = DONT_KNOW

@@ -117,6 +117,32 @@ def test_teach_missing_concept_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def set_first_bit(data, value):
+    next(node for node in data["nodes"] if node["op"] == "lit")["bit"] = value
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: data.update(n=4.5),
+        lambda data: data.update(root=True),
+        lambda data: set_first_bit(data, 0.5),
+    ],
+    ids=["n", "root", "bit"],
+)
+def test_teach_rejects_non_integral_numbers(parity_file, capsys, edit):
+    """0.5 must not silently become 0, nor 2.7 become 2."""
+    data = json.loads(parity_file.read_text())
+    edit(data)
+    parity_file.write_text(json.dumps(data))
+    code, _, err = run_main(
+        capsys, ["teach", "--concept", str(parity_file), "--m", "10", "--seed", "1"]
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_teach_rejects_malformed_concept(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"type": "dag", "n": 2}')
@@ -129,7 +155,7 @@ def test_teach_rejects_malformed_concept(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def sweep_config(tmp_path):
+def sweep_config(tmp_path, **overrides):
     path = tmp_path / "cfg.json"
     path.write_text(
         json.dumps(
@@ -143,6 +169,7 @@ def sweep_config(tmp_path):
                 "subset": [0, 2],
                 "learners": ["majority", "tree"],
                 "test_size": 100,
+                **overrides,
             }
         )
     )
@@ -170,6 +197,21 @@ def test_sweep_mode_must_match_config(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"trials": 1.5}, {"n": 4.0}, {"seed": True}, {"m_values": [30.5]}, {"subset": [0, 2.7]}],
+)
+def test_sweep_rejects_non_integral_numbers(tmp_path, capsys, overrides):
+    cfg = sweep_config(tmp_path, **overrides)
+    code, _, err = run_main(
+        capsys, ["sweep", "--mode", "m", "--config", str(cfg), "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_rejects_bad_config(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Sweep harness: config validation, CSV schema, summary rows, seeds, SVG."""
 
 import json
+import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import impact.experiments
 from impact import ConfigError, SweepConfig, load_config, run_sweep
 from impact.experiments import (
     CSV_HEADER,
@@ -223,6 +226,47 @@ def test_workers_do_not_change_results():
     a = strip_runtime(rows_to_csv(run_sweep(cfg1)))
     b = strip_runtime(rows_to_csv(run_sweep(cfg2)))
     assert a == b
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's max_workers and
+    runs the tasks in this process, so no worker process starts."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "cfg,cores,expected",
+    [
+        # one task runs in this process, whatever the worker count
+        (small_m_config(values=(30,), trials=1, learners=("majority",)), 64, []),
+        # four tasks need no more than four workers
+        (small_m_config(values=(30,), learners=("majority", "tree")), 64, [4]),
+        # and no more workers than cores
+        (small_m_config(values=(30,), learners=("majority", "tree")), 3, [3]),
+    ],
+)
+def test_worker_count_is_bounded(monkeypatch, cfg, cores, expected):
+    sizes = []
+    monkeypatch.setattr(impact.experiments, "ProcessPoolExecutor", RecordingPool(sizes))
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    rows = run_sweep(replace(cfg, workers=10**6))
+    assert sizes == expected
+    assert strip_runtime(rows_to_csv(rows)) == strip_runtime(rows_to_csv(run_sweep(cfg)))
 
 
 def test_csv_formatting():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import all_inputs, make_sample
 from impact import (
@@ -26,12 +28,12 @@ from impact import (
     sample_budget,
 )
 from impact.learner import (
-    _candidate_hypothesis,
-    _pair_candidates,
+    _hypotheses,
     _pair_errors,
     adfsa_candidate_count,
     pair_training_error,
 )
+from impact.oracle import reference_pair_candidates, reference_pair_errors
 
 
 def table_sample(n, fn):
@@ -45,25 +47,39 @@ def table_sample(n, fn):
 # ---------------------------------------------------------------------------
 
 
+def canonical_mask(shape):
+    """Canonical entries of a _pair_errors array: left < right, or the same
+    attribute twice with non-decreasing negation flags."""
+    _, left, right, ln, rn = np.indices(shape)
+    return (left < right) | ((left == right) & (ln <= rn))
+
+
+def learner_candidates(A):
+    """The learner's candidates: its error array's canonical entries, in C order."""
+    shape = (2, A, A, 2, 2)
+    return _hypotheses(np.nonzero(canonical_mask(shape)))
+
+
 @pytest.mark.parametrize("A", [1, 2, 3, 5, 8])
 def test_candidate_count_matches_formula(A):
-    ops, li, ri, ln, rn = _pair_candidates(A)
-    assert len(ops) == pair_space_size(A)
-    assert len(li) == len(ri) == len(ln) == len(rn) == len(ops)
+    assert len(reference_pair_candidates(A)) == pair_space_size(A)
+    assert len(learner_candidates(A)) == pair_space_size(A)
+    errs = _pair_errors(np.zeros((A, 3), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
+    assert errs.shape == (2, A, A, 2, 2)
 
 
 def test_candidates_are_canonical_and_distinct():
     """Left <= right, equal refs keep non-decreasing negation flags, and no
-    candidate appears twice."""
-    ops, li, ri, ln, rn = _pair_candidates(4)
+    candidate appears twice; the learner's array order is the same order."""
+    candidates = reference_pair_candidates(4)
     seen = set()
-    for k in range(len(ops)):
-        assert li[k] <= ri[k]
-        if li[k] == ri[k]:
-            assert ln[k] <= rn[k]
-        key = (int(ops[k]), int(li[k]), int(ln[k]), int(ri[k]), int(rn[k]))
-        assert key not in seen
-        seen.add(key)
+    for h in candidates:
+        assert h.left_attr <= h.right_attr
+        if h.left_attr == h.right_attr:
+            assert h.left_negated <= h.right_negated
+        assert h not in seen
+        seen.add(h)
+    assert learner_candidates(4) == candidates
 
 
 def test_identity_pair_represents_a_bare_attribute():
@@ -73,26 +89,70 @@ def test_identity_pair_represents_a_bare_attribute():
     assert np.array_equal(h.evaluate_rows(V), V[2])
 
 
+def assert_errors_match_direct_evaluation(V, y):
+    reference = reference_pair_errors(V, y)
+    for h, err in zip(reference_pair_candidates(V.shape[0]), reference):
+        assert err == int(np.sum(h.evaluate_rows(V) != y))
+    errs = _pair_errors(V, y)
+    assert errs[canonical_mask(errs.shape)].tolist() == reference
+    return errs
+
+
 def test_pair_errors_match_brute_force():
     rng = np.random.default_rng(7)
     V = rng.integers(0, 2, size=(4, 25)).astype(np.uint8)
     y = rng.integers(0, 2, size=25).astype(np.uint8)
-    errs = _pair_errors(V, y)
-    for k in range(pair_space_size(4)):
-        h = _candidate_hypothesis(4, k)
-        direct = int(np.sum(h.evaluate_rows(V) != y))
-        assert errs[k] == direct
+    assert_errors_match_direct_evaluation(V, y)
 
 
 def test_pair_errors_all_positive_labels():
     # degenerate split: no negative rows
     V = np.array([[0, 1, 0], [1, 1, 0]], dtype=np.uint8)
     y = np.ones(3, dtype=np.uint8)
-    errs = _pair_errors(V, y)
-    for k in range(pair_space_size(2)):
-        h = _candidate_hypothesis(2, k)
-        assert errs[k] == int(np.sum(h.evaluate_rows(V) != y))
+    errs = assert_errors_match_direct_evaluation(V, y)
     assert errs.min() == 0
+
+
+@st.composite
+def tied_attribute_matrices(draw):
+    """Small attribute matrices with many ties: duplicated and constant rows,
+    a single attribute, and labels that may all be equal."""
+    A = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=12))
+    bits = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    rows = []
+    for _ in range(A):
+        shape = draw(st.sampled_from(["free", "copy", "zeros", "ones"]))
+        if shape == "copy" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif shape == "zeros":
+            rows.append([0] * m)
+        elif shape == "ones":
+            rows.append([1] * m)
+        else:
+            rows.append(draw(bits))
+    labels = draw(st.one_of(bits, st.just([0] * m), st.just([1] * m)))
+    return np.array(rows, dtype=np.uint8), np.array(labels, dtype=np.uint8)
+
+
+@given(tied_attribute_matrices())
+@settings(max_examples=200, deadline=None)
+def test_pair_learner_matches_the_reference(data):
+    """Best fit is the canonically first minimal candidate and the reliable
+    set is every zero-error candidate, in canonical order."""
+    V, y = data
+    z = AttributeSpace.pure(V.shape[0])
+    s = make_sample(V.T.copy(), y)
+    candidates = reference_pair_candidates(V.shape[0])
+    errors = reference_pair_errors(V, y)
+    assert learn_pair_node(z, s) == candidates[errors.index(min(errors))]
+    consistent = [h for h, e in zip(candidates, errors) if e == 0]
+    out = learn_pair_node(z, s, mode="reliable")
+    if consistent:
+        assert isinstance(out, ReliablePairSet)
+        assert list(out.members) == consistent
+    else:
+        assert out is DONT_KNOW
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Full teaching sessions: determinism, diagnostics, final classifiers, and
 their expansion back into plain concepts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from impact import (
     And,
     ConceptDag,
     Distribution,
+    ImpactError,
     InsufficientDataError,
     InvalidParameterError,
     Literal,
@@ -17,6 +20,7 @@ from impact import (
     push_negations_to_leaves,
     run_teaching_session,
 )
+import impact.session
 from impact.generate import random_dag
 from impact.oracle import exhaustive_equivalence, exhaustive_string_equivalence
 from impact.plan import postfix_order
@@ -171,6 +175,27 @@ def test_unenforced_starvation_degenerates_and_continues():
     assert report.rounds[0].subset_size == 0
     assert report.attribute_count == 3 + 2 * len(report.rounds)
     assert 0.0 <= report.test_accuracy <= 1.0
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda sub: replace(sub, labels=1 - sub.labels), "labels"),
+        (lambda sub: replace(sub, source_indices=sub.source_indices + 10**6), "outside"),
+    ],
+)
+def test_moderation_that_changes_rows_is_an_error(monkeypatch, corrupt, message):
+    """A subset whose rows are not the sample's rows, label for label, stops
+    the session with an explicit error, also under python -O."""
+    real = impact.session.moderate
+
+    def corrupted(*args):
+        subset, offset = real(*args)
+        return corrupt(subset), offset
+
+    monkeypatch.setattr(impact.session, "moderate", corrupted)
+    with pytest.raises(ImpactError, match=message):
+        parity_session()
 
 
 def test_mode_validation():
