@@ -1,6 +1,6 @@
 """Command-line front end: teach one concept, sweep experiments, verify
 concept files. Exit codes: 0 success, 1 a verify check failed, 2 invalid
-input, 3 a teaching round ran out of data.
+input or any other library error, 3 a teaching round ran out of data.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from .concepts import (
 from .errors import (
     ConfigError,
     EnumerationCapError,
-    InputShapeError,
+    ImpactError,
     InsufficientDataError,
-    InvalidConceptError,
     InvalidParameterError,
     MalformedAutomatonError,
 )
@@ -104,7 +103,7 @@ def _check_taught_nodes(concept, X) -> dict:
     root = vals[:, concept.root]
     bad = 0
     for rnd in plan.rounds:
-        rel = relevance_mask(concept, rnd.node, X)
+        rel = relevance_mask(concept, rnd.node, X, values=vals)
         bad += int(np.sum(rel & (vals[:, rnd.node] != root)))
     return {
         "name": "relevant-implies-correlated",
@@ -270,16 +269,7 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        ConfigError,
-        InvalidConceptError,
-        InvalidParameterError,
-        InputShapeError,
-        MalformedAutomatonError,
-        EnumerationCapError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ImpactError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,14 +21,6 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Example:
-    """One labeled training instance. For string concepts, bits holds the string."""
-
-    bits: tuple[int, ...]
-    label: int
-
-
 # ---------------------------------------------------------------------------
 # Boolean formula DAGs
 # ---------------------------------------------------------------------------
@@ -298,65 +290,51 @@ def as_bit_matrix(bits, n: int) -> np.ndarray:
     return arr
 
 
-def node_values(concept: ConceptDag | ThresholdCircuit, X: np.ndarray) -> np.ndarray:
-    """Value of every node (or gate) on every row of X, shape (m, size)."""
-    X = as_bit_matrix(X, concept.n)
-    m = X.shape[0]
+def _children(concept: Concept, i: int) -> tuple[int, ...]:
+    """Indices that node, gate or state i reads; all lower than i."""
     if isinstance(concept, ConceptDag):
-        vals = np.empty((m, concept.size), dtype=np.uint8)
-        for i, node in enumerate(concept.nodes):
+        return node_children(concept.nodes[i])
+    if isinstance(concept, ThresholdCircuit):
+        return tuple(w.index for w in concept.gates[i].inputs if w.source == "gate")
+    state = concept.states[i]
+    return (state.on0, state.on1) if isinstance(state, BranchState) else ()
+
+
+def _fill_rows(
+    concept: ConceptDag | ThresholdCircuit, X: np.ndarray, rows: np.ndarray, indices
+) -> None:
+    """Evaluate the given nodes (or gates), in increasing order, into their
+    rows of the (size, m) array `rows`, in place. Every other row is read as
+    it stands; raw bits are read from X."""
+    if isinstance(concept, ConceptDag):
+        for i in indices:
+            node = concept.nodes[i]
             if isinstance(node, Literal):
-                vals[:, i] = X[:, node.bit]
+                rows[i] = X[:, node.bit]
             elif isinstance(node, Not):
-                vals[:, i] = 1 - vals[:, node.child]
+                np.subtract(1, rows[node.child], out=rows[i])
             elif isinstance(node, And):
-                vals[:, i] = vals[:, node.left] & vals[:, node.right]
+                np.bitwise_and(rows[node.left], rows[node.right], out=rows[i])
             else:
-                vals[:, i] = vals[:, node.left] | vals[:, node.right]
-        return vals
-    vals = np.empty((m, concept.size), dtype=np.uint8)
-    for i, gate in enumerate(concept.gates):
-        total = np.zeros(m, dtype=np.int32)
+                np.bitwise_or(rows[node.left], rows[node.right], out=rows[i])
+        return
+    total = np.empty(X.shape[0], dtype=np.int32)
+    for i in indices:
+        gate = concept.gates[i]
+        total[:] = 0
         for wire in gate.inputs:
-            col = X[:, wire.index] if wire.source == "bit" else vals[:, wire.index]
-            total += col
-        vals[:, i] = (total >= gate.threshold).astype(np.uint8)
-    return vals
+            col = X[:, wire.index] if wire.source == "bit" else rows[wire.index]
+            np.add(total, col, out=total)
+        np.greater_equal(total, gate.threshold, out=rows[i])
 
 
-def root_values_with_override(
-    concept: ConceptDag | ThresholdCircuit, X: np.ndarray, node: int, forced: int
-) -> np.ndarray:
-    """Root value on every row when `node` is clamped to `forced`."""
+def node_values(concept: ConceptDag | ThresholdCircuit, X: np.ndarray) -> np.ndarray:
+    """Value of every node (or gate) on every row of X, shape (m, size): the
+    transpose of one contiguous row per node."""
     X = as_bit_matrix(X, concept.n)
-    m = X.shape[0]
-    size = concept.size
-    if not (0 <= node < size):
-        raise InvalidConceptError(f"node {node} out of range")
-    vals = np.empty((m, size), dtype=np.uint8)
-    if isinstance(concept, ConceptDag):
-        for i, item in enumerate(concept.nodes):
-            if i == node:
-                vals[:, i] = forced
-            elif isinstance(item, Literal):
-                vals[:, i] = X[:, item.bit]
-            elif isinstance(item, Not):
-                vals[:, i] = 1 - vals[:, item.child]
-            elif isinstance(item, And):
-                vals[:, i] = vals[:, item.left] & vals[:, item.right]
-            else:
-                vals[:, i] = vals[:, item.left] | vals[:, item.right]
-    else:
-        for i, gate in enumerate(concept.gates):
-            if i == node:
-                vals[:, i] = forced
-                continue
-            total = np.zeros(m, dtype=np.int32)
-            for wire in gate.inputs:
-                col = X[:, wire.index] if wire.source == "bit" else vals[:, wire.index]
-                total += col
-            vals[:, i] = (total >= gate.threshold).astype(np.uint8)
-    return vals[:, concept.root]
+    rows = np.empty((concept.size, X.shape[0]), dtype=np.uint8)
+    _fill_rows(concept, X, rows, range(concept.size))
+    return rows.T
 
 
 def evaluate(concept: ConceptDag | ThresholdCircuit, bits) -> int:
@@ -372,12 +350,43 @@ def evaluate_batch(concept: ConceptDag | ThresholdCircuit, X: np.ndarray) -> np.
 
 
 def relevance_mask(
-    concept: ConceptDag | ThresholdCircuit, node: int, X: np.ndarray
+    concept: ConceptDag | ThresholdCircuit,
+    node: int,
+    X: np.ndarray,
+    *,
+    values: np.ndarray | None = None,
 ) -> np.ndarray:
-    """True where clamping the node to 0 and to 1 produces different root values."""
-    low = root_values_with_override(concept, X, node, 0)
-    high = root_values_with_override(concept, X, node, 1)
-    return low != high
+    """True where clamping the node to 0 and to 1 produces different root values.
+
+    Edges point to lower indices, so a clamp changes only nodes above it:
+    the concept is evaluated once (not at all when `values`, its
+    node_values on X, is given), and each clamp re-evaluates just the nodes
+    that read a changed one.
+    """
+    X = as_bit_matrix(X, concept.n)
+    if not (0 <= node < concept.size):
+        raise InvalidConceptError(f"node {node} out of range")
+    changed = {node}
+    above = []
+    for i in range(node + 1, concept.root + 1):
+        if not changed.isdisjoint(_children(concept, i)):
+            changed.add(i)
+            above.append(i)
+    if values is None:
+        rows = np.empty((concept.size, X.shape[0]), dtype=np.uint8)
+        _fill_rows(concept, X, rows, [i for i in range(concept.root + 1) if i not in changed])
+    elif values.shape != (X.shape[0], concept.size):
+        raise InputShapeError(
+            f"expected node values of shape {(X.shape[0], concept.size)}, got {values.shape}"
+        )
+    else:
+        rows = values.T.copy()
+    rows[node] = 0
+    _fill_rows(concept, X, rows, above)
+    low = rows[concept.root].copy()
+    rows[node] = 1
+    _fill_rows(concept, X, rows, above)
+    return low != rows[concept.root]
 
 
 def is_relevant(concept: ConceptDag | ThresholdCircuit, node: int, bits) -> bool:
@@ -405,29 +414,14 @@ def correlation_at(concept: ConceptDag | ThresholdCircuit, node: int, bits) -> C
 
 def reachable_indices(concept: Concept) -> set[int]:
     """Indices reachable from the root (or start) by following edges."""
-    if isinstance(concept, ConceptDag):
-        children = lambda i: node_children(concept.nodes[i])
-        top = concept.root
-    elif isinstance(concept, ThresholdCircuit):
-        children = lambda i: tuple(
-            w.index for w in concept.gates[i].inputs if w.source == "gate"
-        )
-        top = concept.root
-    else:
-        def children(i):
-            state = concept.states[i]
-            if isinstance(state, BranchState):
-                return (state.on0, state.on1)
-            return ()
-        top = concept.start
     seen: set[int] = set()
-    stack = [top]
+    stack = [concept.start if isinstance(concept, Adfsa) else concept.root]
     while stack:
         i = stack.pop()
         if i in seen:
             continue
         seen.add(i)
-        stack.extend(children(i))
+        stack.extend(_children(concept, i))
     return seen
 
 

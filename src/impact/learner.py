@@ -212,17 +212,24 @@ class AttributeSpace:
             if isinstance(attr, TerminalAttr):
                 table[j] = 1 if attr.accepting else 0
                 continue
-            hyp = attr.hypothesis
             table[j] = -1
             for o in range(width - 1, -1, -1):
-                inside = o < lengths
-                bit = X[:, o]
-                picked = np.where(bit == 1, table[hyp.on1, o + 1], table[hyp.on0, o + 1])
-                table[j, o] = np.where(inside, picked, -1)
+                table[j, o] = step_outputs(attr.hypothesis, o, table, X, lengths)
             if isinstance(attr, ComplementAttr):
                 defined = table[j] >= 0
                 table[j] = np.where(defined, 1 - table[j], -1)
         return table
+
+
+def step_outputs(
+    h: AdfsaNodeHypothesis, offset: int, table: np.ndarray, bits: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Output of a decision step that reads the bit at `offset` and hands off
+    to its on0 or on1 attribute from offset + 1 on, read from an eval_table
+    cube; -1 where the string ends first."""
+    bit = bits[:, offset]
+    picked = np.where(bit == 1, table[h.on1, offset + 1], table[h.on0, offset + 1])
+    return np.where(offset < lengths, picked, -1)
 
 
 def augment(z: AttributeSpace, h: RoundHypothesis) -> AttributeSpace:
@@ -354,9 +361,10 @@ def canonical_first_pair() -> PairHypothesis:
 
 
 def learn_pair_node(
-    z: AttributeSpace, s: Sample, mode: str = "best-fit"
+    V: np.ndarray, y: np.ndarray, mode: str = "best-fit"
 ) -> PairHypothesis | ReliablePairSet | DontKnowType:
-    """Exhaust the canonical pair space against the round's data.
+    """Exhaust the canonical pair space against the round's attribute rows
+    V (A, m) and labels y.
 
     best-fit returns the first candidate with minimal disagreement in
     canonical order. reliable returns the whole zero-disagreement set, or
@@ -364,9 +372,9 @@ def learn_pair_node(
     """
     if mode not in ("best-fit", "reliable"):
         raise InvalidParameterError(f"unknown learning mode {mode!r}")
-    if len(s) == 0:
+    if V.shape[1] == 0:
         raise UndefinedMetricError("cannot learn from an empty sample")
-    errs = _pair_errors(z.values(s.bits), s.labels)
+    errs = _pair_errors(V, y)
     if mode == "best-fit":
         return _hypotheses(np.unravel_index([np.argmin(errs)], errs.shape))[0]
     index = np.unravel_index(np.flatnonzero(errs == 0), errs.shape)
@@ -391,23 +399,22 @@ def pair_training_error(z: AttributeSpace, h, s: Sample) -> float:
 
 
 def learn_threshold_node(
-    z: AttributeSpace,
-    s: Sample,
+    V: np.ndarray,
+    y: np.ndarray,
     *,
     max_epochs: int = 1000,
     learning_rate: float = 1.0,
 ) -> PerceptronHypothesis:
-    """Pocket perceptron over the attribute values.
+    """Pocket perceptron over the round's attribute rows V (A, m) and labels y.
 
     Weights start at zero, updates are the classic rule at the given rate,
     and the best end-of-epoch weights by training accuracy are kept. Stops
     early on a mistake-free epoch.
     """
-    if len(s) == 0:
+    if V.shape[1] == 0:
         raise UndefinedMetricError("cannot learn from an empty sample")
-    V = z.values(s.bits)
     X = V.T.astype(np.float64)
-    y = s.labels.astype(np.int8)
+    y = y.astype(np.int8)
     m, A = X.shape
     w = np.zeros(A, dtype=np.float64)
     theta = 0.0
@@ -447,8 +454,9 @@ def learn_threshold_node(
 # ---------------------------------------------------------------------------
 
 
-def learn_adfsa_node(z: AttributeSpace, s: Sample, offset: int) -> AdfsaNodeHypothesis:
-    """Pick the (offset, on0, on1) step that best matches the aligned data.
+def learn_adfsa_node(table: np.ndarray, s: Sample, offset: int) -> AdfsaNodeHypothesis:
+    """Pick the (offset, on0, on1) step that best matches the aligned data,
+    given the attribute space's eval_table cube over the round's strings.
 
     The `offset` argument documents where the teacher aligned the subset;
     selection does not trust it and searches every offset. Because agreement
@@ -458,7 +466,6 @@ def learn_adfsa_node(z: AttributeSpace, s: Sample, offset: int) -> AdfsaNodeHypo
     if len(s) == 0:
         raise UndefinedMetricError("cannot learn from an empty sample")
     width = s.bits.shape[1]
-    table = z.eval_table(s.bits, s.lengths)
     y = s.labels.astype(np.int8)
     best = None
     best_score = -1

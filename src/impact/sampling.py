@@ -16,7 +16,6 @@ from .concepts import (
     Adfsa,
     Concept,
     ConceptDag,
-    Example,
     ThresholdCircuit,
     adfsa_labels,
     evaluate_batch,
@@ -137,13 +136,6 @@ class Sample:
             lengths=self.lengths[sel].copy(),
             source_indices=self.source_indices[sel].copy(),
         )
-
-    def examples(self) -> list[Example]:
-        out = []
-        for i in range(len(self)):
-            row = self.bits[i, : self.lengths[i]]
-            out.append(Example(bits=tuple(int(b) for b in row), label=int(self.labels[i])))
-        return out
 
 
 def draw_sample(d: Distribution, concept: Concept, m: int, *, stream=0) -> Sample:

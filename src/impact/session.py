@@ -50,6 +50,7 @@ from .learner import (
     learn_pair_node,
     learn_threshold_node,
     pair_space_size,
+    step_outputs,
 )
 from .plan import ModerationRule, RoundPlan, default_rule, postfix_order
 from .sampling import Distribution, Sample, draw_sample
@@ -182,11 +183,7 @@ class AutomatonClassifier:
 
     def predict_sample(self, s: Sample) -> np.ndarray:
         table = self.space.eval_table(s.bits, s.lengths)
-        o = self.final.offset
-        inside = o < s.lengths
-        bit = s.bits[:, o] if o < s.bits.shape[1] else np.zeros(len(s), dtype=np.uint8)
-        picked = np.where(bit == 1, table[self.final.on1, o + 1], table[self.final.on0, o + 1])
-        return np.where(inside, picked, -1).astype(np.int8)
+        return step_outputs(self.final, self.final.offset, table, s.bits, s.lengths)
 
     def to_concept(self) -> Adfsa:
         """Expand the learned steps into automaton states. A leading chain of
@@ -373,7 +370,11 @@ def run_teaching_session(
     if kind == "adfsa":
         z = AttributeSpace.terminals()
     else:
+        # The training attribute matrix: the raw bits, then two rows per
+        # round, each filled from the rows before it.
         z = AttributeSpace.pure(concept.n)
+        V = np.empty((concept.n + 2 * len(plan), m), dtype=np.uint8)
+        V[: concept.n] = s.bits.T
 
     boolean_diag = diagnostics and kind != "adfsa"
     if boolean_diag:
@@ -386,6 +387,7 @@ def run_teaching_session(
     required = budget.per_round_budget if enforce_budget else 1
 
     for r, rnd in enumerate(plan.rounds):
+        A = len(z)
         try:
             subset, offset = moderate(taught, rnd.node, s, rnd.rule)
         except InsufficientDataError as exc:
@@ -419,58 +421,53 @@ def run_teaching_session(
                 raise ImpactError(f"round {r} subset changed the sample's labels")
 
         dont_know = False
+        training_error = 0.0
         if subset is None:
             if kind == "threshold":
                 attr_h = h = PerceptronHypothesis(
-                    weights=np.zeros(len(z), dtype=np.float64), threshold=0.0
+                    weights=np.zeros(A, dtype=np.float64), threshold=0.0
                 )
                 candidates = 0
             else:
-                candidates = pair_space_size(len(z))
+                candidates = pair_space_size(A)
                 attr_h = canonical_first_pair()
                 if mode == "reliable":
                     dont_know = True
                     h = DONT_KNOW
                 else:
                     h = attr_h
-            training_error = 0.0
         elif kind == "adfsa":
-            h = learn_adfsa_node(z, subset, offset)
-            attr_h = h
-            candidates = adfsa_candidate_count(z, subset.bits.shape[1])
             table = z.eval_table(subset.bits, subset.lengths)
-            o = h.offset
-            inside = o < subset.lengths
-            bit = subset.bits[:, o]
-            out = np.where(bit == 1, table[h.on1, o + 1], table[h.on0, o + 1])
-            out = np.where(inside, out, -1)
+            attr_h = h = learn_adfsa_node(table, subset, offset)
+            candidates = adfsa_candidate_count(z, subset.bits.shape[1])
+            out = step_outputs(h, h.offset, table, subset.bits, subset.lengths)
             training_error = float(np.mean(out != subset.labels))
         elif kind == "threshold":
-            h = learn_threshold_node(z, subset)
-            attr_h = h
+            attr_h = h = learn_threshold_node(V[:A, kept], subset.labels)
             candidates = 0
-            rows = z.values(subset.bits)
-            training_error = float(np.mean(h.evaluate_rows(rows) != subset.labels))
         else:
-            h = learn_pair_node(z, subset, mode)
-            candidates = pair_space_size(len(z))
+            rows = V[:A, kept]
+            h = learn_pair_node(rows, subset.labels, mode)
+            candidates = pair_space_size(A)
             if isinstance(h, DontKnowType):
                 dont_know = True
-                attr_h = learn_pair_node(z, subset, "best-fit")
+                attr_h = learn_pair_node(rows, subset.labels, "best-fit")
             elif isinstance(h, ReliablePairSet):
                 attr_h = h.primary
             else:
                 attr_h = h
-            rows = z.values(subset.bits)
-            training_error = float(np.mean(attr_h.evaluate_rows(rows) != subset.labels))
 
         extra = {}
+        if kind != "adfsa":
+            V[A] = attr_h.evaluate_rows(V[:A])
+            h_eval = V[A]
+            np.subtract(1, h_eval, out=V[A + 1])
+            if subset is not None:
+                training_error = float(np.mean(h_eval[kept] != subset.labels))
         if boolean_diag:
-            full_rows = z.values(s.bits)
-            h_eval = attr_h.evaluate_rows(full_rows)
-            truth_node = node_vals[:, rnd.node]
-            rel = relevance_mask(taught, rnd.node, s.bits)
-            wrong_relevant = int(np.sum(rel & (h_eval != truth_node)))
+            rel = relevance_mask(taught, rnd.node, s.bits, values=node_vals)
+            # truth[A] is the true row of this round's node
+            wrong_relevant = int(np.sum(rel & (h_eval != truth[A])))
             rel_count = int(rel.sum())
             extra["error_full"] = wrong_relevant / len(s)
             extra["error_relevant"] = (
@@ -479,13 +476,9 @@ def run_teaching_session(
             if isinstance(attr_h, PairHypothesis):
                 left = attr_h.left_attr
                 right = attr_h.right_attr
-                extra["child_error_left"] = float(
-                    np.mean(full_rows[left] != truth[left])
-                )
-                extra["child_error_right"] = float(
-                    np.mean(full_rows[right] != truth[right])
-                )
-                h_on_truth = attr_h.evaluate_rows(truth[: len(z)])
+                extra["child_error_left"] = float(np.mean(V[left] != truth[left]))
+                extra["child_error_right"] = float(np.mean(V[right] != truth[right]))
+                h_on_truth = attr_h.evaluate_rows(truth[:A])
                 extra["hypothesis_corruption"] = float(np.mean(h_eval != h_on_truth))
 
         records.append(

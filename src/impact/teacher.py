@@ -41,7 +41,7 @@ def _boolean_mask(
     vals: np.ndarray,
 ) -> np.ndarray:
     if rule is ModerationRule.RELEVANT_FILTER:
-        return relevance_mask(concept, node, s.bits)
+        return relevance_mask(concept, node, s.bits, values=vals)
     if rule is ModerationRule.LARGER_PARTITION:
         agree = vals[:, node] == s.labels
         n_agree = int(agree.sum())
@@ -74,51 +74,46 @@ def moderate_boolean(
     return s.subset(mask)
 
 
-def _adfsa_buckets(a: Adfsa, state: int, s: Sample) -> list[tuple[int, bool, np.ndarray]]:
-    """All nonempty (offset, agreeing, membership mask) buckets in priority order."""
+def _best_bucket(a: Adfsa, state: int, s: Sample) -> tuple[int, np.ndarray] | None:
+    """The largest nonempty (offset, membership mask) bucket of a branch-state
+    round, or None when every bucket is empty.
+
+    Every string that walks through the state lands in the bucket of its
+    arrival offset. Strings that never touch the state are usable at any
+    offset where the walk from the state stays inside them, filed by whether
+    the state's output there matches their label. Ties resolve to the lower
+    offset and, within an offset, to the agreeing bucket.
+    """
     arrivals = arrival_offsets(a, s.bits, s.lengths, state)
     never = arrivals < 0
-    buckets: list[tuple[int, bool, np.ndarray]] = []
+    best = None
+    best_size = 0
     for offset in range(a.n):
         out = walk_from_state(a, s.bits, s.lengths, state, offset)
         defined = out >= 0
         eligible = (arrivals == offset) | (never & defined)
         agree = eligible & (out == s.labels)
         disagree = eligible & defined & (out != s.labels)
-        for flag, mask in ((True, agree), (False, disagree)):
-            if mask.any():
-                buckets.append((offset, flag, mask))
-    return buckets
+        for mask in (agree, disagree):
+            size = int(mask.sum())
+            if size > best_size:
+                best, best_size = (offset, mask), size
+    return best
 
 
 def moderate_adfsa(a: Adfsa, state: int, s: Sample) -> tuple[Sample, int]:
-    """Select the largest offset-aligned bucket for a branch-state round.
-
-    Every string that walks through the state lands in the bucket of its
-    arrival offset. Strings that never touch the state are usable at any
-    offset where the walk from the state stays inside them, and the teacher
-    files them by whether the state's output there matches their label.
-    Returns the chosen subset along with its offset.
-    """
+    """Select the largest offset-aligned bucket for a branch-state round
+    (see _best_bucket). Returns the chosen subset along with its offset."""
     if not np.array_equal(adfsa_labels(a, s.bits, s.lengths), s.labels):
         raise InvalidParameterError(
             "sample labels disagree with the automaton; the teacher never relabels"
         )
-    buckets = _adfsa_buckets(a, state, s)
-    if not buckets:
+    best = _best_bucket(a, state, s)
+    if best is None:
         raise InsufficientDataError(
             f"no usable examples for state {state}", node=state, subset_size=0
         )
-    best = None
-    best_size = -1
-    for offset, agreeing, mask in buckets:
-        size = int(mask.sum())
-        # Strict comparison plus ordering makes ties resolve to the lower
-        # offset and, within an offset, to the agreeing bucket.
-        if size > best_size:
-            best = (offset, agreeing, mask)
-            best_size = size
-    offset, _, mask = best
+    offset, mask = best
     return s.subset(mask), offset
 
 
@@ -164,17 +159,9 @@ def export_privileged_view(plan: RoundPlan, s: Sample, concept: Concept) -> Priv
     vals = None if isinstance(concept, Adfsa) else node_values(concept, s.bits)
     for r, rnd in enumerate(plan.rounds):
         if rnd.rule is ModerationRule.OFFSET_PARTITION:
-            buckets = _adfsa_buckets(concept, rnd.node, s)
-            best_mask = None
-            best_size = -1
-            for _, _, mask in buckets:
-                size = int(mask.sum())
-                if size > best_size:
-                    best_mask = mask
-                    best_size = size
-            if best_mask is not None:
-                membership[:, r] = best_mask.astype(np.uint8)
+            best = _best_bucket(concept, rnd.node, s)
+            if best is not None:
+                membership[:, r] = best[1]
         else:
-            mask = _boolean_mask(concept, rnd.node, s, rnd.rule, vals)
-            membership[:, r] = mask.astype(np.uint8)
+            membership[:, r] = _boolean_mask(concept, rnd.node, s, rnd.rule, vals)
     return PrivilegedView(membership=membership)

@@ -1,10 +1,12 @@
 """Command-line behavior: the three subcommands and the exit-code contract."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from helpers import chain_automaton, vote_circuit
+import impact.session
 from impact import build_parity, save_concept
 from impact.cli import main
 from impact.generate import random_dag
@@ -115,6 +117,25 @@ def test_teach_missing_concept_file(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_teach_library_error_exits_two(parity_file, capsys, monkeypatch):
+    """A library error outside the named input errors, here the session's
+    check that moderation keeps labels, still ends with one error line."""
+    real = impact.session.moderate
+
+    def relabeling(*args):
+        subset, offset = real(*args)
+        return replace(subset, labels=1 - subset.labels), offset
+
+    monkeypatch.setattr(impact.session, "moderate", relabeling)
+    code, out, err = run_main(
+        capsys, ["teach", "--concept", str(parity_file), "--m", "80", "--seed", "3"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def set_first_bit(data, value):

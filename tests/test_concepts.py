@@ -25,6 +25,7 @@ from impact import (
     ConceptDag,
     Correlation,
     Gate,
+    InputShapeError,
     InvalidConceptError,
     Literal,
     MalformedAutomatonError,
@@ -277,23 +278,51 @@ def test_blocked_and_leaf_irrelevant():
     assert is_relevant(g, 0, (0, 1))
 
 
+def assert_relevance_matches_oracle(concept, X):
+    """Every node on every row, with and without precomputed node values."""
+    vals = node_values(concept, X)
+    for node in range(concept.size):
+        mask = relevance_mask(concept, node, X)
+        assert np.array_equal(relevance_mask(concept, node, X, values=vals), mask)
+        for i in range(len(X)):
+            assert mask[i] == relevance_by_substitution(concept, node, X[i])
+
+
 def test_relevance_matches_substitution_oracle():
+    X = all_inputs(6)
     for seed in range(10):
         g = random_dag(6, 11, seed=100 + seed)
-        X = all_inputs(6)
-        for node in range(g.size):
-            mask = relevance_mask(g, node, X)
-            for i in (0, 9, 31, 63):
-                assert mask[i] == relevance_by_substitution(g, node, X[i])
+        assert_relevance_matches_oracle(g, X)
+        assert_relevance_matches_oracle(push_negations_to_leaves(g), X)
+
+
+def mixed_wire_circuit(seed: int, n: int = 5, size: int = 7) -> ThresholdCircuit:
+    """Every gate reads raw bits, and every gate above the first also reads
+    earlier gates, so a clamp's re-evaluated gates read raw bits too."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for i in range(size):
+        bits = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+        wires = [Wire("bit", int(b)) for b in bits]
+        if i:
+            below = rng.choice(i, size=min(i, int(rng.integers(1, 3))), replace=False)
+            wires += [Wire("gate", int(g)) for g in below]
+        gates.append(Gate(int(rng.integers(1, len(wires) + 1)), tuple(wires)))
+    return ThresholdCircuit(gates=tuple(gates), root=size - 1, n=n)
 
 
 def test_circuit_relevance_matches_oracle():
-    c = layered_circuit()
-    X = all_inputs(4)
-    for gate in range(c.size):
-        mask = relevance_mask(c, gate, X)
-        for i in range(len(X)):
-            assert mask[i] == relevance_by_substitution(c, gate, X[i])
+    assert_relevance_matches_oracle(layered_circuit(), all_inputs(4))
+    X = all_inputs(5)
+    for seed in range(10):
+        assert_relevance_matches_oracle(mixed_wire_circuit(seed), X)
+
+
+def test_relevance_rejects_mismatched_node_values():
+    g = mixed_relevance_dag()
+    X = all_inputs(3)
+    with pytest.raises(InputShapeError):
+        relevance_mask(g, 0, X, values=node_values(g, X[:4]))
 
 
 def test_taught_nodes_relevant_implies_correlated():

@@ -141,13 +141,11 @@ def test_pair_learner_matches_the_reference(data):
     """Best fit is the canonically first minimal candidate and the reliable
     set is every zero-error candidate, in canonical order."""
     V, y = data
-    z = AttributeSpace.pure(V.shape[0])
-    s = make_sample(V.T.copy(), y)
     candidates = reference_pair_candidates(V.shape[0])
     errors = reference_pair_errors(V, y)
-    assert learn_pair_node(z, s) == candidates[errors.index(min(errors))]
+    assert learn_pair_node(V, y) == candidates[errors.index(min(errors))]
     consistent = [h for h, e in zip(candidates, errors) if e == 0]
-    out = learn_pair_node(z, s, mode="reliable")
+    out = learn_pair_node(V, y, mode="reliable")
     if consistent:
         assert isinstance(out, ReliablePairSet)
         assert list(out.members) == consistent
@@ -163,7 +161,7 @@ def test_pair_learner_matches_the_reference(data):
 def test_recovers_conjunction_exactly():
     z = AttributeSpace.pure(4)
     s = table_sample(4, lambda row: row[0] & row[1])
-    h = learn_pair_node(z, s)
+    h = learn_pair_node(z.values(s.bits), s.labels)
     assert h == PairHypothesis(
         op="and", left_attr=0, left_negated=False, right_attr=1, right_negated=False
     )
@@ -173,7 +171,7 @@ def test_recovers_conjunction_exactly():
 def test_recovers_negated_disjunction():
     z = AttributeSpace.pure(3)
     s = table_sample(3, lambda row: (1 - row[0]) | row[2])
-    h = learn_pair_node(z, s)
+    h = learn_pair_node(z.values(s.bits), s.labels)
     assert pair_training_error(z, h, s) == 0.0
     V = z.values(s.bits)
     assert np.array_equal(h.evaluate_rows(V), s.labels)
@@ -184,7 +182,7 @@ def test_parity_defeats_every_pair():
     error on the full table stays at or above 0.25."""
     z = AttributeSpace.pure(4)
     s = table_sample(4, lambda row: int(row.sum()) % 2)
-    h = learn_pair_node(z, s)
+    h = learn_pair_node(z.values(s.bits), s.labels)
     assert pair_training_error(z, h, s) >= 0.25
 
 
@@ -192,14 +190,14 @@ def test_empty_sample_rejected():
     z = AttributeSpace.pure(2)
     s = make_sample(np.zeros((0, 2), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
     with pytest.raises(UndefinedMetricError):
-        learn_pair_node(z, s)
+        learn_pair_node(z.values(s.bits), s.labels)
 
 
 def test_unknown_mode_rejected():
     z = AttributeSpace.pure(2)
     s = table_sample(2, lambda row: row[0])
     with pytest.raises(InvalidParameterError):
-        learn_pair_node(z, s, mode="pac")
+        learn_pair_node(z.values(s.bits), s.labels, mode="pac")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +208,7 @@ def test_unknown_mode_rejected():
 def test_reliable_set_members_all_fit_the_sample():
     z = AttributeSpace.pure(3)
     s = table_sample(3, lambda row: row[0] & row[1])
-    out = learn_pair_node(z, s, mode="reliable")
+    out = learn_pair_node(z.values(s.bits), s.labels, mode="reliable")
     assert isinstance(out, ReliablePairSet)
     V = z.values(s.bits)
     for member in out.members:
@@ -226,7 +224,7 @@ def test_reliable_abstains_where_members_disagree():
         np.array([[0, 0], [1, 1]], dtype=np.uint8),
         np.array([0, 1], dtype=np.uint8),
     )
-    out = learn_pair_node(z, s, mode="reliable")
+    out = learn_pair_node(z.values(s.bits), s.labels, mode="reliable")
     assert isinstance(out, ReliablePairSet)
     assert len(out.members) > 1
     V = z.values(np.array([[1, 0]], dtype=np.uint8))
@@ -239,7 +237,7 @@ def test_reliable_returns_dont_know_on_contradiction():
         np.array([[1, 0], [1, 0]], dtype=np.uint8),
         np.array([0, 1], dtype=np.uint8),
     )
-    assert learn_pair_node(z, s, mode="reliable") is DONT_KNOW
+    assert learn_pair_node(z.values(s.bits), s.labels, mode="reliable") is DONT_KNOW
 
 
 def test_dont_know_is_a_singleton():
@@ -285,7 +283,7 @@ def test_augment_rejects_mismatched_hypothesis_kind():
 def test_augment_unwraps_a_reliable_set_to_its_primary():
     z = AttributeSpace.pure(3)
     s = table_sample(3, lambda row: row[0] & row[1])
-    out = learn_pair_node(z, s, mode="reliable")
+    out = learn_pair_node(z.values(s.bits), s.labels, mode="reliable")
     grown = augment(z, out)
     X = all_inputs(3)
     rows = grown.values(X)
@@ -367,7 +365,7 @@ def test_error_budget_splits_evenly():
 def test_perceptron_learns_separable_gates(name, fn):
     z = AttributeSpace.pure(3)
     s = table_sample(3, fn)
-    h = learn_threshold_node(z, s)
+    h = learn_threshold_node(z.values(s.bits), s.labels)
     V = z.values(s.bits)
     assert np.array_equal(h.evaluate_rows(V), s.labels), name
 
@@ -380,7 +378,7 @@ def test_perceptron_matches_explicit_vote_construction():
     reference = PerceptronHypothesis(weights=np.ones(4), threshold=3.0)
     V = z.values(s.bits)
     assert np.array_equal(reference.evaluate_rows(V), s.labels)
-    learned = learn_threshold_node(z, s)
+    learned = learn_threshold_node(z.values(s.bits), s.labels)
     assert np.array_equal(learned.evaluate_rows(V), s.labels)
 
 
@@ -395,7 +393,7 @@ def test_perceptron_ignores_attributes_added_after_training():
 def test_perceptron_pocket_survives_nonseparable_labels():
     z = AttributeSpace.pure(2)
     s = table_sample(2, lambda row: int(row.sum()) % 2)
-    h = learn_threshold_node(z, s)
+    h = learn_threshold_node(z.values(s.bits), s.labels)
     V = z.values(s.bits)
     err = float(np.mean(h.evaluate_rows(V) != s.labels))
     assert err <= 0.5
@@ -405,7 +403,7 @@ def test_perceptron_empty_sample_rejected():
     z = AttributeSpace.pure(2)
     s = make_sample(np.zeros((0, 2), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
     with pytest.raises(UndefinedMetricError):
-        learn_threshold_node(z, s)
+        learn_threshold_node(z.values(s.bits), s.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +418,7 @@ def test_learns_single_bit_acceptor_step():
         np.array([0, 1], dtype=np.uint8),
         lengths=np.array([1, 1]),
     )
-    h = learn_adfsa_node(z, s, offset=0)
+    h = learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, offset=0)
     assert h == AdfsaNodeHypothesis(offset=0, on0=1, on1=0)
 
 
@@ -431,7 +429,7 @@ def test_learns_complement_pattern_with_swapped_children():
         np.array([1, 0], dtype=np.uint8),
         lengths=np.array([1, 1]),
     )
-    h = learn_adfsa_node(z, s, offset=0)
+    h = learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, offset=0)
     assert h == AdfsaNodeHypothesis(offset=0, on0=0, on1=1)
 
 
@@ -445,14 +443,14 @@ def test_second_round_links_to_first_round_attribute():
         np.array([0, 1], dtype=np.uint8),
         lengths=np.array([2, 2]),
     )
-    h1 = learn_adfsa_node(z, tail, offset=1)
+    h1 = learn_adfsa_node(z.eval_table(tail.bits, tail.lengths), tail, offset=1)
     assert h1 == AdfsaNodeHypothesis(offset=1, on0=1, on1=0)
     z2 = augment(z, h1)
 
     bits = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
     labels = np.array([0, 0, 0, 1], dtype=np.uint8)
     start = make_sample(bits, labels, lengths=np.full(4, 2))
-    h2 = learn_adfsa_node(z2, start, offset=0)
+    h2 = learn_adfsa_node(z2.eval_table(start.bits, start.lengths), start, offset=0)
     assert h2 == AdfsaNodeHypothesis(offset=0, on0=1, on1=2)
 
     z3 = augment(z2, h2)
@@ -468,7 +466,7 @@ def test_adfsa_learner_searches_offsets_itself():
         np.array([0, 1, 0, 1], dtype=np.uint8),
         lengths=np.full(4, 2),
     )
-    h = learn_adfsa_node(z, s, offset=0)
+    h = learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, offset=0)
     assert h.offset == 1
     assert (h.on0, h.on1) == (1, 0)
 
@@ -486,4 +484,4 @@ def test_adfsa_empty_sample_rejected():
         lengths=np.zeros(0, dtype=np.int64),
     )
     with pytest.raises(UndefinedMetricError):
-        learn_adfsa_node(z, s, offset=0)
+        learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, offset=0)
