@@ -180,14 +180,14 @@ def _verify_single(concept, args) -> list[dict]:
 def _verify_pair(concept, other, args) -> list[dict]:
     if isinstance(concept, Adfsa) != isinstance(other, Adfsa):
         raise InvalidParameterError("cannot compare string and fixed-width concepts")
+    if not isinstance(concept, Adfsa) and concept.n != other.n:
+        raise InvalidParameterError("concepts have different input widths")
     if args.exhaustive:
         if isinstance(concept, Adfsa):
             report = exhaustive_string_equivalence(
                 concept, other, max_len=max(concept.n, other.n), ignore_undefined=True
             )
         else:
-            if concept.n != other.n:
-                raise InvalidParameterError("concepts have different input widths")
             report = exhaustive_equivalence(concept, other, concept.n)
         if report is None:
             return [{"name": "equivalent", "passed": True, "details": {}}]

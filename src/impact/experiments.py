@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .baselines import fit_majority, fit_stumps, fit_tree
 from .concepts import build_parity, json_int
 from .errors import ConfigError
@@ -249,6 +251,13 @@ def _summarize(cfg: SweepConfig, group: list[ResultRow]) -> list[ResultRow]:
     return [mean, spread]
 
 
+def _worker_count(cfg: SweepConfig) -> int:
+    """Processes a sweep runs in. Every worker is a process, so there are no
+    more than there are tasks or cores."""
+    tasks = len(cfg.values) * len(cfg.learners) * cfg.trials
+    return min(cfg.workers, tasks, os.cpu_count() or 1)
+
+
 def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
     """All trials for all points and learners, plus per-group summary rows
     (trial -1 holds the mean, trial -2 the standard deviation)."""
@@ -258,8 +267,7 @@ def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
         for learner in cfg.learners
         for trial in range(cfg.trials)
     ]
-    # every worker is a process: no more than there are tasks or cores
-    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    workers = _worker_count(cfg)
     if workers > 1:
         raw = _config_raw(cfg)
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -297,6 +305,10 @@ def manifest_dict(cfg: SweepConfig) -> dict:
         "test_size": cfg.test_size,
         "learners": list(cfg.learners),
         "points": points,
+        "workers": _worker_count(cfg),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "impact": __version__,
     }
 
 

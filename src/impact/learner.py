@@ -385,68 +385,57 @@ def learn_pair_node(
     return ReliablePairSet(members=tuple(_hypotheses(tuple(a[canonical] for a in index))))
 
 
-def pair_training_error(z: AttributeSpace, h, s: Sample) -> float:
-    """Fraction of the round's data a hypothesis (or set's primary) gets wrong."""
-    if isinstance(h, ReliablePairSet):
-        h = h.primary
-    V = z.values(s.bits)
-    return float(np.mean(h.evaluate_rows(V) != s.labels))
-
-
 # ---------------------------------------------------------------------------
 # Threshold-gate learning
 # ---------------------------------------------------------------------------
 
+_SCAN_WINDOW = 128  # rows per step of the first-mistake scan
+
 
 def learn_threshold_node(
-    V: np.ndarray,
-    y: np.ndarray,
-    *,
-    max_epochs: int = 1000,
-    learning_rate: float = 1.0,
+    V: np.ndarray, y: np.ndarray, *, max_epochs: int = 1000
 ) -> PerceptronHypothesis:
     """Pocket perceptron over the round's attribute rows V (A, m) and labels y.
 
-    Weights start at zero, updates are the classic rule at the given rate,
-    and the best end-of-epoch weights by training accuracy are kept. Stops
-    early on a mistake-free epoch.
+    Weights and threshold start at zero and a mistake adds or subtracts its
+    row and one unit of threshold, so they are integer vote counts. The best
+    end-of-epoch weights by training accuracy are kept; a mistake-free epoch
+    stops early. With row k of Z = sign_k * [x_k, -1] and u = [w, threshold],
+    row k is a mistake iff Z[k] @ u < off[k] (1 for a negative label), and
+    u += Z[k] updates. Integer margins are exact in any order, so scanning
+    for the first mistake window by window equals a full rescan.
     """
     if V.shape[1] == 0:
         raise UndefinedMetricError("cannot learn from an empty sample")
-    X = V.T.astype(np.float64)
-    y = y.astype(np.int8)
-    m, A = X.shape
-    w = np.zeros(A, dtype=np.float64)
-    theta = 0.0
-
-    def acc(wv, tv):
-        return float(np.mean(((X @ wv >= tv)) == (y == 1)))
-
-    pocket_w, pocket_theta, pocket_acc = w.copy(), theta, acc(w, theta)
+    A, m = V.shape
+    pos = y == 1
+    Z = np.empty((m, A + 1), dtype=np.float64)
+    Z[:, :A] = V.T
+    Z[:, A] = -1.0
+    Z *= np.where(pos, 1.0, -1.0)[:, None]
+    off = (~pos).astype(np.float64)
+    u = np.zeros(A + 1, dtype=np.float64)
+    # zero weights call every row positive
+    pocket_u, pocket_acc = u.copy(), float(np.mean(pos))
     for _ in range(max_epochs):
         i = 0
         mistakes = 0
         while i < m:
-            scores = X[i:] @ w
-            wrong = (scores >= theta) != (y[i:] == 1)
-            hits = np.flatnonzero(wrong)
-            if hits.size == 0:
-                break
-            j = i + int(hits[0])
-            if y[j] == 1:
-                w += learning_rate * X[j]
-                theta -= learning_rate
-            else:
-                w -= learning_rate * X[j]
-                theta += learning_rate
+            end = i + _SCAN_WINDOW
+            wrong = Z[i:end] @ u < off[i:end]
+            j = int(wrong.argmax())
+            if not wrong[j]:
+                i = end
+                continue
+            u += Z[i + j]
             mistakes += 1
-            i = j + 1
-        epoch_acc = acc(w, theta)
+            i += j + 1
+        epoch_acc = float(np.mean(Z @ u >= off))
         if epoch_acc > pocket_acc:
-            pocket_w, pocket_theta, pocket_acc = w.copy(), theta, epoch_acc
+            pocket_u, pocket_acc = u.copy(), epoch_acc
         if mistakes == 0:
             break
-    return PerceptronHypothesis(weights=pocket_w, threshold=pocket_theta)
+    return PerceptronHypothesis(weights=pocket_u[:A].copy(), threshold=float(pocket_u[A]))
 
 
 # ---------------------------------------------------------------------------

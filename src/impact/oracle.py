@@ -25,7 +25,7 @@ from .concepts import (
     ThresholdCircuit,
 )
 from .errors import EnumerationCapError, InvalidParameterError, UndefinedMetricError
-from .learner import AND, OR, PairHypothesis
+from .learner import AND, OR, PairHypothesis, PerceptronHypothesis
 from .sampling import Distribution, Sample, rng_from
 
 ENUMERATION_CAP = 20
@@ -180,6 +180,57 @@ def reference_pair_errors(V, y) -> list[int]:
             wrong += out != label
         errors.append(wrong)
     return errors
+
+
+# ---------------------------------------------------------------------------
+# Perceptron reference
+# ---------------------------------------------------------------------------
+
+
+def reference_perceptron(V, y, max_epochs: int) -> PerceptronHypothesis:
+    """Pocket perceptron over attribute rows V (A, m) and labels y that
+    rescans every remaining row for the next mistake after each update.
+
+    Weights start at zero and each mistake adds or subtracts its row and
+    one unit of threshold; the best end-of-epoch weights by training
+    accuracy are kept, and a mistake-free epoch stops early.
+    """
+    if V.shape[1] == 0:
+        raise UndefinedMetricError("cannot learn from an empty sample")
+    X = V.T.astype(np.float64)
+    y = y.astype(np.int8)
+    m, A = X.shape
+    w = np.zeros(A, dtype=np.float64)
+    theta = 0.0
+
+    def acc(wv, tv):
+        return float(np.mean(((X @ wv >= tv)) == (y == 1)))
+
+    pocket_w, pocket_theta, pocket_acc = w.copy(), theta, acc(w, theta)
+    for _ in range(max_epochs):
+        i = 0
+        mistakes = 0
+        while i < m:
+            scores = X[i:] @ w
+            wrong = (scores >= theta) != (y[i:] == 1)
+            hits = np.flatnonzero(wrong)
+            if hits.size == 0:
+                break
+            j = i + int(hits[0])
+            if y[j] == 1:
+                w += X[j]
+                theta -= 1.0
+            else:
+                w -= X[j]
+                theta += 1.0
+            mistakes += 1
+            i = j + 1
+        epoch_acc = acc(w, theta)
+        if epoch_acc > pocket_acc:
+            pocket_w, pocket_theta, pocket_acc = w.copy(), theta, epoch_acc
+        if mistakes == 0:
+            break
+    return PerceptronHypothesis(weights=pocket_w, threshold=pocket_theta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Command-line behavior: the three subcommands and the exit-code contract."""
 
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import chain_automaton, vote_circuit
 import impact.session
@@ -314,6 +320,19 @@ def test_verify_sampled_pair(parity_file, tmp_path, capsys):
     assert json.loads(out)["checks"][0]["name"] == "sampled-agreement"
 
 
+@pytest.mark.parametrize("exhaustive", [[], ["--exhaustive"]], ids=["sampled", "exhaustive"])
+def test_verify_pair_of_different_widths_rejected(parity_file, tmp_path, capsys, exhaustive):
+    wider = tmp_path / "wider.json"
+    save_concept(build_parity(5, (0, 4)), wider)
+    code, out, err = run_main(
+        capsys,
+        ["verify", "--concept", str(parity_file), "--against", str(wider), *exhaustive],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_mixed_kinds_rejected(parity_file, automaton_file, capsys):
     code, _, err = run_main(
         capsys,
@@ -336,3 +355,146 @@ def test_verify_random_dag_round_trip(tmp_path, capsys):
     code, out, _ = run_main(capsys, ["verify", "--concept", str(path), "--exhaustive"])
     assert code == 0
     assert all(c["passed"] for c in json.loads(out)["checks"])
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input files
+# ---------------------------------------------------------------------------
+
+# Sizes stay small (n <= 8, at most 8 nodes) so every drawn concept is cheap
+# to teach and to enumerate.
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 8) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def below(i):
+    """An index under i, or 0 when there is none."""
+    return st.integers(0, max(i - 1, 0))
+
+
+def valid_concept(draw, kind):
+    """A well-formed concept file of the kind: references point to lower
+    indices and every width and threshold is in range."""
+    n = draw(st.integers(1, 8))
+    size = draw(st.integers(1, 8))
+    if kind == "dag":
+        nodes = []
+        for i in range(size):
+            op = draw(st.sampled_from(["lit", "not", "and", "or"] if i else ["lit"]))
+            if op == "lit":
+                nodes.append({"op": op, "bit": draw(below(n))})
+            elif op == "not":
+                nodes.append({"op": op, "child": draw(below(i))})
+            else:
+                nodes.append({"op": op, "left": draw(below(i)), "right": draw(below(i))})
+        return {"type": kind, "n": n, "nodes": nodes, "root": draw(below(size))}
+    if kind == "threshold":
+        gates = []
+        for i in range(size):
+            wires = st.one_of(
+                st.builds(lambda b: {"bit": b}, below(n)),
+                *([st.builds(lambda g: {"gate": g}, below(i))] if i else []),
+            )
+            inputs = draw(st.lists(wires, min_size=1, max_size=4))
+            gates.append({"threshold": draw(st.integers(1, len(inputs))), "inputs": inputs})
+        return {"type": kind, "n": n, "gates": gates, "root": draw(below(size))}
+    states = draw(st.permutations([{"kind": "accept"}, {"kind": "reject"}]))
+    for i in range(2, size + 2):
+        states.append({"kind": "branch", "on0": draw(below(i)), "on1": draw(below(i))})
+    return {"type": kind, "n": n, "states": states, "start": draw(below(len(states)))}
+
+
+def slots(data):
+    """Every (container, key) pair inside a JSON document."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        yield data, key
+        if isinstance(value, (dict, list)):
+            yield from slots(value)
+
+
+@st.composite
+def concept_json(draw):
+    """A well-formed dag, threshold or adfsa concept file with up to two of
+    its values replaced or deleted, or any JSON document at all."""
+    kind = draw(st.sampled_from(["dag", "threshold", "adfsa", "junk"]))
+    if kind == "junk":
+        return draw(junk)
+    data = valid_concept(draw, kind)
+    for _ in range(draw(st.integers(0, 2))):
+        container, key = draw(st.sampled_from(list(slots(data))))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(junk)
+    return data
+
+
+def run_fuzzed(argv, files):
+    """Write each JSON document to a file, run main with the file paths put
+    into argv, and return the exit code and stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, data in enumerate(files):
+            path = Path(tmp) / f"concept{i}.json"
+            path.write_text(json.dumps(data))
+            paths.append(str(path))
+        argv = [arg.format(*paths) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, err.getvalue()
+
+
+@given(
+    concept_json(),
+    st.integers(min_value=-1, max_value=64),
+    st.integers(min_value=0, max_value=2**32),
+    st.lists(
+        st.sampled_from(
+            [
+                ["--mode", "reliable"],
+                ["--moderation", "relevant"],
+                ["--moderation", "partition"],
+                ["--test-size", "16"],
+                ["--test-size", "0"],
+                ["--enforce-budget"],
+            ]
+        ),
+        max_size=3,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_teach_fuzzed_concept_files_exit_cleanly(data, m, seed, options):
+    argv = ["teach", "--concept", "{0}", "--m", str(m), "--seed", str(seed)]
+    code, err = run_fuzzed(argv + [arg for option in options for arg in option], [data])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@given(
+    concept_json(),
+    st.one_of(st.none(), concept_json()),
+    st.booleans(),
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_verify_fuzzed_concept_files_exit_cleanly(data, other, exhaustive, samples, seed):
+    argv = ["verify", "--concept", "{0}", "--samples", str(samples), "--seed", str(seed)]
+    files = [data]
+    if other is not None:
+        argv += ["--against", "{1}"]
+        files.append(other)
+    if exhaustive:
+        argv.append("--exhaustive")
+    code, err = run_fuzzed(argv, files)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import re
 from dataclasses import replace
 
@@ -218,6 +219,13 @@ def test_k_sweep_rows_and_manifest():
         assert point["k"] == value
         assert point["m"] == 40
     assert point_subset(cfg, 2) == random_parity_subset(cfg.n, 2, cfg.seed)
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["impact"] == impact.__version__
+    # the worker count the sweep used: clamped to its 4 tasks and the cores
+    assert manifest["workers"] == 1
+    wide = manifest_dict(replace(cfg, workers=10**6))["workers"]
+    assert wide == min(4, os.cpu_count() or 1)
 
 
 def test_workers_do_not_change_results():

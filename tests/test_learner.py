@@ -27,13 +27,8 @@ from impact import (
     pair_space_size,
     sample_budget,
 )
-from impact.learner import (
-    _hypotheses,
-    _pair_errors,
-    adfsa_candidate_count,
-    pair_training_error,
-)
-from impact.oracle import reference_pair_candidates, reference_pair_errors
+from impact.learner import _hypotheses, _pair_errors, adfsa_candidate_count
+from impact.oracle import reference_pair_candidates, reference_pair_errors, reference_perceptron
 
 
 def table_sample(n, fn):
@@ -165,14 +160,14 @@ def test_recovers_conjunction_exactly():
     assert h == PairHypothesis(
         op="and", left_attr=0, left_negated=False, right_attr=1, right_negated=False
     )
-    assert pair_training_error(z, h, s) == 0.0
+    assert np.mean(h.evaluate_rows(z.values(s.bits)) != s.labels) == 0.0
 
 
 def test_recovers_negated_disjunction():
     z = AttributeSpace.pure(3)
     s = table_sample(3, lambda row: (1 - row[0]) | row[2])
     h = learn_pair_node(z.values(s.bits), s.labels)
-    assert pair_training_error(z, h, s) == 0.0
+    assert np.mean(h.evaluate_rows(z.values(s.bits)) != s.labels) == 0.0
     V = z.values(s.bits)
     assert np.array_equal(h.evaluate_rows(V), s.labels)
 
@@ -183,7 +178,7 @@ def test_parity_defeats_every_pair():
     z = AttributeSpace.pure(4)
     s = table_sample(4, lambda row: int(row.sum()) % 2)
     h = learn_pair_node(z.values(s.bits), s.labels)
-    assert pair_training_error(z, h, s) >= 0.25
+    assert np.mean(h.evaluate_rows(z.values(s.bits)) != s.labels) >= 0.25
 
 
 def test_empty_sample_rejected():
@@ -404,6 +399,39 @@ def test_perceptron_empty_sample_rejected():
     s = make_sample(np.zeros((0, 2), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
     with pytest.raises(UndefinedMetricError):
         learn_threshold_node(z.values(s.bits), s.labels)
+
+
+@st.composite
+def perceptron_problems(draw):
+    """Attribute rows, labels and an epoch cap for the perceptron. Sizes run
+    from below one 128-row scan window to several, with a partial last
+    window and the window edges themselves; labels come from a random
+    integer gate, the same gate with a tenth of them flipped, or one class."""
+    A = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.one_of(st.integers(1, 700), st.sampled_from([127, 128, 129, 256, 257])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = rng.integers(0, 2, size=(A, m)).astype(np.uint8)
+    labels = draw(st.sampled_from(["separable", "noisy", "constant"]))
+    if labels == "constant":
+        y = np.full(m, draw(st.integers(0, 1)), dtype=np.uint8)
+    else:
+        gate = rng.integers(-3, 4, size=A)
+        y = (gate @ V >= rng.integers(-2, 4)).astype(np.uint8)
+        if labels == "noisy":
+            y ^= (rng.random(m) < 0.1).astype(np.uint8)
+    return V, y, draw(st.integers(min_value=1, max_value=40))
+
+
+@given(perceptron_problems())
+@settings(max_examples=150, deadline=None)
+def test_perceptron_matches_the_reference(problem):
+    """The windowed scan keeps exactly the full-rescan perceptron's weights
+    and threshold."""
+    V, y, max_epochs = problem
+    h = learn_threshold_node(V, y, max_epochs=max_epochs)
+    reference = reference_perceptron(V, y, max_epochs)
+    assert h.weights.tobytes() == reference.weights.tobytes()
+    assert repr(h.threshold) == repr(reference.threshold)
 
 
 # ---------------------------------------------------------------------------
