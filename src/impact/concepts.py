@@ -412,10 +412,13 @@ def correlation_at(concept: ConceptDag | ThresholdCircuit, node: int, bits) -> C
     return Correlation.ANTICORRELATED
 
 
-def reachable_indices(concept: Concept) -> set[int]:
-    """Indices reachable from the root (or start) by following edges."""
+def reachable_indices(concept: Concept, top: int | None = None) -> set[int]:
+    """Indices reachable from `top` by following edges, `top` included; by
+    default from the root (or start)."""
+    if top is None:
+        top = concept.start if isinstance(concept, Adfsa) else concept.root
     seen: set[int] = set()
-    stack = [concept.start if isinstance(concept, Adfsa) else concept.root]
+    stack = [top]
     while stack:
         i = stack.pop()
         if i in seen:
@@ -542,6 +545,29 @@ def run_adfsa(a: Adfsa, string) -> int:
     return int(isinstance(state, AcceptState))
 
 
+def _walk(
+    a: Adfsa, X: np.ndarray, lengths: np.ndarray, state: int, offset: int, target: int = -1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch walk: the outputs as walk_from_state gives them, and the bit
+    position at which each walk first sits on `target` (-1 if it never does)."""
+    on0, on1, branch, accept = _adfsa_tables(a)
+    m = X.shape[0]
+    cur = np.full(m, state, dtype=np.int64)
+    arrived = np.full(m, -1, dtype=np.int64)
+    pos = offset
+    while True:
+        arrived[(cur == target) & (arrived < 0)] = pos
+        active = branch[cur] & (pos < lengths)
+        if not active.any():
+            break
+        bit = X[active, pos]
+        cur[active] = np.where(bit == 1, on1[cur[active]], on0[cur[active]])
+        pos += 1
+    out = np.where(accept[cur], 1, 0).astype(np.int8)
+    out[branch[cur]] = -1
+    return out, arrived
+
+
 def walk_from_state(
     a: Adfsa, X: np.ndarray, lengths: np.ndarray, state: int, offset: int
 ) -> np.ndarray:
@@ -550,26 +576,12 @@ def walk_from_state(
     Returns 1/0 for walks that reach a terminal and -1 where the string is
     exhausted first (including strings shorter than the offset itself).
     """
-    on0, on1, branch, accept = _adfsa_tables(a)
-    m = X.shape[0]
-    cur = np.full(m, state, dtype=np.int64)
-    pos = offset
-    while True:
-        active = branch[cur] & (pos < lengths)
-        if not active.any():
-            break
-        bit = X[active, pos]
-        nxt = np.where(bit == 1, on1[cur[active]], on0[cur[active]])
-        cur[active] = nxt
-        pos += 1
-    out = np.where(accept[cur], 1, 0).astype(np.int8)
-    out[branch[cur]] = -1
-    return out
+    return _walk(a, X, lengths, state, offset)[0]
 
 
 def adfsa_labels(a: Adfsa, X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Classify a batch of strings; exhaustion anywhere is an error."""
-    out = walk_from_state(a, X, lengths, a.start, 0)
+    out = _walk(a, X, lengths, a.start, 0)[0]
     if (out < 0).any():
         count = int((out < 0).sum())
         raise MalformedAutomatonError(
@@ -580,21 +592,62 @@ def adfsa_labels(a: Adfsa, X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def arrival_offsets(a: Adfsa, X: np.ndarray, lengths: np.ndarray, target: int) -> np.ndarray:
     """Bit position at which each string's walk first sits on `target`, else -1."""
-    on0, on1, branch, _ = _adfsa_tables(a)
-    m = X.shape[0]
-    cur = np.full(m, a.start, dtype=np.int64)
-    arrived = np.full(m, -1, dtype=np.int64)
-    pos = 0
-    while True:
-        hit = (cur == target) & (arrived < 0)
-        arrived[hit] = pos
-        active = branch[cur] & (pos < lengths)
-        if not active.any():
-            break
-        bit = X[active, pos]
-        cur[active] = np.where(bit == 1, on1[cur[active]], on0[cur[active]])
-        pos += 1
-    return arrived
+    return _walk(a, X, lengths, a.start, 0, target)[1]
+
+
+def string_rows(X: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offset-major int8 arrays of a batch of strings, both of shape (n, m):
+    the bit at each offset, and 1 where the offset lies inside the string."""
+    bits = np.ascontiguousarray(X.T, dtype=np.int8)
+    inside = (np.arange(X.shape[1])[:, None] < lengths[None, :]).astype(np.int8)
+    return bits, inside
+
+
+def select_outputs(
+    p0: np.ndarray, p1: np.ndarray, bits: np.ndarray, inside: np.ndarray
+) -> np.ndarray:
+    """Outputs of decision steps (branch states or learned steps) that read
+    `bits` at some offsets, given their two children's outputs p0 and p1 at
+    the offsets after those: p0 + bit * (p1 - p0), then -1 wherever the
+    offset is past the string's end. Every array is int8 over {-1, 0, 1}
+    (bits and inside over {0, 1}) and broadcasts against the others."""
+    out = p1 - p0
+    out *= bits
+    out += p0
+    # inside 1 keeps the selection, inside 0 turns it into -1
+    out *= inside
+    out += inside
+    out -= 1
+    return out
+
+
+def state_outputs(a: Adfsa, X: np.ndarray, lengths: np.ndarray, state: int) -> np.ndarray:
+    """Output of `state` when its walk starts at each offset, shape (a.n, m):
+    row o equals walk_from_state(a, X, lengths, state, o). X has at most a.n
+    columns.
+
+    One pass from offset n-1 down to 0 over the states reachable from
+    `state`: a branch state's outputs at offset o select between its
+    children's outputs at o + 1.
+    """
+    reach = sorted(reachable_indices(a, state))
+    local = {s: i for i, s in enumerate(reach)}
+    states = [a.states[s] for s in reach]
+    branches = [i for i, st in enumerate(states) if isinstance(st, BranchState)]
+    on0 = [local[states[i].on0] for i in branches]
+    on1 = [local[states[i].on1] for i in branches]
+    # outputs of every reachable state at the offset after the current one;
+    # past offset n every walk still on a branch state has run out
+    nxt = np.empty((len(reach), X.shape[0]), dtype=np.int8)
+    for i, st in enumerate(states):
+        nxt[i] = -1 if isinstance(st, BranchState) else int(isinstance(st, AcceptState))
+    # every offset of a narrower batch past its width is past every string's end
+    bits, inside = string_rows(np.pad(X, ((0, 0), (0, a.n - X.shape[1]))), lengths)
+    out = np.empty((a.n, X.shape[0]), dtype=np.int8)
+    for o in range(a.n - 1, -1, -1):
+        nxt[branches] = select_outputs(nxt[on0], nxt[on1], bits[o], inside[o])
+        out[o] = nxt[local[state]]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .concepts import select_outputs, string_rows
 from .errors import InvalidParameterError, UndefinedMetricError
 from .sampling import Sample
 
@@ -200,36 +201,43 @@ class AttributeSpace:
         return rows
 
     def eval_table(self, bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """String-mode value cube (A, n+1, m); entry -1 means the walk from
-        that offset ran off the end of the string."""
+        """String-mode value cube (A, n+1, m): entry (j, o, i) is attribute j's
+        output on string i when read from offset o, and -1 where the walk from
+        that offset runs off the end of the string. Each learned step's row
+        is filled at every offset at once from the rows below it (see
+        fill_step_rows)."""
         if self.mode != "strings":
             raise InvalidParameterError("eval_table applies to string attribute spaces")
         X = np.asarray(bits, dtype=np.uint8)
         m, width = X.shape
-        A = len(self.attributes)
-        table = np.empty((A, width + 1, m), dtype=np.int8)
+        string_bits, inside = string_rows(X, lengths)
+        table = np.empty((len(self.attributes), width + 1, m), dtype=np.int8)
         for j, attr in enumerate(self.attributes):
             if isinstance(attr, TerminalAttr):
                 table[j] = 1 if attr.accepting else 0
                 continue
-            table[j] = -1
-            for o in range(width - 1, -1, -1):
-                table[j, o] = step_outputs(attr.hypothesis, o, table, X, lengths)
+            fill_step_rows(table, j, attr.hypothesis, string_bits, inside)
             if isinstance(attr, ComplementAttr):
-                defined = table[j] >= 0
-                table[j] = np.where(defined, 1 - table[j], -1)
+                flip_outputs(table[j], out=table[j])
         return table
 
 
-def step_outputs(
-    h: AdfsaNodeHypothesis, offset: int, table: np.ndarray, bits: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Output of a decision step that reads the bit at `offset` and hands off
-    to its on0 or on1 attribute from offset + 1 on, read from an eval_table
-    cube; -1 where the string ends first."""
-    bit = bits[:, offset]
-    picked = np.where(bit == 1, table[h.on1, offset + 1], table[h.on0, offset + 1])
-    return np.where(offset < lengths, picked, -1)
+def fill_step_rows(
+    table: np.ndarray, j: int, h: AdfsaNodeHypothesis, bits: np.ndarray, inside: np.ndarray
+) -> None:
+    """Fill row j of an eval_table cube with decision step h's outputs at
+    every offset, read from its on0 and on1 rows one offset later; `bits`
+    and `inside` are string_rows of the cube's strings. Rows on0 and on1
+    must already be filled."""
+    table[j, :-1] = select_outputs(table[h.on0, 1:], table[h.on1, 1:], bits, inside)
+    table[j, -1] = -1
+
+
+def flip_outputs(row: np.ndarray, out: np.ndarray) -> None:
+    """Complement of a row of step outputs: 1 and 0 swap, -1 stays."""
+    # x ^ 1 swaps 1 and 0 and turns -1 into -2, which the maximum restores
+    np.bitwise_xor(row, 1, out=out)
+    np.maximum(out, -1, out=out)
 
 
 def augment(z: AttributeSpace, h: RoundHypothesis) -> AttributeSpace:
@@ -443,32 +451,43 @@ def learn_threshold_node(
 # ---------------------------------------------------------------------------
 
 
-def learn_adfsa_node(table: np.ndarray, s: Sample, offset: int) -> AdfsaNodeHypothesis:
-    """Pick the (offset, on0, on1) step that best matches the aligned data,
-    given the attribute space's eval_table cube over the round's strings.
+def learn_adfsa_node(table: np.ndarray, s: Sample, columns: np.ndarray) -> AdfsaNodeHypothesis:
+    """Pick the (offset, on0, on1) step that best matches the aligned data.
 
-    The `offset` argument documents where the teacher aligned the subset;
-    selection does not trust it and searches every offset. Because agreement
+    `table` is an eval_table cube (A, n+1, M) of the attribute space, and the
+    round's strings s are its distinct columns `columns`, in s's order: a
+    session passes the cube of its whole sample and a subset's source
+    indices, a cube of s alone goes with np.arange(len(s)). Each offset reads
+    the cube's contiguous (A, M) slab and weights every column by the side of
+    the bit its string reads there, zero for columns outside s, so the cube
+    is never gathered or copied. Every offset is searched. Because agreement
     splits over the examined bit, the two children are chosen independently,
     and ties resolve to the lower offset then lower attribute indices.
     """
     if len(s) == 0:
         raise UndefinedMetricError("cannot learn from an empty sample")
+    M = table.shape[2]
     width = s.bits.shape[1]
-    y = s.labels.astype(np.int8)
+    # s spread over the cube's columns; a length of 0 keeps a column out of
+    # both sides at every offset
+    y = np.zeros(M, dtype=np.int8)
+    y[columns] = s.labels
+    lengths = np.zeros(M, dtype=np.int64)
+    lengths[columns] = s.lengths
+    bits = np.zeros((width, M), dtype=np.uint8)
+    bits[:, columns] = s.bits.T
+    # agreement counts are sums of 0/1 products, exact in float32 below 2**24
+    dtype = np.float32 if M < 2**24 else np.float64
+    sides = np.empty((2, M), dtype=dtype)
     best = None
     best_score = -1
     for o in range(width):
-        inside = o < s.lengths
-        bit = s.bits[:, o]
-        side0 = inside & (bit == 0)
-        side1 = inside & (bit == 1)
-        match = table[:, o + 1, :] == y[None, :]
-        agree0 = (match & side0[None, :]).sum(axis=1)
-        agree1 = (match & side1[None, :]).sum(axis=1)
-        a0 = int(np.argmax(agree0))
-        a1 = int(np.argmax(agree1))
-        score = int(agree0[a0] + agree1[a1])
+        inside = o < lengths
+        sides[0] = inside & (bits[o] == 0)
+        sides[1] = inside & (bits[o] == 1)
+        agree = (table[:, o + 1] == y).astype(dtype) @ sides.T
+        a0, a1 = (int(a) for a in np.argmax(agree, axis=0))
+        score = int(agree[a0, 0] + agree[a1, 1])
         if score > best_score:
             best = AdfsaNodeHypothesis(offset=o, on0=a0, on1=a1)
             best_score = score

@@ -25,7 +25,16 @@ from .concepts import (
     ThresholdCircuit,
 )
 from .errors import EnumerationCapError, InvalidParameterError, UndefinedMetricError
-from .learner import AND, OR, PairHypothesis, PerceptronHypothesis
+from .learner import (
+    AND,
+    OR,
+    AdfsaNodeHypothesis,
+    AttributeSpace,
+    ComplementAttr,
+    PairHypothesis,
+    PerceptronHypothesis,
+    TerminalAttr,
+)
 from .sampling import Distribution, Sample, rng_from
 
 ENUMERATION_CAP = 20
@@ -231,6 +240,50 @@ def reference_perceptron(V, y, max_epochs: int) -> PerceptronHypothesis:
         if mistakes == 0:
             break
     return PerceptronHypothesis(weights=pocket_w, threshold=pocket_theta)
+
+
+# ---------------------------------------------------------------------------
+# Automaton-step references
+# ---------------------------------------------------------------------------
+
+
+def reference_eval_table(z: AttributeSpace, bits, lengths) -> np.ndarray:
+    """AttributeSpace.eval_table one attribute and one offset at a time: a
+    step's output at offset o picks its on1 or on0 output at o + 1 by the
+    bit at o, and is -1 where the string ends at or before o."""
+    X = np.asarray(bits, dtype=np.uint8)
+    m, width = X.shape
+    table = np.empty((len(z), width + 1, m), dtype=np.int8)
+    for j, attr in enumerate(z.attributes):
+        if isinstance(attr, TerminalAttr):
+            table[j] = 1 if attr.accepting else 0
+            continue
+        h = attr.hypothesis
+        table[j] = -1
+        for o in range(width - 1, -1, -1):
+            picked = np.where(X[:, o] == 1, table[h.on1, o + 1], table[h.on0, o + 1])
+            table[j, o] = np.where(o < lengths, picked, -1)
+        if isinstance(attr, ComplementAttr):
+            defined = table[j] >= 0
+            table[j] = np.where(defined, 1 - table[j], -1)
+    return table
+
+
+def reference_adfsa_node(table: np.ndarray, s: Sample) -> AdfsaNodeHypothesis:
+    """The step learn_adfsa_node picks, by scoring every (offset, on0, on1)
+    candidate string by string over an eval_table cube of s: the first
+    candidate, in that order, that agrees with the most labels."""
+    best, best_score = None, -1
+    A, width = table.shape[0], s.bits.shape[1]
+    for o, on0, on1 in itertools.product(range(width), range(A), range(A)):
+        score = 0
+        for i in range(len(s)):
+            if o < s.lengths[i]:
+                child = on1 if s.bits[i, o] == 1 else on0
+                score += int(table[child, o + 1, i] == s.labels[i])
+        if score > best_score:
+            best, best_score = AdfsaNodeHypothesis(offset=o, on0=on0, on1=on1), score
+    return best
 
 
 # ---------------------------------------------------------------------------

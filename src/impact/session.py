@@ -24,6 +24,7 @@ from .concepts import (
     node_values,
     push_negations_to_leaves,
     relevance_mask,
+    string_rows,
 )
 from .errors import (
     ImpactError,
@@ -46,11 +47,12 @@ from .learner import (
     adfsa_candidate_count,
     augment,
     canonical_first_pair,
+    fill_step_rows,
+    flip_outputs,
     learn_adfsa_node,
     learn_pair_node,
     learn_threshold_node,
     pair_space_size,
-    step_outputs,
 )
 from .plan import ModerationRule, RoundPlan, default_rule, postfix_order
 from .sampling import Distribution, Sample, draw_sample
@@ -182,8 +184,9 @@ class AutomatonClassifier:
     n: int
 
     def predict_sample(self, s: Sample) -> np.ndarray:
-        table = self.space.eval_table(s.bits, s.lengths)
-        return step_outputs(self.final, self.final.offset, table, s.bits, s.lengths)
+        # the final step's row, read at the offset it was learned at
+        table = augment(self.space, self.final).eval_table(s.bits, s.lengths)
+        return table[len(self.space), self.final.offset]
 
     def to_concept(self) -> Adfsa:
         """Expand the learned steps into automaton states. A leading chain of
@@ -368,7 +371,13 @@ def run_teaching_session(
     test = draw_sample(d, concept, test_size, stream=TEST_STREAM)
 
     if kind == "adfsa":
+        # The training value cube (see AttributeSpace.eval_table): the two
+        # terminals, accept then reject, then two rows per round, each
+        # filled from the rows before it.
         z = AttributeSpace.terminals()
+        T = np.empty((2 + 2 * len(plan), concept.n + 1, m), dtype=np.int8)
+        T[0], T[1] = 1, 0
+        string_bits, inside = string_rows(s.bits, s.lengths)
     else:
         # The training attribute matrix: the raw bits, then two rows per
         # round, each filled from the rows before it.
@@ -423,7 +432,11 @@ def run_teaching_session(
         dont_know = False
         training_error = 0.0
         if subset is None:
-            if kind == "threshold":
+            if kind == "adfsa":
+                # the first step in the learner's tie order
+                attr_h = h = AdfsaNodeHypothesis(offset=0, on0=0, on1=0)
+                candidates = adfsa_candidate_count(z, concept.n)
+            elif kind == "threshold":
                 attr_h = h = PerceptronHypothesis(
                     weights=np.zeros(A, dtype=np.float64), threshold=0.0
                 )
@@ -437,11 +450,8 @@ def run_teaching_session(
                 else:
                     h = attr_h
         elif kind == "adfsa":
-            table = z.eval_table(subset.bits, subset.lengths)
-            attr_h = h = learn_adfsa_node(table, subset, offset)
-            candidates = adfsa_candidate_count(z, subset.bits.shape[1])
-            out = step_outputs(h, h.offset, table, subset.bits, subset.lengths)
-            training_error = float(np.mean(out != subset.labels))
+            attr_h = h = learn_adfsa_node(T[:A], subset, kept)
+            candidates = adfsa_candidate_count(z, concept.n)
         elif kind == "threshold":
             attr_h = h = learn_threshold_node(V[:A, kept], subset.labels)
             candidates = 0
@@ -458,7 +468,12 @@ def run_teaching_session(
                 attr_h = h
 
         extra = {}
-        if kind != "adfsa":
+        if kind == "adfsa":
+            fill_step_rows(T, A, attr_h, string_bits, inside)
+            flip_outputs(T[A], out=T[A + 1])
+            if subset is not None:
+                training_error = float(np.mean(T[A, attr_h.offset, kept] != subset.labels))
+        else:
             V[A] = attr_h.evaluate_rows(V[:A])
             h_eval = V[A]
             np.subtract(1, h_eval, out=V[A + 1])

@@ -19,7 +19,7 @@ from .concepts import (
     arrival_offsets,
     node_values,
     relevance_mask,
-    walk_from_state,
+    state_outputs,
 )
 from .errors import InsufficientDataError, InvalidParameterError
 from .plan import ModerationRule, RoundPlan
@@ -81,24 +81,25 @@ def _best_bucket(a: Adfsa, state: int, s: Sample) -> tuple[int, np.ndarray] | No
     Every string that walks through the state lands in the bucket of its
     arrival offset. Strings that never touch the state are usable at any
     offset where the walk from the state stays inside them, filed by whether
-    the state's output there matches their label. Ties resolve to the lower
-    offset and, within an offset, to the agreeing bucket.
+    the state's output there matches their label; those outputs come from
+    one state_outputs table. Ties resolve to the lower offset and, within an
+    offset, to the agreeing bucket.
     """
     arrivals = arrival_offsets(a, s.bits, s.lengths, state)
-    never = arrivals < 0
-    best = None
-    best_size = 0
-    for offset in range(a.n):
-        out = walk_from_state(a, s.bits, s.lengths, state, offset)
-        defined = out >= 0
-        eligible = (arrivals == offset) | (never & defined)
-        agree = eligible & (out == s.labels)
-        disagree = eligible & defined & (out != s.labels)
-        for mask in (agree, disagree):
-            size = int(mask.sum())
-            if size > best_size:
-                best, best_size = (offset, mask), size
-    return best
+    out = state_outputs(a, s.bits, s.lengths, state)
+    defined = out >= 0
+    match = out == s.labels
+    eligible = (arrivals == np.arange(a.n)[:, None]) | ((arrivals < 0) & defined)
+    agree = eligible & match
+    disagree = eligible & defined & ~match
+    # (offset, side) in C order is the tie order, so the first argmax wins
+    sizes = np.stack(
+        [np.count_nonzero(agree, axis=1), np.count_nonzero(disagree, axis=1)], axis=1
+    )
+    offset, side = np.unravel_index(np.argmax(sizes), sizes.shape)
+    if sizes[offset, side] == 0:
+        return None
+    return int(offset), (disagree if side else agree)[offset]
 
 
 def moderate_adfsa(a: Adfsa, state: int, s: Sample) -> tuple[Sample, int]:

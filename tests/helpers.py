@@ -107,6 +107,14 @@ def chain_automaton() -> Adfsa:
     )
 
 
+def random_strings(rng, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """m bit strings with lengths drawn from 1 to n, zero padded to n bits."""
+    lengths = rng.integers(1, n + 1, size=m)
+    bits = rng.integers(0, 2, size=(m, n)).astype(np.uint8)
+    bits[np.arange(n)[None, :] >= lengths[:, None]] = 0
+    return bits, lengths
+
+
 def make_sample(bits, labels, lengths=None) -> Sample:
     bits = np.asarray(bits, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)

@@ -16,6 +16,7 @@ from helpers import (
     nand_dag,
     one_bit_acceptor,
     or_dag,
+    random_strings,
     vote_circuit,
 )
 from impact import (
@@ -52,7 +53,7 @@ from impact import (
     run_adfsa,
     save_concept,
 )
-from impact.concepts import walk_from_state
+from impact.concepts import state_outputs, walk_from_state
 from impact.generate import random_automaton, random_circuit, random_dag
 from impact.oracle import (
     reference_evaluate,
@@ -199,6 +200,34 @@ def test_walk_from_state_undefined_when_short():
     assert walk_from_state(a, X, np.array([2]), a.start, 0)[0] == 0
     # the inner branch state read at offset 1 sees bit 0 there
     assert walk_from_state(a, X, np.array([2]), 2, 1)[0] == 0
+
+
+@given(
+    automaton=st.one_of(
+        st.just(chain_automaton()),
+        st.builds(
+            lambda n, frac, seed: random_automaton(n, max(1, round(frac * n)), seed),
+            st.integers(1, 7),
+            st.floats(0, 1),
+            st.integers(0, 1000),
+        ),
+    ),
+    m=st.one_of(st.just(1), st.integers(1, 40)),
+    narrower=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_state_outputs_match_walks(automaton, m, narrower, seed):
+    """The descending-offset table of every state, terminals included, equals
+    one walk per offset, on strings of lengths 1 to their width, which may be
+    less than n."""
+    width = max(1, automaton.n - narrower)
+    X, lengths = random_strings(np.random.default_rng(seed), m, width)
+    for state in range(automaton.size):
+        table = state_outputs(automaton, X, lengths, state)
+        assert table.shape == (automaton.n, m)
+        for o in range(automaton.n):
+            assert np.array_equal(table[o], walk_from_state(automaton, X, lengths, state, o))
 
 
 def test_arrival_offsets_chain():

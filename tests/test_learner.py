@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import all_inputs, make_sample
+from helpers import all_inputs, make_sample, random_strings
 from impact import (
     DONT_KNOW,
     AdfsaNodeHypothesis,
@@ -28,7 +28,13 @@ from impact import (
     sample_budget,
 )
 from impact.learner import _hypotheses, _pair_errors, adfsa_candidate_count
-from impact.oracle import reference_pair_candidates, reference_pair_errors, reference_perceptron
+from impact.oracle import (
+    reference_adfsa_node,
+    reference_eval_table,
+    reference_pair_candidates,
+    reference_pair_errors,
+    reference_perceptron,
+)
 
 
 def table_sample(n, fn):
@@ -446,7 +452,7 @@ def test_learns_single_bit_acceptor_step():
         np.array([0, 1], dtype=np.uint8),
         lengths=np.array([1, 1]),
     )
-    h = learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, offset=0)
+    h = learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, np.arange(len(s)))
     assert h == AdfsaNodeHypothesis(offset=0, on0=1, on1=0)
 
 
@@ -457,7 +463,7 @@ def test_learns_complement_pattern_with_swapped_children():
         np.array([1, 0], dtype=np.uint8),
         lengths=np.array([1, 1]),
     )
-    h = learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, offset=0)
+    h = learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, np.arange(len(s)))
     assert h == AdfsaNodeHypothesis(offset=0, on0=0, on1=1)
 
 
@@ -471,14 +477,14 @@ def test_second_round_links_to_first_round_attribute():
         np.array([0, 1], dtype=np.uint8),
         lengths=np.array([2, 2]),
     )
-    h1 = learn_adfsa_node(z.eval_table(tail.bits, tail.lengths), tail, offset=1)
+    h1 = learn_adfsa_node(z.eval_table(tail.bits, tail.lengths), tail, np.arange(len(tail)))
     assert h1 == AdfsaNodeHypothesis(offset=1, on0=1, on1=0)
     z2 = augment(z, h1)
 
     bits = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
     labels = np.array([0, 0, 0, 1], dtype=np.uint8)
     start = make_sample(bits, labels, lengths=np.full(4, 2))
-    h2 = learn_adfsa_node(z2.eval_table(start.bits, start.lengths), start, offset=0)
+    h2 = learn_adfsa_node(z2.eval_table(start.bits, start.lengths), start, np.arange(len(start)))
     assert h2 == AdfsaNodeHypothesis(offset=0, on0=1, on1=2)
 
     z3 = augment(z2, h2)
@@ -487,14 +493,14 @@ def test_second_round_links_to_first_round_attribute():
 
 
 def test_adfsa_learner_searches_offsets_itself():
-    # aligned hint says 0, but the informative bit sits at offset 1
+    # the informative bit sits at offset 1, not at the first offset
     z = AttributeSpace.terminals()
     s = make_sample(
         np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8),
         np.array([0, 1, 0, 1], dtype=np.uint8),
         lengths=np.full(4, 2),
     )
-    h = learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, offset=0)
+    h = learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, np.arange(len(s)))
     assert h.offset == 1
     assert (h.on0, h.on1) == (1, 0)
 
@@ -512,4 +518,65 @@ def test_adfsa_empty_sample_rejected():
         lengths=np.zeros(0, dtype=np.int64),
     )
     with pytest.raises(UndefinedMetricError):
-        learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, offset=0)
+        learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, np.arange(len(s)))
+
+
+@st.composite
+def string_problems(draw):
+    """An attribute space of up to four learned steps over strings of n bits,
+    a sample of strings with lengths 1 to n (so some offsets fall at or past
+    a string's end) and labels that may all be equal, and a nonempty,
+    increasing selection of its rows."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    z = AttributeSpace.terminals()
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        A = len(z)
+        step = AdfsaNodeHypothesis(
+            offset=draw(st.integers(0, n - 1)),
+            on0=draw(st.integers(0, A - 1)),
+            on1=draw(st.integers(0, A - 1)),
+        )
+        z = augment(z, step)
+    m = draw(st.integers(min_value=1, max_value=30))
+    bits, lengths = random_strings(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m, n)
+    constant = draw(st.sampled_from([None, None, None, 0, 1]))
+    if constant is None:
+        y = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    else:
+        y = [constant] * m
+    kept = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    return z, make_sample(bits, y, lengths), np.array(kept, dtype=np.int64)
+
+
+# one string, one bit long in a two-bit sample: m = 1, and offset 1 is past its end
+ONE_STRING = (
+    augment(AttributeSpace.terminals(), AdfsaNodeHypothesis(offset=0, on0=1, on1=0)),
+    make_sample([[1, 0]], [1], lengths=[1]),
+    np.array([0]),
+)
+
+
+@given(string_problems())
+@example(ONE_STRING)
+@settings(max_examples=200, deadline=None)
+def test_eval_table_matches_the_reference(problem):
+    """Every attribute's output at every offset, complements and -1 cells
+    included, equals the offset-by-offset reference."""
+    z, s, _ = problem
+    table = z.eval_table(s.bits, s.lengths)
+    assert np.array_equal(table, reference_eval_table(z, s.bits, s.lengths))
+
+
+@given(string_problems())
+@example(ONE_STRING)
+@settings(max_examples=200, deadline=None)
+def test_adfsa_learner_reads_a_subset_from_the_whole_cube(problem):
+    """Reading a subset's columns of the whole sample's cube picks the same
+    step, ties included, as a cube of the subset alone, and both pick the
+    reference's first best-scoring candidate."""
+    z, s, kept = problem
+    subset = s.subset(kept)
+    from_whole = learn_adfsa_node(z.eval_table(s.bits, s.lengths), subset, kept)
+    alone = z.eval_table(subset.bits, subset.lengths)
+    from_alone = learn_adfsa_node(alone, subset, np.arange(len(subset)))
+    assert from_whole == from_alone == reference_adfsa_node(alone, subset)

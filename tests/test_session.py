@@ -5,24 +5,37 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import all_inputs, and_dag, chain_automaton, layered_circuit, make_sample, vote_circuit
 from impact import (
+    AcceptState,
+    Adfsa,
+    AdfsaNodeHypothesis,
     And,
+    BranchState,
     ConceptDag,
     Distribution,
     ImpactError,
     InsufficientDataError,
     InvalidParameterError,
     Literal,
+    RejectState,
+    augment,
     build_parity,
+    draw_sample,
     evaluate_batch,
     push_negations_to_leaves,
     run_teaching_session,
 )
 import impact.session
-from impact.generate import random_dag
-from impact.oracle import exhaustive_equivalence, exhaustive_string_equivalence
+from impact.generate import random_automaton, random_dag
+from impact.oracle import (
+    exhaustive_equivalence,
+    exhaustive_string_equivalence,
+    reference_eval_table,
+)
 from impact.plan import postfix_order
 from impact.session import true_attribute_matrix
 
@@ -132,6 +145,62 @@ def test_automaton_session_recovers_language():
     expanded = report.classifier.to_concept()
     assert exhaustive_string_equivalence(a, expanded, ignore_undefined=True) is None
     assert report.classifier.model_dict()["type"] == "adfsa"
+
+
+def test_automaton_round_without_data_degenerates_and_continues():
+    """An automaton round that moderation leaves empty keeps the learner's
+    first step, (offset 0, accept, accept), and the session goes on."""
+    a = Adfsa(
+        (RejectState(), AcceptState(), BranchState(0, 1), BranchState(2, 2), BranchState(1, 3)),
+        start=4,
+        n=3,
+    )
+    report = run_teaching_session(a, Distribution.strings(3, 4, length_low=1), 2, test_size=1)
+    starved = report.rounds[1]
+    assert starved.subset_size == 0
+    # three offsets, and four attributes for each child
+    assert starved.candidate_count == 3 * 4 * 4
+    assert report.classifier.space.attributes[4].hypothesis == AdfsaNodeHypothesis(0, 0, 0)
+    assert report.attribute_count == 2 + 2 * len(report.rounds)
+
+
+@given(
+    n=st.integers(1, 6),
+    branches=st.integers(1, 6),
+    seed=st.integers(0, 10_000),
+    m=st.integers(1, 60),
+    chain=st.booleans(),
+)
+@example(n=2, branches=2, seed=0, m=1, chain=True)
+@settings(max_examples=40, deadline=None)
+def test_session_value_cube_matches_the_reference(n, branches, seed, m, chain):
+    """The cube the session fills two rows per round equals the reference
+    eval_table of the round's space over the whole sample (complement rows
+    and -1 cells included), each round's training error is read off its
+    step's row, and the final space's eval_table matches the reference."""
+    a = chain_automaton() if chain else random_automaton(n, min(branches, n), seed)
+    d = Distribution.strings_for(a, seed)
+    cubes = []
+    real = impact.session.learn_adfsa_node
+
+    def recording(table, subset, columns):
+        cubes.append((table.copy(), columns.copy()))
+        return real(table, subset, columns)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(impact.session, "learn_adfsa_node", recording)
+        report = run_teaching_session(a, d, m, test_size=20)
+    s = draw_sample(d, a, m, stream=impact.session.TRAIN_STREAM)
+    z = augment(report.classifier.space, report.classifier.final)
+    whole = reference_eval_table(z, s.bits, s.lengths)
+    assert np.array_equal(z.eval_table(s.bits, s.lengths), whole)
+    fed = [(r, 2 + 2 * r.index) for r in report.rounds if r.subset_size > 0]
+    assert len(fed) == len(cubes)
+    for (record, row), (table, columns) in zip(fed, cubes):
+        assert np.array_equal(table, whole[: len(table)])
+        step = z.attributes[row].hypothesis
+        wrong = whole[row, step.offset, columns] != s.labels[columns]
+        assert record.training_error == float(np.mean(wrong))
 
 
 def test_enforce_budget_aborts_small_samples():

@@ -19,6 +19,7 @@ from impact import (
     export_privileged_view,
 )
 from impact.generate import random_automaton, random_dag
+from impact.concepts import walk_from_state
 from impact.oracle import relevance_by_substitution, run_automaton
 from impact.plan import postfix_order
 from impact.teacher import moderate_adfsa, moderate_boolean
@@ -183,18 +184,56 @@ def test_privileged_view_single_round_all_ones():
     assert view.membership.all()  # the root keeps every example
 
 
+def assert_view_replays_moderation(concept, s, starved_ok=False):
+    """Each column of the privileged view is the membership of that round's
+    moderated subset. A round moderation starves fails the check unless
+    `starved_ok`, and then its column must be all zeros."""
+    plan = postfix_order(concept)
+    view = export_privileged_view(plan, s, concept)
+    assert view.membership.shape == (len(s), len(plan))
+    for r, rnd in enumerate(plan.rounds):
+        column = np.zeros(len(s), dtype=np.uint8)
+        try:
+            kept, _ = moderate(concept, rnd.node, s, rnd.rule)
+            column[kept.source_indices] = 1
+        except InsufficientDataError:
+            if not starved_ok:
+                raise
+        assert np.array_equal(view.membership[:, r], column)
+
+
 def test_privileged_view_matches_moderation_replay():
     g = push_negations_to_leaves(build_parity(6, (0, 2, 5)))
     d = Distribution.uniform(6, 4)
-    s = draw_sample(d, g, 120)
-    plan = postfix_order(g)
-    view = export_privileged_view(plan, s, g)
-    assert view.membership.shape == (120, len(plan))
-    for r, rnd in enumerate(plan.rounds):
-        kept, _ = moderate(g, rnd.node, s, rnd.rule)
-        column = np.zeros(120, dtype=np.uint8)
-        column[kept.source_indices] = 1
-        assert np.array_equal(view.membership[:, r], column)
+    assert_view_replays_moderation(g, draw_sample(d, g, 120))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_privileged_view_matches_moderation_replay_for_automata(seed):
+    a = random_automaton(8, 6, seed=seed)
+    d = Distribution.strings_for(a, seed)
+    assert_view_replays_moderation(a, draw_sample(d, a, 150), starved_ok=True)
+
+
+def test_offset_moderation_makes_no_walk_per_offset(monkeypatch):
+    """Offset moderation reads every offset from one state_outputs table
+    instead of walking from the state once per offset."""
+    import impact.concepts
+    import impact.teacher
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return walk_from_state(*args)
+
+    monkeypatch.setattr(impact.concepts, "walk_from_state", counting)
+    monkeypatch.setattr(impact.teacher, "walk_from_state", counting, raising=False)
+    a = random_automaton(8, 6, seed=1)
+    s = draw_sample(Distribution.strings_for(a, 1), a, 100)
+    for rnd in postfix_order(a).rounds:
+        moderate(a, rnd.node, s, rnd.rule)
+    assert calls == []
 
 
 def test_privileged_view_csv_header():
