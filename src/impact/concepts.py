@@ -373,14 +373,12 @@ def relevance_mask(
             changed.add(i)
             above.append(i)
     if values is None:
-        rows = np.empty((concept.size, X.shape[0]), dtype=np.uint8)
-        _fill_rows(concept, X, rows, [i for i in range(concept.root + 1) if i not in changed])
+        values = node_values(concept, X)
     elif values.shape != (X.shape[0], concept.size):
         raise InputShapeError(
             f"expected node values of shape {(X.shape[0], concept.size)}, got {values.shape}"
         )
-    else:
-        rows = values.T.copy()
+    rows = values.T.copy()
     rows[node] = 0
     _fill_rows(concept, X, rows, above)
     low = rows[concept.root].copy()
@@ -546,26 +544,35 @@ def run_adfsa(a: Adfsa, string) -> int:
 
 
 def _walk(
-    a: Adfsa, X: np.ndarray, lengths: np.ndarray, state: int, offset: int, target: int = -1
+    a: Adfsa, X: np.ndarray, lengths: np.ndarray, state: int, offset: int, watch=()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch walk: the outputs as walk_from_state gives them, and the bit
-    position at which each walk first sits on `target` (-1 if it never does)."""
+    """Batch walk: the outputs as walk_from_state gives them, and for each
+    watched state the bit position at which each walk sits on it, -1 where
+    it never does, shape (len(watch), m) int32. Moves point to lower
+    indices, so a walk sits on a state at most once and one walk serves
+    every watched state."""
     on0, on1, branch, accept = _adfsa_tables(a)
+    # unwatched states file their arrivals in one extra row, dropped at the end
+    slot = np.full(a.size, len(watch), dtype=np.int64)
+    slot[list(watch)] = np.arange(len(watch))
     m = X.shape[0]
     cur = np.full(m, state, dtype=np.int64)
-    arrived = np.full(m, -1, dtype=np.int64)
+    arrived = np.full((len(watch) + 1, m), -1, dtype=np.int32)
+    # the walks that have just reached the state they sit on
+    rows = np.arange(m)
     pos = offset
     while True:
-        arrived[(cur == target) & (arrived < 0)] = pos
+        arrived[slot[cur[rows]], rows] = pos
         active = branch[cur] & (pos < lengths)
         if not active.any():
             break
-        bit = X[active, pos]
-        cur[active] = np.where(bit == 1, on1[cur[active]], on0[cur[active]])
+        rows = np.flatnonzero(active)
+        bit = X[rows, pos]
+        cur[rows] = np.where(bit == 1, on1[cur[rows]], on0[cur[rows]])
         pos += 1
     out = np.where(accept[cur], 1, 0).astype(np.int8)
     out[branch[cur]] = -1
-    return out, arrived
+    return out, arrived[:-1]
 
 
 def walk_from_state(
@@ -591,8 +598,8 @@ def adfsa_labels(a: Adfsa, X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def arrival_offsets(a: Adfsa, X: np.ndarray, lengths: np.ndarray, target: int) -> np.ndarray:
-    """Bit position at which each string's walk first sits on `target`, else -1."""
-    return _walk(a, X, lengths, a.start, 0, target)[1]
+    """Bit position at which each string's walk sits on `target`, else -1."""
+    return _walk(a, X, lengths, a.start, 0, (target,))[1][0]
 
 
 def string_rows(X: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

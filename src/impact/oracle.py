@@ -24,7 +24,7 @@ from .concepts import (
     RejectState,
     ThresholdCircuit,
 )
-from .errors import EnumerationCapError, InvalidParameterError, UndefinedMetricError
+from .errors import EnumerationCapError, ImpactError, InvalidParameterError, UndefinedMetricError
 from .learner import (
     AND,
     OR,
@@ -330,7 +330,8 @@ def exhaustive_equivalence(
             if len(witnesses) < witness_limit:
                 again_a = _apply_bits(f, bits)
                 again_b = _apply_bits(g, bits)
-                assert (again_a, again_b) == (a, b)
+                if (again_a, again_b) != (a, b):
+                    raise ImpactError(f"a predictor answered differently on repeated input {bits}")
                 witnesses.append((bits, a, b))
     if disagreements == 0:
         return None

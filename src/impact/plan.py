@@ -49,10 +49,6 @@ class RoundPlan:
     def __len__(self) -> int:
         return len(self.rounds)
 
-    @property
-    def node_order(self) -> tuple[int, ...]:
-        return tuple(r.node for r in self.rounds)
-
 
 def default_rule(concept: Concept) -> ModerationRule:
     if isinstance(concept, Adfsa):

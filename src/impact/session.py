@@ -4,7 +4,7 @@ moderate / learn / augment round by round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +21,9 @@ from .concepts import (
     RejectState,
     ThresholdCircuit,
     concept_to_dict,
-    node_values,
+    node_values,  # noqa: F401 (perfbench/spans.py traces the Teacher's calls here too)
     push_negations_to_leaves,
-    relevance_mask,
+    relevance_mask,  # noqa: F401 (likewise)
     string_rows,
 )
 from .errors import (
@@ -56,7 +56,7 @@ from .learner import (
 )
 from .plan import ModerationRule, RoundPlan, default_rule, postfix_order
 from .sampling import Distribution, Sample, draw_sample
-from .teacher import moderate
+from .teacher import Teacher, moderate
 
 TRAIN_STREAM = "train"
 TEST_STREAM = "test"
@@ -307,16 +307,13 @@ class SessionReport:
         }
 
 
-def true_attribute_matrix(
-    concept: ConceptDag | ThresholdCircuit, plan: RoundPlan, X: np.ndarray
-) -> np.ndarray:
+def true_attribute_matrix(values: np.ndarray, plan: RoundPlan, X: np.ndarray) -> np.ndarray:
     """Ground-truth attribute values: raw bits, then each round's true node
-    output and its complement. This is teacher-side bookkeeping; the learner
-    never sees it."""
-    vals = node_values(concept, X)
+    output and its complement, read from `values`, the concept's node_values
+    on X. This is teacher-side bookkeeping; the learner never sees it."""
     rows = [X.T.astype(np.uint8)]
     for rnd in plan.rounds:
-        col = vals[:, rnd.node][None, :]
+        col = values[:, rnd.node][None, :]
         rows.append(col)
         rows.append(1 - col)
     return np.vstack(rows)
@@ -325,6 +322,130 @@ def true_attribute_matrix(
 # ---------------------------------------------------------------------------
 # The session driver
 # ---------------------------------------------------------------------------
+
+
+class _BitRounds:
+    """Rounds over bit vectors. The training attribute matrix holds the raw
+    bits, then two rows per round, each filled from the rows before it."""
+
+    def __init__(self, teacher: Teacher, plan: RoundPlan, mode: str, diagnostics: bool):
+        n, s = teacher.concept.n, teacher.sample
+        self.teacher = teacher
+        self.mode = mode
+        self.space = AttributeSpace.pure(n)
+        self.V = np.empty((n + 2 * len(plan), len(s)), dtype=np.uint8)
+        self.V[:n] = s.bits.T
+        self.truth = true_attribute_matrix(teacher.values, plan, s.bits) if diagnostics else None
+
+    def fill(self, A: int, h) -> np.ndarray:
+        """Fill rows A and A + 1 with the hypothesis and its complement; return row A."""
+        V = self.V
+        V[A] = h.evaluate_rows(V[:A])
+        np.subtract(1, V[A], out=V[A + 1])
+        return V[A]
+
+    def diagnose(self, node: int, A: int, h) -> dict:
+        if self.truth is None:
+            return {}
+        V, truth = self.V, self.truth
+        rel = self.teacher.relevant(node)
+        # truth[A] is the true row of this round's node
+        wrong_relevant = int(np.sum(rel & (V[A] != truth[A])))
+        rel_count = int(rel.sum())
+        extra = {
+            "error_full": wrong_relevant / len(rel),
+            "error_relevant": wrong_relevant / rel_count if rel_count else 0.0,
+        }
+        if isinstance(h, PairHypothesis):
+            left = h.left_attr
+            right = h.right_attr
+            extra["child_error_left"] = float(np.mean(V[left] != truth[left]))
+            extra["child_error_right"] = float(np.mean(V[right] != truth[right]))
+            h_on_truth = h.evaluate_rows(truth[:A])
+            extra["hypothesis_corruption"] = float(np.mean(V[A] != h_on_truth))
+        return extra
+
+
+class _PairRounds(_BitRounds):
+    kind = "dag"
+    classifier = DagClassifier
+
+    def candidates(self, z: AttributeSpace) -> int:
+        return pair_space_size(len(z))
+
+    def degenerate(self, A: int):
+        h = canonical_first_pair()
+        return (DONT_KNOW if self.mode == "reliable" else h), h
+
+    def learn(self, A: int, subset: Sample, kept: np.ndarray):
+        rows = self.V[:A, kept]
+        h = learn_pair_node(rows, subset.labels, self.mode)
+        if isinstance(h, DontKnowType):
+            return h, learn_pair_node(rows, subset.labels, "best-fit")
+        if isinstance(h, ReliablePairSet):
+            return h, h.primary
+        return h, h
+
+
+class _ThresholdRounds(_BitRounds):
+    kind = "threshold"
+    classifier = CircuitClassifier
+
+    def candidates(self, z: AttributeSpace) -> int:
+        return 0
+
+    def degenerate(self, A: int):
+        h = PerceptronHypothesis(weights=np.zeros(A, dtype=np.float64), threshold=0.0)
+        return h, h
+
+    def learn(self, A: int, subset: Sample, kept: np.ndarray):
+        h = learn_threshold_node(self.V[:A, kept], subset.labels)
+        return h, h
+
+
+class _AutomatonRounds:
+    """Rounds over bit strings. The training value cube (see
+    AttributeSpace.eval_table) holds the two terminals, accept then reject,
+    then two rows per round, each filled from the rows before it."""
+
+    kind = "adfsa"
+
+    def __init__(self, teacher: Teacher, plan: RoundPlan, mode: str, diagnostics: bool):
+        n, s = teacher.concept.n, teacher.sample
+        self.n = n
+        self.space = AttributeSpace.terminals()
+        self.T = np.empty((2 + 2 * len(plan), n + 1, len(s)), dtype=np.int8)
+        self.T[0], self.T[1] = 1, 0
+        self.string_bits, self.inside = string_rows(s.bits, s.lengths)
+
+    def candidates(self, z: AttributeSpace) -> int:
+        return adfsa_candidate_count(z, self.n)
+
+    def degenerate(self, A: int):
+        # the first step in the learner's tie order
+        h = AdfsaNodeHypothesis(offset=0, on0=0, on1=0)
+        return h, h
+
+    def learn(self, A: int, subset: Sample, kept: np.ndarray):
+        h = learn_adfsa_node(self.T[:A], subset, kept)
+        return h, h
+
+    def fill(self, A: int, h: AdfsaNodeHypothesis) -> np.ndarray:
+        """Fill rows A and A + 1 with the step and its complement; return row A at its offset."""
+        fill_step_rows(self.T, A, h, self.string_bits, self.inside)
+        flip_outputs(self.T[A], out=self.T[A + 1])
+        return self.T[A, h.offset]
+
+    def diagnose(self, node: int, A: int, h) -> dict:
+        return {}
+
+    def classifier(self, space: AttributeSpace, final) -> Classifier:
+        return AutomatonClassifier(space=space, final=final, n=self.n)
+
+
+# The rounds of each concept kind. degenerate and learn return the round's hypothesis
+# and its attribute's, which differ only when a reliable pair round abstains or ties.
+_ROUNDS = {ConceptDag: _PairRounds, ThresholdCircuit: _ThresholdRounds, Adfsa: _AutomatonRounds}
 
 
 def run_teaching_session(
@@ -352,16 +473,7 @@ def run_teaching_session(
     if mode == "reliable" and not isinstance(concept, ConceptDag):
         raise InvalidParameterError("reliable mode applies to formula concepts")
 
-    if isinstance(concept, ConceptDag):
-        taught: Concept = push_negations_to_leaves(concept)
-        kind = "dag"
-    elif isinstance(concept, ThresholdCircuit):
-        taught = concept
-        kind = "threshold"
-    else:
-        taught = concept
-        kind = "adfsa"
-
+    taught = push_negations_to_leaves(concept) if isinstance(concept, ConceptDag) else concept
     rule = moderation if moderation is not None else default_rule(taught)
     plan = postfix_order(taught, rule)
     if budget is None:
@@ -369,58 +481,35 @@ def run_teaching_session(
 
     s = draw_sample(d, concept, m, stream=TRAIN_STREAM)
     test = draw_sample(d, concept, test_size, stream=TEST_STREAM)
-
-    if kind == "adfsa":
-        # The training value cube (see AttributeSpace.eval_table): the two
-        # terminals, accept then reject, then two rows per round, each
-        # filled from the rows before it.
-        z = AttributeSpace.terminals()
-        T = np.empty((2 + 2 * len(plan), concept.n + 1, m), dtype=np.int8)
-        T[0], T[1] = 1, 0
-        string_bits, inside = string_rows(s.bits, s.lengths)
-    else:
-        # The training attribute matrix: the raw bits, then two rows per
-        # round, each filled from the rows before it.
-        z = AttributeSpace.pure(concept.n)
-        V = np.empty((concept.n + 2 * len(plan), m), dtype=np.uint8)
-        V[: concept.n] = s.bits.T
-
-    boolean_diag = diagnostics and kind != "adfsa"
-    if boolean_diag:
-        truth = true_attribute_matrix(taught, plan, s.bits)
-        node_vals = node_values(taught, s.bits)
+    teacher = Teacher(taught, s, [rnd.node for rnd in plan.rounds])
+    kind = _ROUNDS[type(taught)]
+    rounds = kind(teacher, plan, mode, diagnostics)
 
     records: list[RoundRecord] = []
+    z = final_space = rounds.space
     final_h = None
-    final_space = z
-    required = budget.per_round_budget if enforce_budget else 1
 
     for r, rnd in enumerate(plan.rounds):
         A = len(z)
         try:
-            subset, offset = moderate(taught, rnd.node, s, rnd.rule)
-        except InsufficientDataError as exc:
-            if enforce_budget:
-                raise InsufficientDataError(
-                    f"round {r} starved: {exc}",
-                    node=rnd.node,
-                    round_index=r,
-                    subset_size=exc.subset_size or 0,
-                    required=required,
-                ) from exc
+            subset, offset = moderate(teacher, rnd.node, s, rnd.rule)
+        except InsufficientDataError:
             # no admissible data: every candidate fits equally well, so the
-            # round degenerates instead of aborting
+            # round degenerates instead of aborting, unless the budget is enforced
             subset, offset = None, None
-        if subset is not None and len(subset) < required:
+        size = 0 if subset is None else len(subset)
+        if enforce_budget and size < budget.per_round_budget:
             raise InsufficientDataError(
-                f"round {r} moderated subset has {len(subset)} examples, "
-                f"needs {required}",
+                f"round {r} starved: its moderated subset has {size} examples, "
+                f"needs {budget.per_round_budget}",
                 node=rnd.node,
                 round_index=r,
-                subset_size=len(subset),
-                required=required,
+                subset_size=size,
+                required=budget.per_round_budget,
             )
-        if subset is not None:
+        if subset is None:
+            h, attr_h = rounds.degenerate(A)
+        else:
             # moderation only removes rows: every kept row is a sample row,
             # with its label unchanged
             kept = subset.source_indices
@@ -428,106 +517,36 @@ def run_teaching_session(
                 raise ImpactError(f"round {r} subset names rows outside the sample")
             if not np.array_equal(s.labels[kept], subset.labels):
                 raise ImpactError(f"round {r} subset changed the sample's labels")
-
-        dont_know = False
-        training_error = 0.0
-        if subset is None:
-            if kind == "adfsa":
-                # the first step in the learner's tie order
-                attr_h = h = AdfsaNodeHypothesis(offset=0, on0=0, on1=0)
-                candidates = adfsa_candidate_count(z, concept.n)
-            elif kind == "threshold":
-                attr_h = h = PerceptronHypothesis(
-                    weights=np.zeros(A, dtype=np.float64), threshold=0.0
-                )
-                candidates = 0
-            else:
-                candidates = pair_space_size(A)
-                attr_h = canonical_first_pair()
-                if mode == "reliable":
-                    dont_know = True
-                    h = DONT_KNOW
-                else:
-                    h = attr_h
-        elif kind == "adfsa":
-            attr_h = h = learn_adfsa_node(T[:A], subset, kept)
-            candidates = adfsa_candidate_count(z, concept.n)
-        elif kind == "threshold":
-            attr_h = h = learn_threshold_node(V[:A, kept], subset.labels)
-            candidates = 0
-        else:
-            rows = V[:A, kept]
-            h = learn_pair_node(rows, subset.labels, mode)
-            candidates = pair_space_size(A)
-            if isinstance(h, DontKnowType):
-                dont_know = True
-                attr_h = learn_pair_node(rows, subset.labels, "best-fit")
-            elif isinstance(h, ReliablePairSet):
-                attr_h = h.primary
-            else:
-                attr_h = h
-
-        extra = {}
-        if kind == "adfsa":
-            fill_step_rows(T, A, attr_h, string_bits, inside)
-            flip_outputs(T[A], out=T[A + 1])
-            if subset is not None:
-                training_error = float(np.mean(T[A, attr_h.offset, kept] != subset.labels))
-        else:
-            V[A] = attr_h.evaluate_rows(V[:A])
-            h_eval = V[A]
-            np.subtract(1, h_eval, out=V[A + 1])
-            if subset is not None:
-                training_error = float(np.mean(h_eval[kept] != subset.labels))
-        if boolean_diag:
-            rel = relevance_mask(taught, rnd.node, s.bits, values=node_vals)
-            # truth[A] is the true row of this round's node
-            wrong_relevant = int(np.sum(rel & (h_eval != truth[A])))
-            rel_count = int(rel.sum())
-            extra["error_full"] = wrong_relevant / len(s)
-            extra["error_relevant"] = (
-                wrong_relevant / rel_count if rel_count else 0.0
-            )
-            if isinstance(attr_h, PairHypothesis):
-                left = attr_h.left_attr
-                right = attr_h.right_attr
-                extra["child_error_left"] = float(np.mean(V[left] != truth[left]))
-                extra["child_error_right"] = float(np.mean(V[right] != truth[right]))
-                h_on_truth = attr_h.evaluate_rows(truth[:A])
-                extra["hypothesis_corruption"] = float(np.mean(h_eval != h_on_truth))
+            h, attr_h = rounds.learn(A, subset, kept)
+        row = rounds.fill(A, attr_h)
+        training_error = 0.0 if subset is None else float(np.mean(row[kept] != subset.labels))
 
         records.append(
             RoundRecord(
                 index=r,
                 node=rnd.node,
                 rule=rnd.rule.value,
-                subset_size=0 if subset is None else len(subset),
+                subset_size=size,
                 training_error=training_error,
-                candidate_count=candidates,
+                candidate_count=rounds.candidates(z),
                 offset=offset,
-                dont_know=dont_know,
-                **extra,
+                dont_know=isinstance(h, DontKnowType),
+                **rounds.diagnose(rnd.node, A, attr_h),
             )
         )
         final_space = z
-        final_h = h if not dont_know else DONT_KNOW
+        final_h = h
         z = augment(z, attr_h)
 
-    if kind == "adfsa":
-        classifier: Classifier = AutomatonClassifier(
-            space=final_space, final=final_h, n=concept.n
-        )
-    elif kind == "threshold":
-        classifier = CircuitClassifier(space=final_space, final=final_h)
-    else:
-        classifier = DagClassifier(space=final_space, final=final_h)
-
+    classifier = rounds.classifier(space=final_space, final=final_h)
+    # free the training matrix or cube (row is a view of it) before predicting
+    del rounds, teacher, row
     preds = classifier.predict_sample(test)
     test_accuracy = float(np.mean(preds == test.labels))
     test_dk = float(np.mean(preds == -1))
 
     return SessionReport(
-        concept_kind=kind,
+        concept_kind=kind.kind,
         n=concept.n,
         m=m,
         mode=mode,

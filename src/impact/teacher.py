@@ -1,5 +1,9 @@
 """Sample moderation. The teacher filters the round's training data and does
 nothing else: it never relabels, reorders, or talks to the learner.
+
+A session builds one Teacher, which checks the sample's labels once and holds
+what every round reads. The session, `moderate` and `export_privileged_view`
+share its one moderation path, `Teacher.mask`.
 """
 
 from __future__ import annotations
@@ -13,10 +17,7 @@ import numpy as np
 from .concepts import (
     Adfsa,
     Concept,
-    ConceptDag,
-    ThresholdCircuit,
-    adfsa_labels,
-    arrival_offsets,
+    _walk,
     node_values,
     relevance_mask,
     state_outputs,
@@ -26,108 +27,86 @@ from .plan import ModerationRule, RoundPlan
 from .sampling import Sample
 
 
-def _check_labels_boolean(concept, s: Sample, vals: np.ndarray) -> None:
-    if not np.array_equal(vals[:, concept.root], s.labels):
-        raise InvalidParameterError(
-            "sample labels disagree with the concept; the teacher never relabels"
+class Teacher:
+    """The moderator of one sample: it checks the sample's labels once and
+    holds what every round reads, the node values of a formula or circuit,
+    or the arrival offsets of an automaton's `nodes` (distinct branch
+    states) from one walk."""
+
+    def __init__(self, concept: Concept, s: Sample, nodes: list[int]):
+        self.concept = concept
+        self.sample = s
+        if isinstance(concept, Adfsa):
+            self._slot = {state: k for k, state in enumerate(nodes)}
+            out, self._arrivals = _walk(concept, s.bits, s.lengths, concept.start, 0, nodes)
+        else:
+            self.values = node_values(concept, s.bits)
+            out = self.values[:, concept.root]
+        if not np.array_equal(out, s.labels):
+            raise InvalidParameterError(
+                "sample labels disagree with the concept; the teacher never relabels"
+            )
+        self._relevant: tuple[int, np.ndarray] | None = None
+
+    def relevant(self, node: int) -> np.ndarray:
+        """The rows whose root value depends on the node. The last mask is
+        kept, because a session's diagnostics read the one its round used."""
+        if self._relevant is None or self._relevant[0] != node:
+            mask = relevance_mask(self.concept, node, self.sample.bits, values=self.values)
+            self._relevant = (node, mask)
+        return self._relevant[1]
+
+    def mask(self, node: int, rule: ModerationRule) -> tuple[np.ndarray, int | None]:
+        """One round's membership over the sample under the rule (see
+        ModerationRule), possibly empty, and the offset of an automaton round.
+
+        Every string that walks through an automaton round's state lands in
+        the bucket of its arrival offset. Strings that never touch the state
+        are usable at any offset where the walk from the state stays inside
+        them, filed by whether the state's output there matches their label;
+        those outputs come from one state_outputs table. Ties resolve to the
+        lower offset and, within an offset, to the agreeing bucket.
+        """
+        s = self.sample
+        if isinstance(self.concept, Adfsa) != (rule is ModerationRule.OFFSET_PARTITION):
+            raise InvalidParameterError(f"rule {rule.value} does not apply to this concept")
+        if rule is ModerationRule.RELEVANT_FILTER:
+            return self.relevant(node), None
+        if rule is ModerationRule.LARGER_PARTITION:
+            agree = self.values[:, node] == s.labels
+            n_agree = int(agree.sum())
+            n_disagree = len(s) - n_agree
+            # Ties keep the agreeing half.
+            return (agree if n_agree >= n_disagree else ~agree), None
+        arrivals = self._arrivals[self._slot[node]]
+        out = state_outputs(self.concept, s.bits, s.lengths, node)
+        defined = out >= 0
+        match = out == s.labels
+        eligible = (arrivals == np.arange(self.concept.n)[:, None]) | ((arrivals < 0) & defined)
+        agree = eligible & match
+        disagree = eligible & defined & ~match
+        # (offset, side) in C order is the tie order, so the first argmax wins
+        sizes = np.stack(
+            [np.count_nonzero(agree, axis=1), np.count_nonzero(disagree, axis=1)], axis=1
         )
+        offset, side = np.unravel_index(np.argmax(sizes), sizes.shape)
+        return (disagree if side else agree)[offset], int(offset)
 
 
-def _boolean_mask(
-    concept: ConceptDag | ThresholdCircuit,
-    node: int,
-    s: Sample,
-    rule: ModerationRule,
-    vals: np.ndarray,
-) -> np.ndarray:
-    if rule is ModerationRule.RELEVANT_FILTER:
-        return relevance_mask(concept, node, s.bits, values=vals)
-    if rule is ModerationRule.LARGER_PARTITION:
-        agree = vals[:, node] == s.labels
-        n_agree = int(agree.sum())
-        n_disagree = len(s) - n_agree
-        # Ties keep the agreeing half.
-        return agree if n_agree >= n_disagree else ~agree
-    raise InvalidParameterError(f"rule {rule.value} does not apply to this concept")
-
-
-def moderate_boolean(
-    concept: ConceptDag | ThresholdCircuit,
-    node: int,
-    s: Sample,
-    rule: ModerationRule = ModerationRule.RELEVANT_FILTER,
-) -> Sample:
-    """Select this round's training subset, preserving order and labels.
-
-    The default rule keeps the examples whose root value depends on the
-    target node. The partition rule splits on agreement between node value
-    and label and keeps the larger half, which is never below half the
-    sample. An empty selection raises InsufficientDataError.
-    """
-    vals = node_values(concept, s.bits)
-    _check_labels_boolean(concept, s, vals)
-    mask = _boolean_mask(concept, node, s, rule, vals)
+def moderate(
+    concept: Teacher | Concept, node: int, s: Sample, rule: ModerationRule
+) -> tuple[Sample, int | None]:
+    """Select one round's training subset, preserving order and labels (see
+    Teacher.mask). Returns the subset and the offset of an automaton round,
+    else None. `concept` is the session's Teacher of `s`, or a concept to
+    build one from. An empty selection raises InsufficientDataError."""
+    teacher = concept if isinstance(concept, Teacher) else Teacher(concept, s, [node])
+    mask, offset = teacher.mask(node, rule)
     if not mask.any():
         raise InsufficientDataError(
             f"no usable examples for node {node}", node=node, subset_size=0
         )
-    return s.subset(mask)
-
-
-def _best_bucket(a: Adfsa, state: int, s: Sample) -> tuple[int, np.ndarray] | None:
-    """The largest nonempty (offset, membership mask) bucket of a branch-state
-    round, or None when every bucket is empty.
-
-    Every string that walks through the state lands in the bucket of its
-    arrival offset. Strings that never touch the state are usable at any
-    offset where the walk from the state stays inside them, filed by whether
-    the state's output there matches their label; those outputs come from
-    one state_outputs table. Ties resolve to the lower offset and, within an
-    offset, to the agreeing bucket.
-    """
-    arrivals = arrival_offsets(a, s.bits, s.lengths, state)
-    out = state_outputs(a, s.bits, s.lengths, state)
-    defined = out >= 0
-    match = out == s.labels
-    eligible = (arrivals == np.arange(a.n)[:, None]) | ((arrivals < 0) & defined)
-    agree = eligible & match
-    disagree = eligible & defined & ~match
-    # (offset, side) in C order is the tie order, so the first argmax wins
-    sizes = np.stack(
-        [np.count_nonzero(agree, axis=1), np.count_nonzero(disagree, axis=1)], axis=1
-    )
-    offset, side = np.unravel_index(np.argmax(sizes), sizes.shape)
-    if sizes[offset, side] == 0:
-        return None
-    return int(offset), (disagree if side else agree)[offset]
-
-
-def moderate_adfsa(a: Adfsa, state: int, s: Sample) -> tuple[Sample, int]:
-    """Select the largest offset-aligned bucket for a branch-state round
-    (see _best_bucket). Returns the chosen subset along with its offset."""
-    if not np.array_equal(adfsa_labels(a, s.bits, s.lengths), s.labels):
-        raise InvalidParameterError(
-            "sample labels disagree with the automaton; the teacher never relabels"
-        )
-    best = _best_bucket(a, state, s)
-    if best is None:
-        raise InsufficientDataError(
-            f"no usable examples for state {state}", node=state, subset_size=0
-        )
-    offset, mask = best
     return s.subset(mask), offset
-
-
-def moderate(concept: Concept, node: int, s: Sample, rule: ModerationRule) -> tuple[Sample, int | None]:
-    """Uniform entry point: returns (subset, offset or None)."""
-    if rule is ModerationRule.OFFSET_PARTITION:
-        if not isinstance(concept, Adfsa):
-            raise InvalidParameterError("offset moderation needs an automaton")
-        subset, offset = moderate_adfsa(concept, node, s)
-        return subset, offset
-    if isinstance(concept, Adfsa):
-        raise InvalidParameterError("automaton rounds need offset moderation")
-    return moderate_boolean(concept, node, s, rule), None
 
 
 @dataclass
@@ -150,19 +129,13 @@ class PrivilegedView:
 
 
 def export_privileged_view(plan: RoundPlan, s: Sample, concept: Concept) -> PrivilegedView:
-    """Replay every round's moderation over the full sample.
+    """Every round's moderation over the full sample, through one Teacher.
 
     Rounds that would select nothing produce an all-zero column here instead
     of aborting; the abort semantics belong to the session driver.
     """
-    m = len(s)
-    membership = np.zeros((m, len(plan)), dtype=np.uint8)
-    vals = None if isinstance(concept, Adfsa) else node_values(concept, s.bits)
+    teacher = Teacher(concept, s, [rnd.node for rnd in plan.rounds])
+    membership = np.zeros((len(s), len(plan)), dtype=np.uint8)
     for r, rnd in enumerate(plan.rounds):
-        if rnd.rule is ModerationRule.OFFSET_PARTITION:
-            best = _best_bucket(concept, rnd.node, s)
-            if best is not None:
-                membership[:, r] = best[1]
-        else:
-            membership[:, r] = _boolean_mask(concept, rnd.node, s, rnd.rule, vals)
+        membership[:, r] = teacher.mask(rnd.node, rnd.rule)[0]
     return PrivilegedView(membership=membership)

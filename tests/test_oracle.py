@@ -18,6 +18,7 @@ from impact import (
     AttributeSpace,
     Distribution,
     EnumerationCapError,
+    ImpactError,
     PairHypothesis,
     UndefinedMetricError,
     build_parity,
@@ -136,6 +137,19 @@ def test_exhaustive_equivalence_complement_fraction_one():
 def test_exhaustive_equivalence_cap():
     with pytest.raises(EnumerationCapError):
         exhaustive_equivalence(and_dag(), or_dag(), 21)
+
+
+def test_exhaustive_equivalence_rejects_an_unstable_predictor():
+    """Witnesses are re-evaluated before they are recorded; a predictor that
+    answers differently on a repeated input is an error, also under python -O."""
+    calls = []
+
+    def flaky(bits):
+        calls.append(bits)
+        return len(calls) % 2
+
+    with pytest.raises(ImpactError, match="repeated input"):
+        exhaustive_equivalence(and_dag(), flaky, 2)
 
 
 def test_witness_limit_respected():

@@ -23,6 +23,10 @@ UNIT = Path(__file__).resolve().parent.parent / "perfbench" / "unit.py"
             "parity-teach",
             {"teacher.moderate", "learner.learn_pair_node", "learner.AttributeSpace.values"},
         ),
+        (
+            "circuit-teach",
+            {"teacher.moderate", "learner.learn_threshold_node", "learner.AttributeSpace.values"},
+        ),
     ],
 )
 def test_traced_smoke_unit_runs(workload, layers):

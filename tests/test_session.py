@@ -26,11 +26,15 @@ from impact import (
     build_parity,
     draw_sample,
     evaluate_batch,
+    export_privileged_view,
+    node_values,
     push_negations_to_leaves,
     run_teaching_session,
 )
+import impact.concepts
 import impact.session
-from impact.generate import random_automaton, random_dag
+import impact.teacher
+from impact.generate import random_automaton, random_circuit, random_dag
 from impact.oracle import (
     exhaustive_equivalence,
     exhaustive_string_equivalence,
@@ -247,6 +251,68 @@ def test_unenforced_starvation_degenerates_and_continues():
 
 
 @pytest.mark.parametrize(
+    "concept,d,m",
+    [
+        (build_parity(6, (0, 2, 5)), Distribution.uniform(6, 4), 120),
+        (random_circuit(8, 4, seed=2), Distribution.uniform(8, 2), 150),
+        (
+            random_automaton(8, 6, seed=3),
+            Distribution.strings_for(random_automaton(8, 6, seed=3), 3),
+            150,
+        ),
+        (*starving_concept(), 40),
+    ],
+    ids=["parity", "circuit", "automaton", "starving"],
+)
+def test_session_moderation_matches_the_privileged_view(concept, d, m):
+    """The session and export_privileged_view share one moderation path:
+    each round's subset size is its column sum of the view over the
+    session's training sample."""
+    report = run_teaching_session(concept, d, m, test_size=20)
+    taught = push_negations_to_leaves(concept) if isinstance(concept, ConceptDag) else concept
+    s = draw_sample(d, concept, m, stream=impact.session.TRAIN_STREAM)
+    view = export_privileged_view(postfix_order(taught), s, taught)
+    assert [r.subset_size for r in report.rounds] == view.membership.sum(axis=0).tolist()
+
+
+def test_parity_session_evaluates_the_concept_once(monkeypatch):
+    """The teacher holds the node values every round reads, so a session
+    makes one node_values call, counted through both modules that import it."""
+    calls = []
+    for module in (impact.teacher, impact.session):
+
+        def counting(*args, real=module.node_values, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "node_values", counting)
+    report = run_teaching_session(build_parity(8, (1, 3, 6)), Distribution.uniform(8, 5), 200)
+    assert len(report.rounds) > 1
+    assert len(calls) == 1
+
+
+def test_automaton_session_walks_from_the_start_a_fixed_number_of_times(monkeypatch):
+    """The two draws and the teacher walk the sample from the start state,
+    three walks whatever the session's round count."""
+    starts = []
+    real = impact.concepts._walk
+
+    def counting(a, X, lengths, state, *args):
+        starts.append(state == a.start)
+        return real(a, X, lengths, state, *args)
+
+    monkeypatch.setattr(impact.concepts, "_walk", counting)
+    monkeypatch.setattr(impact.teacher, "_walk", counting)
+    round_counts = set()
+    for a in (chain_automaton(), random_automaton(8, 6, seed=1)):
+        starts.clear()
+        report = run_teaching_session(a, Distribution.strings_for(a, 2), 100, test_size=20)
+        round_counts.add(len(report.rounds))
+        assert sum(starts) == 3
+    assert len(round_counts) == 2
+
+
+@pytest.mark.parametrize(
     "corrupt,message",
     [
         (lambda sub: replace(sub, labels=1 - sub.labels), "labels"),
@@ -281,7 +347,7 @@ def test_true_attribute_matrix_layout():
     g = and_dag()
     plan = postfix_order(g)
     X = all_inputs(2)
-    truth = true_attribute_matrix(g, plan, X)
+    truth = true_attribute_matrix(node_values(g, X), plan, X)
     assert truth.shape == (2 + 2 * len(plan), 4)
     root_vals = evaluate_batch(g, X)
     assert np.array_equal(truth[2], root_vals)

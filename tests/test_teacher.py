@@ -22,7 +22,6 @@ from impact.generate import random_automaton, random_dag
 from impact.concepts import walk_from_state
 from impact.oracle import relevance_by_substitution, run_automaton
 from impact.plan import postfix_order
-from impact.teacher import moderate_adfsa, moderate_boolean
 
 
 def full_sample(g, n):
@@ -33,14 +32,14 @@ def full_sample(g, n):
 def test_root_round_keeps_everything():
     g = and_dag()
     s = full_sample(g, 2)
-    kept = moderate_boolean(g, g.root, s)
+    kept = moderate(g, g.root, s, ModerationRule.RELEVANT_FILTER)[0]
     assert len(kept) == len(s)
 
 
 def test_blocked_and_rows_removed():
     g = and_dag()
     s = full_sample(g, 2)
-    kept = moderate_boolean(g, 0, s)
+    kept = moderate(g, 0, s, ModerationRule.RELEVANT_FILTER)[0]
     # x1=0 rows are irrelevant at leaf x0
     assert all(s.bits[i, 1] == 1 for i in kept.source_indices)
     assert len(kept) == 2
@@ -56,9 +55,9 @@ def test_relevant_filter_matches_flip_oracle():
             ]
             if not expected:
                 with pytest.raises(InsufficientDataError):
-                    moderate_boolean(g, rnd.node, s)
+                    moderate(g, rnd.node, s, ModerationRule.RELEVANT_FILTER)
                 continue
-            kept = moderate_boolean(g, rnd.node, s)
+            kept = moderate(g, rnd.node, s, ModerationRule.RELEVANT_FILTER)[0]
             assert kept.source_indices.tolist() == expected
 
 
@@ -88,7 +87,12 @@ def test_tampered_labels_rejected():
     X = all_inputs(2)
     s = make_sample(X, 1 - evaluate_batch(g, X))
     with pytest.raises(InvalidParameterError):
-        moderate_boolean(g, g.root, s)
+        moderate(g, g.root, s, ModerationRule.RELEVANT_FILTER)
+    a = chain_automaton()
+    true = adfsa_sample(a, [(1, 1), (1, 0), (0, 1), (0, 0)])
+    s = make_sample(true.bits, 1 - true.labels, true.lengths)
+    with pytest.raises(InvalidParameterError):
+        moderate(a, a.start, s, ModerationRule.OFFSET_PARTITION)
 
 
 def test_empty_subset_raises_with_context():
@@ -96,7 +100,7 @@ def test_empty_subset_raises_with_context():
     # only blocked rows: x1 = 0 everywhere
     s = make_sample(np.array([[0, 0], [1, 0]]), np.zeros(2))
     with pytest.raises(InsufficientDataError) as err:
-        moderate_boolean(g, 0, s)
+        moderate(g, 0, s, ModerationRule.RELEVANT_FILTER)
     assert err.value.node == 0
 
 
@@ -118,7 +122,7 @@ def adfsa_sample(a, lengths_and_bits):
 def test_start_state_bucket_is_offset_zero():
     a = one_bit_acceptor()
     s = adfsa_sample(a, [(0,), (1,), (1,), (0,)])
-    kept, offset = moderate_adfsa(a, a.start, s)
+    kept, offset = moderate(a, a.start, s, ModerationRule.OFFSET_PARTITION)
     assert offset == 0
     assert len(kept) >= len(s) / 2
 
@@ -127,7 +131,7 @@ def test_chain_second_state_buckets():
     a = chain_automaton()
     # routed strings (leading 1) reach state 2 at offset 1; "0x" strings bypass
     s = adfsa_sample(a, [(1, 1), (1, 0), (0, 1), (0, 0)])
-    kept, offset = moderate_adfsa(a, 2, s)
+    kept, offset = moderate(a, 2, s, ModerationRule.OFFSET_PARTITION)
     assert offset in (0, 1)
     assert len(kept) >= 1
     # bypassing strings are labeled by the teacher's walk of state 2 at that offset
