@@ -278,15 +278,27 @@ Concept = ConceptDag | ThresholdCircuit | Adfsa
 # ---------------------------------------------------------------------------
 
 
+def _bit_array(bits) -> np.ndarray:
+    """bits as a uint8 array. A value other than 0 or 1 raises instead of
+    being cast (0.5 to 0, 1.9 to 1, -1 to an overflow): a uint8 array is
+    checked by its maximum alone, any other array element by element."""
+    arr = np.asarray(bits)
+    if arr.dtype != np.uint8:
+        if not np.isin(arr, (0, 1)).all():
+            raise InputShapeError("inputs must be 0/1 valued")
+        arr = arr.astype(np.uint8)
+    elif arr.size and arr.max() > 1:
+        raise InputShapeError("inputs must be 0/1 valued")
+    return arr
+
+
 def as_bit_matrix(bits, n: int) -> np.ndarray:
     """Coerce one vector or a matrix of bits to a (m, n) uint8 array."""
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = _bit_array(bits)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != n:
         raise InputShapeError(f"expected vectors of {n} bits, got shape {arr.shape}")
-    if arr.size and arr.max() > 1:
-        raise InputShapeError("inputs must be 0/1 valued")
     return arr
 
 
@@ -495,11 +507,9 @@ def _string_bits(string, n: int) -> np.ndarray:
             raise InputShapeError(f"bit string may only contain 0/1, got {string!r}")
         arr = np.array([int(c) for c in string], dtype=np.uint8)
     else:
-        arr = np.asarray(string, dtype=np.uint8)
+        arr = _bit_array(string)
         if arr.ndim != 1:
             raise InputShapeError("expected a single bit string")
-        if arr.size and arr.max() > 1:
-            raise InputShapeError("inputs must be 0/1 valued")
     if len(arr) > n:
         raise InputShapeError(f"string of length {len(arr)} exceeds n={n}")
     return arr
@@ -551,6 +561,8 @@ def _walk(
     it never does, shape (len(watch), m) int32. Moves point to lower
     indices, so a walk sits on a state at most once and one walk serves
     every watched state."""
+    if lengths.size and (lengths.min() < 0 or lengths.max() > X.shape[1]):
+        raise InputShapeError(f"string lengths must lie in [0, {X.shape[1]}], the bit width")
     on0, on1, branch, accept = _adfsa_tables(a)
     # unwatched states file their arrivals in one extra row, dropped at the end
     slot = np.full(a.size, len(watch), dtype=np.int64)
@@ -628,33 +640,33 @@ def select_outputs(
     return out
 
 
-def state_outputs(a: Adfsa, X: np.ndarray, lengths: np.ndarray, state: int) -> np.ndarray:
-    """Output of `state` when its walk starts at each offset, shape (a.n, m):
-    row o equals walk_from_state(a, X, lengths, state, o). X has at most a.n
-    columns.
+def state_outputs(a: Adfsa, X: np.ndarray, lengths: np.ndarray, states: list[int]):
+    """Outputs of `states` when their walks start at each offset, one offset
+    at a time: yields (o, out) for o from a.n - 1 down to 0, where row k of
+    out, shape (len(states), m), equals walk_from_state(a, X, lengths,
+    states[k], o). X has at most a.n columns.
 
-    One pass from offset n-1 down to 0 over the states reachable from
-    `state`: a branch state's outputs at offset o select between its
-    children's outputs at o + 1.
+    One pass over the states reachable from `states` that holds their
+    outputs at one offset only: a branch state's outputs at offset o select
+    between its children's outputs at o + 1.
     """
-    reach = sorted(reachable_indices(a, state))
+    reach = sorted(set().union(*(reachable_indices(a, state) for state in states)))
     local = {s: i for i, s in enumerate(reach)}
-    states = [a.states[s] for s in reach]
-    branches = [i for i, st in enumerate(states) if isinstance(st, BranchState)]
-    on0 = [local[states[i].on0] for i in branches]
-    on1 = [local[states[i].on1] for i in branches]
+    rows = [local[state] for state in states]
+    kinds = [a.states[s] for s in reach]
+    branches = [i for i, st in enumerate(kinds) if isinstance(st, BranchState)]
+    on0 = [local[kinds[i].on0] for i in branches]
+    on1 = [local[kinds[i].on1] for i in branches]
     # outputs of every reachable state at the offset after the current one;
-    # past offset n every walk still on a branch state has run out
+    # from X's width on, a walk still on a branch state has run out
     nxt = np.empty((len(reach), X.shape[0]), dtype=np.int8)
-    for i, st in enumerate(states):
+    for i, st in enumerate(kinds):
         nxt[i] = -1 if isinstance(st, BranchState) else int(isinstance(st, AcceptState))
-    # every offset of a narrower batch past its width is past every string's end
-    bits, inside = string_rows(np.pad(X, ((0, 0), (0, a.n - X.shape[1]))), lengths)
-    out = np.empty((a.n, X.shape[0]), dtype=np.int8)
+    bits, inside = string_rows(X, lengths)
     for o in range(a.n - 1, -1, -1):
-        nxt[branches] = select_outputs(nxt[on0], nxt[on1], bits[o], inside[o])
-        out[o] = nxt[local[state]]
-    return out
+        if o < X.shape[1]:
+            nxt[branches] = select_outputs(nxt[on0], nxt[on1], bits[o], inside[o])
+        yield o, nxt[rows]
 
 
 # ---------------------------------------------------------------------------

@@ -202,29 +202,7 @@ def run_one_trial(cfg: SweepConfig, value: int, learner: str, trial: int) -> Res
 
 
 def _task(args) -> ResultRow:
-    cfg_raw, value, learner, trial = args
-    return run_one_trial(config_from_dict(cfg_raw), value, learner, trial)
-
-
-def _config_raw(cfg: SweepConfig) -> dict:
-    raw = {
-        "name": cfg.name,
-        "kind": cfg.kind,
-        "n": cfg.n,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "learners": list(cfg.learners),
-        "test_size": cfg.test_size,
-        "workers": 1,
-        "out_dir": cfg.out_dir,
-    }
-    if cfg.kind == "m":
-        raw["m_values"] = list(cfg.values)
-        raw["subset"] = list(cfg.subset)
-    else:
-        raw["k_values"] = list(cfg.values)
-        raw["m"] = cfg.fixed_m
-    return raw
+    return run_one_trial(*args)
 
 
 def _summarize(cfg: SweepConfig, group: list[ResultRow]) -> list[ResultRow]:
@@ -269,9 +247,8 @@ def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
     ]
     workers = _worker_count(cfg)
     if workers > 1:
-        raw = _config_raw(cfg)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_task, [(raw, *t) for t in tasks]))
+            done = list(pool.map(_task, [(cfg, *t) for t in tasks]))
     else:
         done = [run_one_trial(cfg, *t) for t in tasks]
 

@@ -180,31 +180,32 @@ class AttributeSpace:
     def __len__(self) -> int:
         return len(self.attributes)
 
+    @property
+    def base_count(self) -> int:
+        """Leading attributes no round learned: the n raw bits, or the two terminals."""
+        return sum(isinstance(a, (PureAttr, TerminalAttr)) for a in self.attributes)
+
     def values(self, bits: np.ndarray) -> np.ndarray:
-        """Attribute-value matrix (A, m) for fixed-width inputs."""
+        """Attribute-value matrix (A, m) for fixed-width inputs; each round's
+        two rows are filled at once from the rows below (see fill_bit_rows)."""
         if self.mode != "bits":
             raise InvalidParameterError("values() applies to bit-vector attribute spaces")
         X = np.asarray(bits, dtype=np.uint8)
         if X.ndim == 1:
             X = X[None, :]
-        m = X.shape[0]
-        rows = np.empty((len(self.attributes), m), dtype=np.uint8)
-        for j, attr in enumerate(self.attributes):
-            if isinstance(attr, PureAttr):
-                rows[j] = X[:, attr.bit]
-            elif isinstance(attr, DerivedAttr):
-                rows[j] = attr.hypothesis.evaluate_rows(rows[:j])
-            elif isinstance(attr, ComplementAttr):
-                rows[j] = 1 - attr.hypothesis.evaluate_rows(rows[:j])
-            else:
-                raise InvalidParameterError("terminal attributes have no bit-vector value")
+        n = self.base_count
+        rows = np.empty((len(self.attributes), X.shape[0]), dtype=np.uint8)
+        for j, attr in enumerate(self.attributes[:n]):
+            rows[j] = X[:, attr.bit]
+        for j in range(n, len(self.attributes), 2):
+            fill_bit_rows(rows, j, self.attributes[j].hypothesis)
         return rows
 
     def eval_table(self, bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """String-mode value cube (A, n+1, m): entry (j, o, i) is attribute j's
         output on string i when read from offset o, and -1 where the walk from
-        that offset runs off the end of the string. Each learned step's row
-        is filled at every offset at once from the rows below it (see
+        that offset runs off the end of the string. Each round's two rows are
+        filled at every offset at once from the rows below (see
         fill_step_rows)."""
         if self.mode != "strings":
             raise InvalidParameterError("eval_table applies to string attribute spaces")
@@ -212,32 +213,33 @@ class AttributeSpace:
         m, width = X.shape
         string_bits, inside = string_rows(X, lengths)
         table = np.empty((len(self.attributes), width + 1, m), dtype=np.int8)
-        for j, attr in enumerate(self.attributes):
-            if isinstance(attr, TerminalAttr):
-                table[j] = 1 if attr.accepting else 0
-                continue
-            fill_step_rows(table, j, attr.hypothesis, string_bits, inside)
-            if isinstance(attr, ComplementAttr):
-                flip_outputs(table[j], out=table[j])
+        n = self.base_count
+        for j, attr in enumerate(self.attributes[:n]):
+            table[j] = 1 if attr.accepting else 0
+        for j in range(n, len(self.attributes), 2):
+            fill_step_rows(table, j, self.attributes[j].hypothesis, string_bits, inside)
         return table
+
+
+def fill_bit_rows(rows: np.ndarray, j: int, h: PairHypothesis | PerceptronHypothesis) -> None:
+    """Fill rows j and j + 1 of a (A, m) attribute-value matrix with
+    hypothesis h and its complement, from the rows below j."""
+    rows[j] = h.evaluate_rows(rows[:j])
+    np.subtract(1, rows[j], out=rows[j + 1])
 
 
 def fill_step_rows(
     table: np.ndarray, j: int, h: AdfsaNodeHypothesis, bits: np.ndarray, inside: np.ndarray
 ) -> None:
-    """Fill row j of an eval_table cube with decision step h's outputs at
-    every offset, read from its on0 and on1 rows one offset later; `bits`
-    and `inside` are string_rows of the cube's strings. Rows on0 and on1
-    must already be filled."""
+    """Fill rows j and j + 1 of an eval_table cube with decision step h's
+    outputs and their complement at every offset, read from its on0 and on1
+    rows one offset later; `bits` and `inside` are string_rows of the cube's
+    strings. Rows on0 and on1 must already be filled."""
     table[j, :-1] = select_outputs(table[h.on0, 1:], table[h.on1, 1:], bits, inside)
     table[j, -1] = -1
-
-
-def flip_outputs(row: np.ndarray, out: np.ndarray) -> None:
-    """Complement of a row of step outputs: 1 and 0 swap, -1 stays."""
-    # x ^ 1 swaps 1 and 0 and turns -1 into -2, which the maximum restores
-    np.bitwise_xor(row, 1, out=out)
-    np.maximum(out, -1, out=out)
+    # the complement: x ^ 1 swaps 1 and 0 and turns -1 into -2, which the maximum restores
+    np.bitwise_xor(table[j], 1, out=table[j + 1])
+    np.maximum(table[j + 1], -1, out=table[j + 1])
 
 
 def augment(z: AttributeSpace, h: RoundHypothesis) -> AttributeSpace:

@@ -8,7 +8,7 @@ so a bug would have to appear twice, independently, to slip through.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .concepts import (
     AcceptState,
     Adfsa,
     And,
+    BranchState,
     Concept,
     ConceptDag,
     Literal,
@@ -284,6 +285,42 @@ def reference_adfsa_node(table: np.ndarray, s: Sample) -> AdfsaNodeHypothesis:
         if score > best_score:
             best, best_score = AdfsaNodeHypothesis(offset=o, on0=on0, on1=on1), score
     return best
+
+
+def reference_offset_selection(a: Adfsa, s: Sample, state: int) -> tuple[np.ndarray, int]:
+    """The rows and offset Teacher.mask selects for the automaton round of
+    branch state `state`, reachable from the start, string by string.
+
+    A string whose own walk from the start sits on the state at offset t
+    counts at offset t only. At each offset o a string counts when the walk
+    of a copy of the automaton that starts at the state, reading the string
+    from o on, reaches a terminal: in the agreeing bucket when that terminal
+    matches its label, else in the disagreeing one. The first largest bucket
+    in (offset, agreeing before disagreeing) order wins.
+    """
+    from_state = replace(a, start=state)
+    strings = [s.bits[i, : s.lengths[i]] for i in range(len(s))]
+    arrivals = []
+    for bits in strings:
+        cur, pos = a.start, 0
+        while cur != state and isinstance(a.states[cur], BranchState) and pos < len(bits):
+            step = a.states[cur]
+            cur = step.on1 if int(bits[pos]) == 1 else step.on0
+            pos += 1
+        arrivals.append(pos if cur == state else -1)
+    best, best_offset, best_size = np.zeros(len(s), dtype=bool), 0, -1
+    for o in range(a.n):
+        agree = np.zeros(len(s), dtype=bool)
+        disagree = np.zeros(len(s), dtype=bool)
+        for i, bits in enumerate(strings):
+            if arrivals[i] in (-1, o):
+                out = run_automaton(from_state, bits[o:])
+                if out >= 0:
+                    (agree if out == s.labels[i] else disagree)[i] = True
+        for bucket in (agree, disagree):
+            if bucket.sum() > best_size:
+                best, best_offset, best_size = bucket, o, int(bucket.sum())
+    return best, best_offset
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from .concepts import (
     ConceptDag,
     Or,
     ThresholdCircuit,
-    node_children,
+    _children,
     reachable_indices,
 )
 from .errors import InvalidConceptError
@@ -81,9 +81,8 @@ def postfix_order(concept: Concept, rule: ModerationRule | None = None) -> Round
     elif isinstance(concept, ThresholdCircuit):
         order = sorted(reach)
     else:
-        order = [
-            i for i in sorted(reach) if i in set(concept.branch_indices)
-        ]
+        branches = set(concept.branch_indices)
+        order = [i for i in sorted(reach) if i in branches]
         if not order:
             raise InvalidConceptError("automaton has no branch states to teach")
     return RoundPlan(rounds=tuple(Round(i, rule) for i in order))
@@ -93,16 +92,7 @@ def check_postfix(plan: RoundPlan, concept: Concept) -> bool:
     """True when every scheduled node appears after all its scheduled descendants."""
     position = {r.node: k for k, r in enumerate(plan.rounds)}
     for r in plan.rounds:
-        if isinstance(concept, ConceptDag):
-            kids = node_children(concept.nodes[r.node])
-        elif isinstance(concept, ThresholdCircuit):
-            kids = tuple(
-                w.index for w in concept.gates[r.node].inputs if w.source == "gate"
-            )
-        else:
-            state = concept.states[r.node]
-            kids = (state.on0, state.on1)
-        for kid in kids:
+        for kid in _children(concept, r.node):
             if kid in position and position[kid] >= position[r.node]:
                 return False
     return True

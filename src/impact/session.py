@@ -47,8 +47,8 @@ from .learner import (
     adfsa_candidate_count,
     augment,
     canonical_first_pair,
+    fill_bit_rows,
     fill_step_rows,
-    flip_outputs,
     learn_adfsa_node,
     learn_pair_node,
     learn_threshold_node,
@@ -131,7 +131,7 @@ class DagClassifier:
             return negated(base) if neg else base
 
         root = hyp_node(final)
-        n = sum(isinstance(a, PureAttr) for a in self.space.attributes)
+        n = self.space.base_count
         bound = max(n**3, len(nodes))
         return ConceptDag(nodes=tuple(nodes), root=root, n=n, size_bound=bound)
 
@@ -156,7 +156,7 @@ class CircuitClassifier:
     def model_dict(self) -> dict:
         """Weight-level description. Real-valued separators do not fit the
         integer gate format, so they get their own schema."""
-        n = sum(isinstance(a, PureAttr) for a in self.space.attributes)
+        n = self.space.base_count
         rounds = []
         for attr in self.space.attributes:
             if isinstance(attr, DerivedAttr):
@@ -339,10 +339,8 @@ class _BitRounds:
 
     def fill(self, A: int, h) -> np.ndarray:
         """Fill rows A and A + 1 with the hypothesis and its complement; return row A."""
-        V = self.V
-        V[A] = h.evaluate_rows(V[:A])
-        np.subtract(1, V[A], out=V[A + 1])
-        return V[A]
+        fill_bit_rows(self.V, A, h)
+        return self.V[A]
 
     def diagnose(self, node: int, A: int, h) -> dict:
         if self.truth is None:
@@ -433,7 +431,6 @@ class _AutomatonRounds:
     def fill(self, A: int, h: AdfsaNodeHypothesis) -> np.ndarray:
         """Fill rows A and A + 1 with the step and its complement; return row A at its offset."""
         fill_step_rows(self.T, A, h, self.string_bits, self.inside)
-        flip_outputs(self.T[A], out=self.T[A + 1])
         return self.T[A, h.offset]
 
     def diagnose(self, node: int, A: int, h) -> dict:

@@ -3,7 +3,9 @@ nothing else: it never relabels, reorders, or talks to the learner.
 
 A session builds one Teacher, which checks the sample's labels once and holds
 what every round reads. The session, `moderate` and `export_privileged_view`
-share its one moderation path, `Teacher.mask`.
+share its one moderation path, `Teacher.mask`. An automaton's rounds are all
+settled when the Teacher is built, from one walk and one descending-offset
+pass.
 """
 
 from __future__ import annotations
@@ -30,15 +32,14 @@ from .sampling import Sample
 class Teacher:
     """The moderator of one sample: it checks the sample's labels once and
     holds what every round reads, the node values of a formula or circuit,
-    or the arrival offsets of an automaton's `nodes` (distinct branch
-    states) from one walk."""
+    or the bucket of each of an automaton's `nodes` (distinct branch
+    states), settled from one walk and one descending-offset pass."""
 
     def __init__(self, concept: Concept, s: Sample, nodes: list[int]):
         self.concept = concept
         self.sample = s
         if isinstance(concept, Adfsa):
-            self._slot = {state: k for k, state in enumerate(nodes)}
-            out, self._arrivals = _walk(concept, s.bits, s.lengths, concept.start, 0, nodes)
+            out, arrivals = _walk(concept, s.bits, s.lengths, concept.start, 0, nodes)
         else:
             self.values = node_values(concept, s.bits)
             out = self.values[:, concept.root]
@@ -46,6 +47,8 @@ class Teacher:
             raise InvalidParameterError(
                 "sample labels disagree with the concept; the teacher never relabels"
             )
+        if isinstance(concept, Adfsa):
+            self._buckets = _offset_buckets(concept, s, nodes, arrivals)
         self._relevant: tuple[int, np.ndarray] | None = None
 
     def relevant(self, node: int) -> np.ndarray:
@@ -63,9 +66,10 @@ class Teacher:
         Every string that walks through an automaton round's state lands in
         the bucket of its arrival offset. Strings that never touch the state
         are usable at any offset where the walk from the state stays inside
-        them, filed by whether the state's output there matches their label;
-        those outputs come from one state_outputs table. Ties resolve to the
-        lower offset and, within an offset, to the agreeing bucket.
+        them, filed by whether the state's output there matches their label.
+        The round keeps its largest bucket; ties resolve to the lower offset
+        and, within an offset, to the agreeing bucket. The Teacher settled
+        every automaton round when it was built, so here it only looks it up.
         """
         s = self.sample
         if isinstance(self.concept, Adfsa) != (rule is ModerationRule.OFFSET_PARTITION):
@@ -78,19 +82,35 @@ class Teacher:
             n_disagree = len(s) - n_agree
             # Ties keep the agreeing half.
             return (agree if n_agree >= n_disagree else ~agree), None
-        arrivals = self._arrivals[self._slot[node]]
-        out = state_outputs(self.concept, s.bits, s.lengths, node)
-        defined = out >= 0
-        match = out == s.labels
-        eligible = (arrivals == np.arange(self.concept.n)[:, None]) | ((arrivals < 0) & defined)
-        agree = eligible & match
-        disagree = eligible & defined & ~match
-        # (offset, side) in C order is the tie order, so the first argmax wins
-        sizes = np.stack(
-            [np.count_nonzero(agree, axis=1), np.count_nonzero(disagree, axis=1)], axis=1
-        )
-        offset, side = np.unravel_index(np.argmax(sizes), sizes.shape)
-        return (disagree if side else agree)[offset], int(offset)
+        return self._buckets[node]
+
+
+def _offset_buckets(
+    a: Adfsa, s: Sample, nodes: list[int], arrivals: np.ndarray
+) -> dict[int, tuple[np.ndarray, int]]:
+    """Each state's bucket and offset (see Teacher.mask) from one pass of
+    state_outputs over every offset; `arrivals` holds the bit position at
+    which each string's walk sits on each state, -1 where it never does."""
+    labels = s.labels.astype(np.int8)
+    flipped = 1 - labels
+    untouched = arrivals < 0
+    best = np.full(len(nodes), -1)
+    offsets = np.zeros(len(nodes), dtype=np.int64)
+    masks = np.zeros((len(nodes), len(s)), dtype=bool)
+    for o, out in state_outputs(a, s.bits, s.lengths, nodes):
+        eligible = (arrivals == o) | (untouched & (out >= 0))
+        agree = eligible & (out == labels)
+        disagree = eligible & (out == flipped)
+        n_agree = np.count_nonzero(agree, axis=1)
+        n_disagree = np.count_nonzero(disagree, axis=1)
+        # offsets descend, so an equal size found now wins the tie; within
+        # an offset the agreeing bucket does
+        size = np.maximum(n_agree, n_disagree)
+        won = size >= best
+        best[won] = size[won]
+        offsets[won] = o
+        masks[won] = np.where((n_disagree > n_agree)[won, None], disagree[won], agree[won])
+    return {node: (masks[k], int(offsets[k])) for k, node in enumerate(nodes)}
 
 
 def moderate(

@@ -223,11 +223,14 @@ def test_state_outputs_match_walks(automaton, m, narrower, seed):
     less than n."""
     width = max(1, automaton.n - narrower)
     X, lengths = random_strings(np.random.default_rng(seed), m, width)
-    for state in range(automaton.size):
-        table = state_outputs(automaton, X, lengths, state)
-        assert table.shape == (automaton.n, m)
-        for o in range(automaton.n):
-            assert np.array_equal(table[o], walk_from_state(automaton, X, lengths, state, o))
+    states = list(range(automaton.size))
+    offsets = []
+    for o, out in state_outputs(automaton, X, lengths, states):
+        offsets.append(o)
+        assert out.shape == (automaton.size, m)
+        for state in states:
+            assert np.array_equal(out[state], walk_from_state(automaton, X, lengths, state, o))
+    assert offsets == list(range(automaton.n - 1, -1, -1))
 
 
 def test_arrival_offsets_chain():
@@ -352,6 +355,22 @@ def test_relevance_rejects_mismatched_node_values():
     X = all_inputs(3)
     with pytest.raises(InputShapeError):
         relevance_mask(g, 0, X, values=node_values(g, X[:4]))
+
+
+@pytest.mark.parametrize(
+    "bits", [[0.5, 1, 1], [1.9, 0, 0], [-1, 0, 1], np.array([0, 2, 1], dtype=np.uint8)]
+)
+def test_values_other_than_bits_are_rejected(bits):
+    """Inputs are checked, not cast: 0.5 would read as 0, 1.9 as 1, and -1
+    would overflow the cast."""
+    g = mixed_relevance_dag()
+    for given_bits in (bits, np.asarray(bits)):
+        with pytest.raises(InputShapeError):
+            evaluate(g, given_bits)
+        with pytest.raises(InputShapeError):
+            node_values(g, [given_bits])
+        with pytest.raises(InputShapeError):
+            run_adfsa(one_bit_acceptor(3), given_bits)
 
 
 def test_taught_nodes_relevant_implies_correlated():

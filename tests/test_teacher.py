@@ -3,10 +3,20 @@ privileged views. The teacher only ever removes rows."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import all_inputs, and_dag, chain_automaton, make_sample, one_bit_acceptor
+from helpers import (
+    all_inputs,
+    and_dag,
+    chain_automaton,
+    make_sample,
+    one_bit_acceptor,
+    random_strings,
+)
 from impact import (
     Distribution,
+    InputShapeError,
     InsufficientDataError,
     InvalidParameterError,
     ModerationRule,
@@ -19,9 +29,10 @@ from impact import (
     export_privileged_view,
 )
 from impact.generate import random_automaton, random_dag
-from impact.concepts import walk_from_state
-from impact.oracle import relevance_by_substitution, run_automaton
+from impact.concepts import state_outputs, walk_from_state
+from impact.oracle import reference_offset_selection, relevance_by_substitution, run_automaton
 from impact.plan import postfix_order
+from impact.teacher import Teacher
 
 
 def full_sample(g, n):
@@ -119,6 +130,20 @@ def adfsa_sample(a, lengths_and_bits):
     return make_sample(bits, labels, lengths)
 
 
+@pytest.mark.parametrize("length", [-1, 2])
+def test_string_lengths_outside_the_bit_width_are_rejected(length):
+    """A string longer than its sample's bit width, or of negative length,
+    is an input error, not an index error inside the walk."""
+    a = chain_automaton()
+    X = np.ones((1, 1), dtype=np.uint8)
+    lengths = np.array([length])
+    with pytest.raises(InputShapeError):
+        adfsa_labels(a, X, lengths)
+    s = make_sample(X, [1], lengths)
+    with pytest.raises(InputShapeError):
+        moderate(a, a.start, s, ModerationRule.OFFSET_PARTITION)
+
+
 def test_start_state_bucket_is_offset_zero():
     a = one_bit_acceptor()
     s = adfsa_sample(a, [(0,), (1,), (1,), (0,)])
@@ -174,6 +199,69 @@ def test_touching_strings_agree_at_their_arrival_offset():
             assert out == s.labels[i]
 
 
+@given(
+    automaton=st.one_of(
+        st.just(chain_automaton()),
+        st.builds(
+            lambda n, frac, seed: random_automaton(n, max(1, round(frac * n)), seed),
+            st.integers(1, 7),
+            st.floats(0, 1),
+            st.integers(0, 1000),
+        ),
+    ),
+    m=st.integers(1, 30),
+    narrower=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+# a round whose largest buckets tie across offsets, and one where they tie
+# within an offset
+@example(automaton=random_automaton(2, 2, 1), m=5, narrower=0, seed=1)
+@example(automaton=random_automaton(3, 3, 16), m=5, narrower=1, seed=16)
+def test_offset_moderation_matches_the_reference(automaton, m, narrower, seed):
+    """Every plan round's selection and offset, tie-breaks included, equal
+    the string-by-string reference, on strings whose width may be less than
+    n; the strings are those of lengths 1 to that width that the automaton
+    classifies."""
+    width = max(1, automaton.n - narrower)
+    X, lengths = random_strings(np.random.default_rng(seed), m, width)
+    labels = np.array([run_automaton(automaton, X[i, : lengths[i]]) for i in range(m)])
+    keep = labels >= 0
+    s = make_sample(X[keep], labels[keep], lengths[keep])
+    plan = postfix_order(automaton)
+    teacher = Teacher(automaton, s, [rnd.node for rnd in plan.rounds])
+    for rnd in plan.rounds:
+        mask, offset = teacher.mask(rnd.node, rnd.rule)
+        expected, expected_offset = reference_offset_selection(automaton, s, rnd.node)
+        assert np.array_equal(mask, expected)
+        assert offset == expected_offset
+
+
+def test_automaton_teacher_makes_one_descending_pass(monkeypatch):
+    """Building the Teacher runs state_outputs once for all its states, so
+    moderating every round adds no pass, whatever the round count."""
+    import impact.teacher
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return state_outputs(*args)
+
+    monkeypatch.setattr(impact.teacher, "state_outputs", counting)
+    round_counts = set()
+    for a in (chain_automaton(), random_automaton(8, 6, seed=1)):
+        calls.clear()
+        s = draw_sample(Distribution.strings_for(a, 1), a, 100)
+        plan = postfix_order(a)
+        teacher = Teacher(a, s, [rnd.node for rnd in plan.rounds])
+        for rnd in plan.rounds:
+            teacher.mask(rnd.node, rnd.rule)
+        round_counts.add(len(plan))
+        assert len(calls) == 1
+    assert len(round_counts) == 2
+
+
 # ---------------------------------------------------------------------------
 # Privileged views
 # ---------------------------------------------------------------------------
@@ -220,8 +308,8 @@ def test_privileged_view_matches_moderation_replay_for_automata(seed):
 
 
 def test_offset_moderation_makes_no_walk_per_offset(monkeypatch):
-    """Offset moderation reads every offset from one state_outputs table
-    instead of walking from the state once per offset."""
+    """Offset moderation reads every offset from one descending pass of
+    state_outputs instead of walking from the state once per offset."""
     import impact.concepts
     import impact.teacher
 
