@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concepts import select_outputs, string_rows
+from .concepts import as_bit_matrix, select_outputs, string_rows
 from .errors import InvalidParameterError, UndefinedMetricError
 from .sampling import Sample
 
@@ -190,10 +190,8 @@ class AttributeSpace:
         two rows are filled at once from the rows below (see fill_bit_rows)."""
         if self.mode != "bits":
             raise InvalidParameterError("values() applies to bit-vector attribute spaces")
-        X = np.asarray(bits, dtype=np.uint8)
-        if X.ndim == 1:
-            X = X[None, :]
         n = self.base_count
+        X = as_bit_matrix(bits, n)
         rows = np.empty((len(self.attributes), X.shape[0]), dtype=np.uint8)
         for j, attr in enumerate(self.attributes[:n]):
             rows[j] = X[:, attr.bit]
@@ -255,10 +253,10 @@ def augment(z: AttributeSpace, h: RoundHypothesis) -> AttributeSpace:
 
 def corrupted_view(z: AttributeSpace, bits) -> np.ndarray:
     """Attribute values the learner would see for one raw input."""
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = np.asarray(bits)
     if arr.ndim != 1:
         raise InvalidParameterError("corrupted_view takes a single input vector")
-    return z.values(arr[None, :])[:, 0]
+    return z.values(arr)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,50 +311,42 @@ def pair_space_size(attribute_count: int) -> int:
     return 2 * (math.comb(2 * a, 2) + 2 * a)
 
 
-def _pair_errors(V: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Disagreement count of every pair hypothesis, as an array of shape
-    (op, left, right, left_negated, right_negated) = (2, A, A, 2, 2), op 0
-    being and.
+def exact_float_dtype(bound: int) -> type:
+    """float32 for counts whose every intermediate value, product partial sums
+    included, is an integer of magnitude at most `bound` <= 2**24: it holds
+    them exactly in any summation order. float64 (exact to 2**53) beyond."""
+    return np.float32 if bound <= 2**24 else np.float64
 
-    The canonical entries (left < right, or left == right with
-    left_negated <= right_negated), taken in C order, are in canonical
-    order. Every other entry repeats the count of its canonical twin, the same hypothesis
-    with the two references swapped, which comes earlier in C order; so the
-    first argmin is canonical. Counts are float64, exact up to 2**53 rows.
-    """
+
+def _and_planes(V: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """learn_pair_node's and counts on attribute rows V (A, m) and labels y."""
     A, m = V.shape
     pos = y == 1
-    V1 = V[:, pos].astype(np.float64)
-    V0 = V[:, ~pos].astype(np.float64)
-    m1 = V1.shape[1]
-    # rows where both plain refs are 1: negatives minus positives
-    both = V0 @ V0.T - V1 @ V1.T
-    ones = V0.sum(axis=1) - V1.sum(axis=1)
-    errs = np.empty((2, A, A, 2, 2))
-    err_and = errs[0]
-    err_and[:, :, 0, 0] = m1 + both
-    err_and[:, :, 0, 1] = m1 + ones[:, None] - both
-    err_and[:, :, 1, 0] = m1 + ones[None, :] - both
-    err_and[:, :, 1, 1] = (m - m1) - ones[:, None] - ones[None, :] + both
-    # a or b = not (not a and not b), and a hypothesis and its complement
-    # disagree with m rows between them
-    np.subtract(m, err_and[:, :, ::-1, ::-1], out=errs[1])
-    return errs
+    m1 = int(np.count_nonzero(pos))
+    # every value below is a row count or a difference of two: at most m
+    dtype = exact_float_dtype(m)
+    F0, F1 = V[:, ~pos].astype(dtype), V[:, pos].astype(dtype)
+    P = np.empty((2, 2, A, A), dtype=dtype)
+    # rows where both plain refs are 1, negatives minus positives (Gram products: half the work)
+    both = np.matmul(F0, F0.T, out=P[1, 1])
+    both -= F1 @ F1.T
+    ones = both.diagonal().copy()
+    np.add(both, m1, out=P[0, 0])
+    np.subtract((m1 + ones)[:, None], both, out=P[0, 1])
+    np.subtract((m1 + ones)[None, :], both, out=P[1, 0])
+    # both minus the right ref's ones: rows where only the right ref is 1
+    np.subtract(both, ones[None, :], out=P[1, 1])
+    P[1, 1] += ((m - m1) - ones)[:, None]
+    return P
 
 
-def _hypotheses(index: tuple[np.ndarray, ...]) -> list[PairHypothesis]:
-    """Pair hypotheses at (op, left, right, left_negated, right_negated)
-    index arrays into an error array from _pair_errors."""
-    return [
-        PairHypothesis(
-            op=OR if op else AND,
-            left_attr=left,
-            left_negated=bool(ln),
-            right_attr=right,
-            right_negated=bool(rn),
-        )
-        for op, left, right, ln, rn in zip(*(a.tolist() for a in index))
-    ]
+def _canonical_hypotheses(op, ln, rn, left, right) -> list[PairHypothesis]:
+    """The canonical entries of (op, ln, rn, left, right) index arrays, in canonical order."""
+    keep = (left < right) | ((left == right) & (ln <= rn))
+    op, ln, rn, left, right = (a[keep] for a in (op, ln, rn, left, right))
+    order = np.lexsort((rn, ln, right, left, op))
+    cols = (op[order], left[order], ln[order] == 1, right[order], rn[order] == 1)
+    return [PairHypothesis(OR if o else AND, *h) for o, *h in zip(*(c.tolist() for c in cols))]
 
 
 def canonical_first_pair() -> PairHypothesis:
@@ -365,34 +355,44 @@ def canonical_first_pair() -> PairHypothesis:
     Every candidate fits an empty round equally well, so this is what
     best-fit degenerates to when moderation leaves nothing behind.
     """
-    return PairHypothesis(
-        op=AND, left_attr=0, left_negated=False, right_attr=0, right_negated=False
-    )
+    return PairHypothesis(AND, 0, False, 0, False)
 
 
 def learn_pair_node(
     V: np.ndarray, y: np.ndarray, mode: str = "best-fit"
 ) -> PairHypothesis | ReliablePairSet | DontKnowType:
     """Exhaust the canonical pair space against the round's attribute rows
-    V (A, m) and labels y.
+    V (A, m) and labels y. best-fit returns the first candidate with minimal
+    disagreement in canonical order; reliable returns the whole
+    zero-disagreement set, or DONT_KNOW when that set is empty.
 
-    best-fit returns the first candidate with minimal disagreement in
-    canonical order. reliable returns the whole zero-disagreement set, or
-    DONT_KNOW when that set is empty.
+    Only the and counts are built: one contiguous array of planes k = 2 * ln
+    + rn, indexed (k, left, right), in exact_float_dtype(m). Or plane (ln,
+    rn) is m minus and plane (1 - ln, 1 - rn), as a or b = not (not a and
+    not b). And wins a tie of the two minima; then the first (left, right)
+    with a hit, and its smallest (ln, rn), is canonical: a non-canonical
+    entry's twin (references swapped) has the same count and comes first.
     """
     if mode not in ("best-fit", "reliable"):
         raise InvalidParameterError(f"unknown learning mode {mode!r}")
-    if V.shape[1] == 0:
+    A, m = V.shape
+    if m == 0:
         raise UndefinedMetricError("cannot learn from an empty sample")
-    errs = _pair_errors(V, y)
-    if mode == "best-fit":
-        return _hypotheses(np.unravel_index([np.argmin(errs)], errs.shape))[0]
-    index = np.unravel_index(np.flatnonzero(errs == 0), errs.shape)
-    _, left, right, ln, rn = index
-    if left.size == 0:
-        return DONT_KNOW
-    canonical = (left < right) | ((left == right) & (ln <= rn))
-    return ReliablePairSet(members=tuple(_hypotheses(tuple(a[canonical] for a in index))))
+    P = _and_planes(V, y)
+    if mode == "reliable":
+        zeros, fulls = np.flatnonzero(P == 0), np.flatnonzero(P == m)
+        if zeros.size + fulls.size == 0:
+            return DONT_KNOW
+        op = np.repeat([0, 1], [zeros.size, fulls.size])
+        k, left, right = np.unravel_index(np.concatenate([zeros, fulls]), (4, A, A))
+        k = k ^ 3 * op
+        return ReliablePairSet(tuple(_canonical_hypotheses(op, k >> 1, k & 1, left, right)))
+    low, high = P.min(), P.max()
+    is_or = bool(low > m - high)
+    hits = (P == (high if is_or else low)).reshape(4, A * A)[:: -1 if is_or else 1]
+    p = int(hits.any(axis=0).argmax())
+    k = int(hits[:, p].argmax())
+    return PairHypothesis(OR if is_or else AND, p // A, bool(k >> 1), p % A, bool(k & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +478,8 @@ def learn_adfsa_node(table: np.ndarray, s: Sample, columns: np.ndarray) -> Adfsa
     lengths[columns] = s.lengths
     bits = np.zeros((width, M), dtype=np.uint8)
     bits[:, columns] = s.bits.T
-    # agreement counts are sums of 0/1 products, exact in float32 below 2**24
-    dtype = np.float32 if M < 2**24 else np.float64
+    # agreement counts are sums of at most M products of 0/1 values
+    dtype = exact_float_dtype(M)
     sides = np.empty((2, M), dtype=dtype)
     best = None
     best_score = -1

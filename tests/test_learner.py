@@ -14,6 +14,7 @@ from impact import (
     AdfsaNodeHypothesis,
     AttributeSpace,
     ErrorBudget,
+    InputShapeError,
     InvalidParameterError,
     PairHypothesis,
     PerceptronHypothesis,
@@ -27,7 +28,12 @@ from impact import (
     pair_space_size,
     sample_budget,
 )
-from impact.learner import _hypotheses, _pair_errors, adfsa_candidate_count
+from impact.learner import (
+    _and_planes,
+    _canonical_hypotheses,
+    adfsa_candidate_count,
+    exact_float_dtype,
+)
 from impact.oracle import (
     reference_adfsa_node,
     reference_eval_table,
@@ -48,25 +54,35 @@ def table_sample(n, fn):
 # ---------------------------------------------------------------------------
 
 
-def canonical_mask(shape):
-    """Canonical entries of a _pair_errors array: left < right, or the same
-    attribute twice with non-decreasing negation flags."""
-    _, left, right, ln, rn = np.indices(shape)
-    return (left < right) | ((left == right) & (ln <= rn))
+def pair_errors(V, y):
+    """Every pair hypothesis's count in the learner's layout (op, left_negated,
+    right_negated, left, right): its and planes, and the or half derived as m
+    minus the and plane with both negation flags flipped."""
+    planes = _and_planes(V, y)
+    return np.stack([planes, V.shape[1] - planes[::-1, ::-1]])
+
+
+def canonical_entries(errs):
+    """Canonical entries of a pair_errors array (left < right, or the same
+    attribute twice with non-decreasing negation flags), in canonical order."""
+    errs = errs.transpose(0, 3, 4, 1, 2)  # (op, left, right, ln, rn): C order is canonical
+    _, left, right, ln, rn = np.indices(errs.shape)
+    return errs[(left < right) | ((left == right) & (ln <= rn))]
 
 
 def learner_candidates(A):
-    """The learner's candidates: its error array's canonical entries, in C order."""
-    shape = (2, A, A, 2, 2)
-    return _hypotheses(np.nonzero(canonical_mask(shape)))
+    """The learner's candidates: every entry of its layout through the
+    canonical filter and order its reliable mode applies."""
+    return _canonical_hypotheses(*np.indices((2, 2, 2, A, A)).reshape(5, -1))
 
 
 @pytest.mark.parametrize("A", [1, 2, 3, 5, 8])
 def test_candidate_count_matches_formula(A):
     assert len(reference_pair_candidates(A)) == pair_space_size(A)
     assert len(learner_candidates(A)) == pair_space_size(A)
-    errs = _pair_errors(np.zeros((A, 3), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
-    assert errs.shape == (2, A, A, 2, 2)
+    V, y = np.zeros((A, 3), dtype=np.uint8), np.zeros(3, dtype=np.uint8)
+    assert _and_planes(V, y).shape == (2, 2, A, A)
+    assert canonical_entries(pair_errors(V, y)).size == pair_space_size(A)
 
 
 def test_candidates_are_canonical_and_distinct():
@@ -94,8 +110,8 @@ def assert_errors_match_direct_evaluation(V, y):
     reference = reference_pair_errors(V, y)
     for h, err in zip(reference_pair_candidates(V.shape[0]), reference):
         assert err == int(np.sum(h.evaluate_rows(V) != y))
-    errs = _pair_errors(V, y)
-    assert errs[canonical_mask(errs.shape)].tolist() == reference
+    errs = pair_errors(V, y)
+    assert canonical_entries(errs).tolist() == reference
     return errs
 
 
@@ -115,11 +131,11 @@ def test_pair_errors_all_positive_labels():
 
 
 @st.composite
-def tied_attribute_matrices(draw):
+def tied_attribute_matrices(draw, max_attributes=5, max_rows=12):
     """Small attribute matrices with many ties: duplicated and constant rows,
     a single attribute, and labels that may all be equal."""
-    A = draw(st.integers(min_value=1, max_value=5))
-    m = draw(st.integers(min_value=1, max_value=12))
+    A = draw(st.integers(min_value=1, max_value=max_attributes))
+    m = draw(st.integers(min_value=1, max_value=max_rows))
     bits = st.lists(st.integers(0, 1), min_size=m, max_size=m)
     rows = []
     for _ in range(A):
@@ -152,6 +168,80 @@ def test_pair_learner_matches_the_reference(data):
         assert list(out.members) == consistent
     else:
         assert out is DONT_KNOW
+
+
+@given(tied_attribute_matrices(max_attributes=12, max_rows=64))
+@settings(max_examples=60, deadline=None)
+def test_pair_learner_matches_the_reference_on_wider_spaces(data):
+    """The same check on up to 12 attributes and 64 rows, where duplicate
+    rows repeat a first hit across planes and both halves."""
+    V, y = data
+    candidates = reference_pair_candidates(V.shape[0])
+    errors = reference_pair_errors(V, y)
+    assert learn_pair_node(V, y) == candidates[errors.index(min(errors))]
+    consistent = [h for h, e in zip(candidates, errors) if e == 0]
+    out = learn_pair_node(V, y, mode="reliable")
+    if consistent:
+        assert list(out.members) == consistent
+    else:
+        assert out is DONT_KNOW
+
+
+def test_best_fit_prefers_and_when_the_or_half_ties_earlier():
+    """The constant 1 is the best fit: or(x0, not x0) at references (0, 0),
+    and(x1, x1) at (1, 1). The two minima tie and and comes first."""
+    V = np.array([[0, 1, 0, 1, 0], [1, 1, 1, 1, 1]], dtype=np.uint8)
+    y = np.array([1, 1, 1, 1, 0], dtype=np.uint8)
+    candidates = reference_pair_candidates(2)
+    errors = reference_pair_errors(V, y)
+    best = [h for h, e in zip(candidates, errors) if e == min(errors)]
+    assert (best[0].op, best[0].left_attr) == ("and", 1)
+    assert (best[1].op, best[1].left_attr, best[1].right_attr) == ("or", 0, 0)
+    assert learn_pair_node(V, y) == PairHypothesis("and", 1, False, 1, False)
+
+
+@pytest.mark.parametrize(
+    "rows, labels, expected",
+    [
+        # and planes (0, 0) and (1, 1) both first hit at (0, 1)
+        ([[0, 1, 1, 0, 1], [1, 1, 0, 0, 0]], [0, 1, 0, 1, 0], ("and", 0, False, 1, False)),
+        # or planes (0, 1) and (1, 0) both first hit at (0, 0): the constant 1
+        ([[0, 1, 0]], [1, 1, 1], ("or", 0, False, 0, True)),
+    ],
+)
+def test_best_fit_breaks_a_shared_first_hit_by_negation_flags(rows, labels, expected):
+    V, y = np.array(rows, dtype=np.uint8), np.array(labels, dtype=np.uint8)
+    errors = reference_pair_errors(V, y)
+    assert learn_pair_node(V, y) == PairHypothesis(*expected)
+    assert learn_pair_node(V, y) == reference_pair_candidates(len(rows))[errors.index(min(errors))]
+
+
+def test_exact_float_dtype_switches_at_two_to_the_24():
+    assert exact_float_dtype(2**24) is np.float32
+    assert exact_float_dtype(2**24 + 1) is np.float64
+    assert int(np.float32(2**24)) == 2**24
+    assert int(np.float32(2**24 + 1)) != 2**24 + 1
+
+
+def test_and_planes_stay_exact_at_the_bound_they_pass(monkeypatch):
+    """Every intermediate of the and planes lies within the bound the learner
+    passes to exact_float_dtype. Modelled at half precision, exact for
+    integers up to 2**11, the planes of 2**11 rows are still exact; an
+    intermediate that reached 2m would round its odd values."""
+    def half_up_to_2_11(bound):
+        return np.float16 if bound <= 2**11 else np.float64
+
+    monkeypatch.setattr("impact.learner.exact_float_dtype", half_up_to_2_11)
+    rng = np.random.default_rng(11)
+    m = 2**11
+    for ones_frac, pos_frac in [(0.5, 0.5), (0.9, 0.95), (0.1, 0.05), (1.0, 1.0), (0.0, 0.0)]:
+        V = (rng.random((6, m)) < ones_frac).astype(np.uint8)
+        y = (rng.random(m) < pos_frac).astype(np.uint8)
+        planes = _and_planes(V, y)
+        assert planes.dtype == np.float16
+        for ln, rn in np.ndindex(2, 2):
+            direct = ((V[:, None] ^ ln) & (V[None, :] ^ rn)) != y
+            assert np.array_equal(planes[ln, rn], direct.sum(axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +395,27 @@ def test_derived_attributes_feed_later_rounds():
     z2 = augment(z1, h2)
     rows = z2.values(all_inputs(2))
     assert np.array_equal(rows[4], rows[0] | rows[1])
+
+
+def test_attribute_values_reject_non_bit_values():
+    with pytest.raises(InputShapeError):
+        AttributeSpace.pure(2).values(np.array([[0.5, 1.9]]))
+    with pytest.raises(InputShapeError):
+        corrupted_view(AttributeSpace.pure(2), [0.7, 1.2])
+
+
+def test_attribute_values_reject_inputs_narrower_than_the_space():
+    with pytest.raises(InputShapeError):
+        AttributeSpace.pure(3).values(np.zeros((4, 2), dtype=np.uint8))
+    with pytest.raises(InputShapeError):
+        corrupted_view(AttributeSpace.pure(3), [1, 0])
+
+
+def test_attribute_values_reject_inputs_wider_than_the_space():
+    with pytest.raises(InputShapeError):
+        AttributeSpace.pure(2).values(np.zeros((4, 3), dtype=np.uint8))
+    with pytest.raises(InputShapeError):
+        corrupted_view(AttributeSpace.pure(2), [1, 0, 1])
 
 
 def test_corrupted_view_single_vector():

@@ -18,3 +18,24 @@ def test_library_has_no_assert_statements():
     ]
     assert len(SOURCES) > 1
     assert found == []
+
+
+def test_float32_appears_only_in_the_exactness_helper():
+    """Single-precision counts are exact only up to 2**24, so one helper,
+    learner.exact_float_dtype, decides where they are used."""
+    found, helpers = [], []
+    for path in SOURCES:
+        text = path.read_text()
+        spans = [
+            range(node.lineno, node.end_lineno + 1)
+            for node in ast.walk(ast.parse(text, filename=str(path)))
+            if isinstance(node, ast.FunctionDef) and node.name == "exact_float_dtype"
+        ]
+        helpers += [path.name for _ in spans]
+        found += [
+            f"{path.name}:{i}"
+            for i, line in enumerate(text.splitlines(), start=1)
+            if "float32" in line and not any(i in span for span in spans)
+        ]
+    assert helpers == ["learner.py"]
+    assert found == []
