@@ -15,7 +15,6 @@ import numpy as np
 from .concepts import (
     Adfsa,
     ConceptDag,
-    ThresholdCircuit,
     load_concept,
     max_path_depth,
     node_values,
@@ -222,8 +221,7 @@ def _cmd_verify(args) -> int:
         checks = _verify_pair(concept, load_concept(args.against), args)
     else:
         checks = _verify_single(concept, args)
-    kind = {ConceptDag: "dag", ThresholdCircuit: "threshold", Adfsa: "adfsa"}[type(concept)]
-    result = {"concept": str(args.concept), "kind": kind, "checks": checks}
+    result = {"concept": str(args.concept), "kind": concept.kind, "checks": checks}
     sys.stdout.write(json.dumps(result, indent=2) + "\n")
     return 0 if all(c["passed"] for c in checks) else 1
 

@@ -2,15 +2,20 @@
 
 All three representations store their internal structure as an index-ordered
 list in which every edge points to a strictly lower index, so acyclicity is
-structural rather than checked by traversal.
+structural rather than checked by traversal. Each concept describes that
+graph once, in its `children` table: entry i lists the indices that node,
+gate or state i reads. The constructor builds and checks the table, and
+every traversal reads it. Each class also names its kind once, in `kind`,
+which concept files, `impact verify` and session reports use.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,6 +24,37 @@ from .errors import (
     InvalidConceptError,
     MalformedAutomatonError,
 )
+
+
+Children = tuple[tuple[int, ...], ...]
+
+
+def _set_children(concept, children: list[tuple[int, ...]], top: int, what: str) -> None:
+    """Set the concept's children table, entry i listing the indices that
+    node, gate or state i reads, after the checks every concept shares: at
+    least one input bit, a root (or start) index in range, and every edge
+    pointing to a strictly lower index."""
+    if concept.n < 1:
+        raise InvalidConceptError(f"need at least one input bit, got n={concept.n}")
+    if not (0 <= top < len(children)):
+        raise InvalidConceptError(
+            f"the root or start, {what} {top}, is not one of the {len(children)} {what}s"
+        )
+    for i, kids in enumerate(children):
+        for kid in kids:
+            if not (0 <= kid < i):
+                raise InvalidConceptError(
+                    f"{what} {i} has an edge to {kid}; edges must point to lower indices"
+                )
+    object.__setattr__(concept, "children", tuple(children))
+
+
+def _height(children: Children, top: int) -> int:
+    """Indices on the longest path down the children table from `top`, `top` included."""
+    heights: list[int] = []
+    for kids in children:
+        heights.append(1 + max((heights[kid] for kid in kids), default=0))
+    return heights[top]
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +87,6 @@ class Or:
 DagNode = Literal | Not | And | Or
 
 
-def node_children(node: DagNode) -> tuple[int, ...]:
-    if isinstance(node, Literal):
-        return ()
-    if isinstance(node, Not):
-        return (node.child,)
-    return (node.left, node.right)
-
-
 @dataclass(frozen=True)
 class ConceptDag:
     """Boolean formula DAG over n input bits.
@@ -66,34 +94,32 @@ class ConceptDag:
     size_bound caps the node count; None means the default cubic bound in n.
     """
 
+    kind: ClassVar[str] = "dag"
+
     nodes: tuple[DagNode, ...]
     root: int
     n: int
     size_bound: int | None = None
+    children: Children = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        if self.n < 1:
-            raise InvalidConceptError(f"need at least one input bit, got n={self.n}")
-        if not self.nodes:
-            raise InvalidConceptError("a DAG needs at least one node")
         if len(self.nodes) > self.effective_size_bound:
             raise InvalidConceptError(
                 f"{len(self.nodes)} nodes exceeds the size bound "
                 f"{self.effective_size_bound} for n={self.n}"
             )
-        if not (0 <= self.root < len(self.nodes)):
-            raise InvalidConceptError(f"root index {self.root} out of range")
+        children = []
         for i, node in enumerate(self.nodes):
             if isinstance(node, Literal):
                 if not (0 <= node.bit < self.n):
                     raise InvalidConceptError(f"node {i} reads bit {node.bit}, n={self.n}")
-                continue
-            for child in node_children(node):
-                if not (0 <= child < i):
-                    raise InvalidConceptError(
-                        f"node {i} has edge to {child}; edges must point to lower indices"
-                    )
+                children.append(())
+            elif isinstance(node, Not):
+                children.append((node.child,))
+            else:
+                children.append((node.left, node.right))
+        _set_children(self, children, self.root, "node")
 
     @property
     def effective_size_bound(self) -> int:
@@ -132,19 +158,17 @@ class Gate:
 
 @dataclass(frozen=True)
 class ThresholdCircuit:
+    kind: ClassVar[str] = "threshold"
+
     gates: tuple[Gate, ...]
     root: int
     n: int
     depth_cap: int = 8
+    children: Children = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.n < 1:
-            raise InvalidConceptError(f"need at least one input bit, got n={self.n}")
-        if not self.gates:
-            raise InvalidConceptError("a circuit needs at least one gate")
-        if not (0 <= self.root < len(self.gates)):
-            raise InvalidConceptError(f"root gate {self.root} out of range")
+        children = []
         for i, gate in enumerate(self.gates):
             k = len(gate.inputs)
             if k == 0:
@@ -157,13 +181,10 @@ class ThresholdCircuit:
                 if wire.source == "bit":
                     if not (0 <= wire.index < self.n):
                         raise InvalidConceptError(f"gate {i} reads bit {wire.index}")
-                elif wire.source == "gate":
-                    if not (0 <= wire.index < i):
-                        raise InvalidConceptError(
-                            f"gate {i} reads gate {wire.index}; must be a lower index"
-                        )
-                else:
+                elif wire.source != "gate":
                     raise InvalidConceptError(f"unknown wire source {wire.source!r}")
+            children.append(tuple(w.index for w in gate.inputs if w.source == "gate"))
+        _set_children(self, children, self.root, "gate")
         if self.depth > self.depth_cap:
             raise InvalidConceptError(
                 f"circuit depth {self.depth} exceeds cap {self.depth_cap}"
@@ -172,14 +193,7 @@ class ThresholdCircuit:
     @property
     def depth(self) -> int:
         """Longest gate-to-gate chain, counting the gates on it."""
-        depths = []
-        for gate in self.gates:
-            d = 1
-            for wire in gate.inputs:
-                if wire.source == "gate":
-                    d = max(d, depths[wire.index] + 1)
-            depths.append(d)
-        return depths[self.root]
+        return _height(self.children, self.root)
 
     @property
     def size(self) -> int:
@@ -220,54 +234,38 @@ class Adfsa:
     a terminal classifies the string; any bits left over are ignored.
     """
 
+    kind: ClassVar[str] = "adfsa"
+
     states: tuple[State, ...]
     start: int
     n: int
+    children: Children = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
-        if self.n < 1:
-            raise InvalidConceptError(f"need n >= 1, got {self.n}")
-        if not (0 <= self.start < len(self.states)):
-            raise InvalidConceptError(f"start state {self.start} out of range")
         accepts = sum(isinstance(s, AcceptState) for s in self.states)
         rejects = sum(isinstance(s, RejectState) for s in self.states)
         if accepts != 1 or rejects != 1:
             raise InvalidConceptError(
                 f"need exactly one accept and one reject terminal, got {accepts}/{rejects}"
             )
-        for i, state in enumerate(self.states):
-            if isinstance(state, BranchState):
-                for nxt in (state.on0, state.on1):
-                    if not (0 <= nxt < i):
-                        raise InvalidConceptError(
-                            f"state {i} moves to {nxt}; moves must point to lower indices"
-                        )
-        if max_path_depth(self) > self.n:
-            raise InvalidConceptError(
-                f"some walk takes {max_path_depth(self)} steps, more than n={self.n}"
-            )
+        children = [
+            (state.on0, state.on1) if isinstance(state, BranchState) else ()
+            for state in self.states
+        ]
+        _set_children(self, children, self.start, "state")
+        depth = max_path_depth(self)
+        if depth > self.n:
+            raise InvalidConceptError(f"some walk takes {depth} steps, more than n={self.n}")
 
     @property
     def size(self) -> int:
         return len(self.states)
 
-    @property
-    def branch_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, s in enumerate(self.states) if isinstance(s, BranchState)
-        )
-
 
 def max_path_depth(a: Adfsa) -> int:
     """Length in consumed bits of the longest walk from start to a terminal."""
-    depths = []
-    for state in a.states:
-        if isinstance(state, BranchState):
-            depths.append(1 + max(depths[state.on0], depths[state.on1]))
-        else:
-            depths.append(0)
-    return depths[a.start]
+    return _height(a.children, a.start) - 1
 
 
 Concept = ConceptDag | ThresholdCircuit | Adfsa
@@ -302,14 +300,18 @@ def as_bit_matrix(bits, n: int) -> np.ndarray:
     return arr
 
 
-def _children(concept: Concept, i: int) -> tuple[int, ...]:
-    """Indices that node, gate or state i reads; all lower than i."""
-    if isinstance(concept, ConceptDag):
-        return node_children(concept.nodes[i])
-    if isinstance(concept, ThresholdCircuit):
-        return tuple(w.index for w in concept.gates[i].inputs if w.source == "gate")
-    state = concept.states[i]
-    return (state.on0, state.on1) if isinstance(state, BranchState) else ()
+def as_string_batch(bits, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of bit strings as a (m, width) uint8 matrix and its m lengths,
+    each in [0, width]."""
+    X = _bit_array(bits)
+    if X.ndim != 2:
+        raise InputShapeError(f"expected a matrix of bit strings, got shape {X.shape}")
+    lengths = np.asarray(lengths)
+    if lengths.shape != (X.shape[0],):
+        raise InputShapeError(f"expected {X.shape[0]} string lengths, got shape {lengths.shape}")
+    if lengths.size and (lengths.min() < 0 or lengths.max() > X.shape[1]):
+        raise InputShapeError(f"string lengths must lie in [0, {X.shape[1]}], the bit width")
+    return X, lengths
 
 
 def _fill_rows(
@@ -381,7 +383,7 @@ def relevance_mask(
     changed = {node}
     above = []
     for i in range(node + 1, concept.root + 1):
-        if not changed.isdisjoint(_children(concept, i)):
+        if not changed.isdisjoint(concept.children[i]):
             changed.add(i)
             above.append(i)
     if values is None:
@@ -427,14 +429,11 @@ def reachable_indices(concept: Concept, top: int | None = None) -> set[int]:
     default from the root (or start)."""
     if top is None:
         top = concept.start if isinstance(concept, Adfsa) else concept.root
-    seen: set[int] = set()
-    stack = [top]
-    while stack:
-        i = stack.pop()
+    # edges point to lower indices: one descending pass finds every index
+    seen = {top}
+    for i in range(top, -1, -1):
         if i in seen:
-            continue
-        seen.add(i)
-        stack.extend(_children(concept, i))
+            seen.update(concept.children[i])
     return seen
 
 
@@ -501,35 +500,13 @@ def push_negations_to_leaves(g: ConceptDag) -> ConceptDag:
 # ---------------------------------------------------------------------------
 
 
-def _string_bits(string, n: int) -> np.ndarray:
-    if isinstance(string, str):
-        if any(c not in "01" for c in string):
-            raise InputShapeError(f"bit string may only contain 0/1, got {string!r}")
-        arr = np.array([int(c) for c in string], dtype=np.uint8)
-    else:
-        arr = _bit_array(string)
-        if arr.ndim != 1:
-            raise InputShapeError("expected a single bit string")
-    if len(arr) > n:
-        raise InputShapeError(f"string of length {len(arr)} exceeds n={n}")
-    return arr
-
-
 def _adfsa_tables(a: Adfsa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    size = a.size
-    on0 = np.zeros(size, dtype=np.int64)
-    on1 = np.zeros(size, dtype=np.int64)
-    branch = np.zeros(size, dtype=bool)
-    accept = np.zeros(size, dtype=bool)
-    for i, state in enumerate(a.states):
-        if isinstance(state, BranchState):
-            branch[i] = True
-            on0[i] = state.on0
-            on1[i] = state.on1
-        else:
-            on0[i] = on1[i] = i
-            accept[i] = isinstance(state, AcceptState)
-    return on0, on1, branch, accept
+    """Per state: its 0 and 1 moves (a terminal moves to itself), whether it
+    branches, and whether it accepts."""
+    moves = np.array([kids or (i, i) for i, kids in enumerate(a.children)], dtype=np.int64)
+    branch = np.array([len(kids) > 0 for kids in a.children], dtype=bool)
+    accept = np.array([isinstance(state, AcceptState) for state in a.states], dtype=bool)
+    return moves[:, 0], moves[:, 1], branch, accept
 
 
 def run_adfsa(a: Adfsa, string) -> int:
@@ -538,19 +515,16 @@ def run_adfsa(a: Adfsa, string) -> int:
     Raises MalformedAutomatonError if the string runs out while the walk is
     still on a branch state.
     """
-    bits = _string_bits(string, a.n)
-    cur = a.start
-    for pos in range(len(bits)):
-        state = a.states[cur]
-        if not isinstance(state, BranchState):
-            break
-        cur = state.on1 if bits[pos] else state.on0
-    state = a.states[cur]
-    if isinstance(state, BranchState):
-        raise MalformedAutomatonError(
-            f"string of length {len(bits)} exhausted at state {cur}"
-        )
-    return int(isinstance(state, AcceptState))
+    if isinstance(string, str):
+        if any(c not in "01" for c in string):
+            raise InputShapeError(f"bit string may only contain 0/1, got {string!r}")
+        string = [int(c) for c in string]
+    bits = _bit_array(string)
+    if bits.ndim != 1:
+        raise InputShapeError("expected a single bit string")
+    if len(bits) > a.n:
+        raise InputShapeError(f"string of length {len(bits)} exceeds n={a.n}")
+    return int(adfsa_labels(a, bits[None, :], np.array([len(bits)]))[0])
 
 
 def _walk(
@@ -561,8 +535,7 @@ def _walk(
     it never does, shape (len(watch), m) int32. Moves point to lower
     indices, so a walk sits on a state at most once and one walk serves
     every watched state."""
-    if lengths.size and (lengths.min() < 0 or lengths.max() > X.shape[1]):
-        raise InputShapeError(f"string lengths must lie in [0, {X.shape[1]}], the bit width")
+    X, lengths = as_string_batch(X, lengths)
     on0, on1, branch, accept = _adfsa_tables(a)
     # unwatched states file their arrivals in one extra row, dropped at the end
     slot = np.full(a.size, len(watch), dtype=np.int64)
@@ -650,22 +623,24 @@ def state_outputs(a: Adfsa, X: np.ndarray, lengths: np.ndarray, states: list[int
     outputs at one offset only: a branch state's outputs at offset o select
     between its children's outputs at o + 1.
     """
+    on0, on1, branch, accept = _adfsa_tables(a)
     reach = sorted(set().union(*(reachable_indices(a, state) for state in states)))
-    local = {s: i for i, s in enumerate(reach)}
-    rows = [local[state] for state in states]
-    kinds = [a.states[s] for s in reach]
-    branches = [i for i, st in enumerate(kinds) if isinstance(st, BranchState)]
-    on0 = [local[kinds[i].on0] for i in branches]
-    on1 = [local[kinds[i].on1] for i in branches]
+    reach = np.array(reach, dtype=np.int64)
+    # each reachable state's row among them
+    local = np.empty(a.size, dtype=np.int64)
+    local[reach] = np.arange(len(reach))
+    rows = local[states]
+    branches = np.flatnonzero(branch[reach])
+    kids0 = local[on0[reach[branches]]]
+    kids1 = local[on1[reach[branches]]]
     # outputs of every reachable state at the offset after the current one;
     # from X's width on, a walk still on a branch state has run out
     nxt = np.empty((len(reach), X.shape[0]), dtype=np.int8)
-    for i, st in enumerate(kinds):
-        nxt[i] = -1 if isinstance(st, BranchState) else int(isinstance(st, AcceptState))
+    nxt[:] = np.where(branch[reach], -1, accept[reach])[:, None]
     bits, inside = string_rows(X, lengths)
     for o in range(a.n - 1, -1, -1):
         if o < X.shape[1]:
-            nxt[branches] = select_outputs(nxt[on0], nxt[on1], bits[o], inside[o])
+            nxt[branches] = select_outputs(nxt[kids0], nxt[kids1], bits[o], inside[o])
         yield o, nxt[rows]
 
 
@@ -713,38 +688,46 @@ def build_parity(n: int, subset) -> ConceptDag:
 # ---------------------------------------------------------------------------
 
 
+# A concept file is a JSON object: the concept's kind name under "type", its
+# n, and its first two fields, the list of its nodes, gates or states and its
+# root or start index. A DAG node or automaton state is a record of its tag,
+# under the key the table gives, followed by its dataclass fields in order. A
+# gate is a record of its threshold and its inputs, each {"bit": i} or
+# {"gate": i}.
+_RECORD_TAGS = {
+    Literal: ("op", "lit"),
+    Not: ("op", "not"),
+    And: ("op", "and"),
+    Or: ("op", "or"),
+    AcceptState: ("kind", "accept"),
+    RejectState: ("kind", "reject"),
+    BranchState: ("kind", "branch"),
+}
+_RECORD_CLASSES = {key_and_tag: cls for cls, key_and_tag in _RECORD_TAGS.items()}
+# The key of each kind's record tags; gate records have no tag.
+_TAG_KEYS = {ConceptDag: "op", Adfsa: "kind"}
+_KINDS = {cls.kind: cls for cls in (ConceptDag, ThresholdCircuit, Adfsa)}
+
+
+def _record_to_dict(item: DagNode | Gate | State) -> dict:
+    if isinstance(item, Gate):
+        return {"threshold": item.threshold, "inputs": [{w.source: w.index} for w in item.inputs]}
+    key, tag = _RECORD_TAGS[type(item)]
+    record = {key: tag}
+    for f in fields(item):
+        record[f.name] = getattr(item, f.name)
+    return record
+
+
 def concept_to_dict(concept: Concept) -> dict:
-    if isinstance(concept, ConceptDag):
-        nodes = []
-        for node in concept.nodes:
-            if isinstance(node, Literal):
-                nodes.append({"op": "lit", "bit": node.bit})
-            elif isinstance(node, Not):
-                nodes.append({"op": "not", "child": node.child})
-            elif isinstance(node, And):
-                nodes.append({"op": "and", "left": node.left, "right": node.right})
-            else:
-                nodes.append({"op": "or", "left": node.left, "right": node.right})
-        return {"type": "dag", "n": concept.n, "nodes": nodes, "root": concept.root}
-    if isinstance(concept, ThresholdCircuit):
-        gates = []
-        for gate in concept.gates:
-            gates.append(
-                {
-                    "threshold": gate.threshold,
-                    "inputs": [{w.source: w.index} for w in gate.inputs],
-                }
-            )
-        return {"type": "threshold", "n": concept.n, "gates": gates, "root": concept.root}
-    states = []
-    for state in concept.states:
-        if isinstance(state, AcceptState):
-            states.append({"kind": "accept"})
-        elif isinstance(state, RejectState):
-            states.append({"kind": "reject"})
-        else:
-            states.append({"kind": "branch", "on0": state.on0, "on1": state.on1})
-    return {"type": "adfsa", "n": concept.n, "states": states, "start": concept.start}
+    """The concept as the JSON object of a concept file (see _RECORD_TAGS)."""
+    items, top = (f.name for f in fields(concept)[:2])
+    return {
+        "type": concept.kind,
+        "n": concept.n,
+        items: [_record_to_dict(item) for item in getattr(concept, items)],
+        top: getattr(concept, top),
+    }
 
 
 def json_int(value) -> int:
@@ -755,81 +738,56 @@ def json_int(value) -> int:
     return int(value)
 
 
-def _require(mapping: dict, key: str, kind: str):
-    if key not in mapping:
-        raise InvalidConceptError(f"{kind} concept file is missing {key!r}")
-    return mapping[key]
+def _gate_from_dict(entry: dict) -> Gate:
+    wires = []
+    for ref in entry["inputs"]:
+        if "bit" in ref:
+            wires.append(Wire("bit", json_int(ref["bit"])))
+        elif "gate" in ref:
+            wires.append(Wire("gate", json_int(ref["gate"])))
+        else:
+            raise InvalidConceptError(f"unknown wire {ref!r}")
+    return Gate(json_int(entry["threshold"]), tuple(wires))
+
+
+def _record_from_dict(entry: dict, tag_key: str | None) -> DagNode | Gate | State:
+    if tag_key is None:
+        return _gate_from_dict(entry)
+    tag = entry[tag_key]
+    cls = _RECORD_CLASSES.get((tag_key, tag))
+    if cls is None:
+        raise InvalidConceptError(f"unknown record {tag_key} {tag!r}")
+    return cls(*(json_int(entry[f.name]) for f in fields(cls)))
 
 
 def concept_from_dict(data: dict) -> Concept:
+    """The concept a concept file's JSON object describes (see _RECORD_TAGS)."""
     if not isinstance(data, dict):
         raise InvalidConceptError("concept file must hold a JSON object")
-    ctype = _require(data, "type", "a")
+    kind = data.get("type")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvalidConceptError(f"concept type must be one of {sorted(_KINDS)}, got {kind!r}")
+    items, top = (f.name for f in fields(cls)[:2])
+    tag_key = _TAG_KEYS.get(cls)
     try:
-        if ctype == "dag":
-            nodes: list[DagNode] = []
-            for entry in _require(data, "nodes", "dag"):
-                op = _require(entry, "op", "dag node")
-                if op == "lit":
-                    nodes.append(Literal(json_int(entry["bit"])))
-                elif op == "not":
-                    nodes.append(Not(json_int(entry["child"])))
-                elif op == "and":
-                    nodes.append(And(json_int(entry["left"]), json_int(entry["right"])))
-                elif op == "or":
-                    nodes.append(Or(json_int(entry["left"]), json_int(entry["right"])))
-                else:
-                    raise InvalidConceptError(f"unknown dag op {op!r}")
-            bound = max(json_int(data["n"]) ** 3, len(nodes))
-            return ConceptDag(
-                nodes=tuple(nodes),
-                root=json_int(_require(data, "root", "dag")),
-                n=json_int(_require(data, "n", "dag")),
-                size_bound=bound,
-            )
-        if ctype == "threshold":
-            gates = []
-            for entry in _require(data, "gates", "threshold"):
-                wires = []
-                for ref in _require(entry, "inputs", "gate"):
-                    if "bit" in ref:
-                        wires.append(Wire("bit", json_int(ref["bit"])))
-                    elif "gate" in ref:
-                        wires.append(Wire("gate", json_int(ref["gate"])))
-                    else:
-                        raise InvalidConceptError(f"unknown wire {ref!r}")
-                gates.append(Gate(json_int(_require(entry, "threshold", "gate")), tuple(wires)))
-            return ThresholdCircuit(
-                gates=tuple(gates),
-                root=json_int(_require(data, "root", "threshold")),
-                n=json_int(_require(data, "n", "threshold")),
-            )
-        if ctype == "adfsa":
-            states: list[State] = []
-            for entry in _require(data, "states", "adfsa"):
-                kind = _require(entry, "kind", "state")
-                if kind == "accept":
-                    states.append(AcceptState())
-                elif kind == "reject":
-                    states.append(RejectState())
-                elif kind == "branch":
-                    states.append(BranchState(json_int(entry["on0"]), json_int(entry["on1"])))
-                else:
-                    raise InvalidConceptError(f"unknown state kind {kind!r}")
-            return Adfsa(
-                states=tuple(states),
-                start=json_int(_require(data, "start", "adfsa")),
-                n=json_int(_require(data, "n", "adfsa")),
-            )
+        n = json_int(data["n"])
+        records = tuple(_record_from_dict(entry, tag_key) for entry in data[items])
+        args = {items: records, top: json_int(data[top]), "n": n}
+        if cls is ConceptDag:
+            # a DAG file is bounded by its own size, not by the default n**3
+            args["size_bound"] = max(n**3, len(records))
+        return cls(**args)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidConceptError(f"malformed concept file: {exc}") from exc
-    raise InvalidConceptError(f"unknown concept type {ctype!r}")
+        raise InvalidConceptError(f"malformed concept file: {exc!r}") from exc
 
 
 def load_concept(path: str | Path) -> Concept:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers invalid JSON, text that is not UTF-8, and integers
+    # too long for Python to convert
+    except (OSError, ValueError) as exc:
         raise InvalidConceptError(f"cannot read concept file {path}: {exc}") from exc
     return concept_from_dict(data)
 

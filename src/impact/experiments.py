@@ -61,8 +61,8 @@ class SweepConfig:
         if any(v < 1 for v in self.values):
             raise ConfigError("swept values must be positive")
         if self.kind == "m":
-            if self.subset is None:
-                raise ConfigError("an 'm' sweep needs a fixed parity subset")
+            if not self.subset:
+                raise ConfigError("an 'm' sweep needs a fixed, nonempty parity subset")
             if not all(0 <= b < self.n for b in self.subset):
                 raise ConfigError("subset bits must lie in [0, n)")
             if len(set(self.subset)) != len(self.subset):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concepts import as_bit_matrix, select_outputs, string_rows
+from .concepts import as_bit_matrix, as_string_batch, select_outputs, string_rows
 from .errors import InvalidParameterError, UndefinedMetricError
 from .sampling import Sample
 
@@ -207,7 +207,7 @@ class AttributeSpace:
         fill_step_rows)."""
         if self.mode != "strings":
             raise InvalidParameterError("eval_table applies to string attribute spaces")
-        X = np.asarray(bits, dtype=np.uint8)
+        X, lengths = as_string_batch(bits, lengths)
         m, width = X.shape
         string_bits, inside = string_rows(X, lengths)
         table = np.empty((len(self.attributes), width + 1, m), dtype=np.int8)

@@ -12,7 +12,6 @@ from .concepts import (
     ConceptDag,
     Or,
     ThresholdCircuit,
-    _children,
     reachable_indices,
 )
 from .errors import InvalidConceptError
@@ -81,8 +80,7 @@ def postfix_order(concept: Concept, rule: ModerationRule | None = None) -> Round
     elif isinstance(concept, ThresholdCircuit):
         order = sorted(reach)
     else:
-        branches = set(concept.branch_indices)
-        order = [i for i in sorted(reach) if i in branches]
+        order = [i for i in sorted(reach) if concept.children[i]]
         if not order:
             raise InvalidConceptError("automaton has no branch states to teach")
     return RoundPlan(rounds=tuple(Round(i, rule) for i in order))
@@ -92,7 +90,7 @@ def check_postfix(plan: RoundPlan, concept: Concept) -> bool:
     """True when every scheduled node appears after all its scheduled descendants."""
     position = {r.node: k for k, r in enumerate(plan.rounds)}
     for r in plan.rounds:
-        for kid in _children(concept, r.node):
+        for kid in concept.children[r.node]:
             if kid in position and position[kid] >= position[r.node]:
                 return False
     return True

@@ -365,7 +365,6 @@ class _BitRounds:
 
 
 class _PairRounds(_BitRounds):
-    kind = "dag"
     classifier = DagClassifier
 
     def candidates(self, z: AttributeSpace) -> int:
@@ -386,7 +385,6 @@ class _PairRounds(_BitRounds):
 
 
 class _ThresholdRounds(_BitRounds):
-    kind = "threshold"
     classifier = CircuitClassifier
 
     def candidates(self, z: AttributeSpace) -> int:
@@ -405,8 +403,6 @@ class _AutomatonRounds:
     """Rounds over bit strings. The training value cube (see
     AttributeSpace.eval_table) holds the two terminals, accept then reject,
     then two rows per round, each filled from the rows before it."""
-
-    kind = "adfsa"
 
     def __init__(self, teacher: Teacher, plan: RoundPlan, mode: str, diagnostics: bool):
         n, s = teacher.concept.n, teacher.sample
@@ -479,8 +475,7 @@ def run_teaching_session(
     s = draw_sample(d, concept, m, stream=TRAIN_STREAM)
     test = draw_sample(d, concept, test_size, stream=TEST_STREAM)
     teacher = Teacher(taught, s, [rnd.node for rnd in plan.rounds])
-    kind = _ROUNDS[type(taught)]
-    rounds = kind(teacher, plan, mode, diagnostics)
+    rounds = _ROUNDS[type(taught)](teacher, plan, mode, diagnostics)
 
     records: list[RoundRecord] = []
     z = final_space = rounds.space
@@ -543,7 +538,7 @@ def run_teaching_session(
     test_dk = float(np.mean(preds == -1))
 
     return SessionReport(
-        concept_kind=kind.kind,
+        concept_kind=concept.kind,
         n=concept.n,
         m=m,
         mode=mode,

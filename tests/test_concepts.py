@@ -1,6 +1,9 @@
 """Concept representations, evaluation, restructuring, relevance."""
 
+import functools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +106,35 @@ def test_automaton_depth_cannot_exceed_n():
         states.append(BranchState(on0=len(states) - 1, on1=len(states) - 1))
     with pytest.raises(InvalidConceptError):
         Adfsa(states=tuple(states), start=4, n=2)
+
+
+# Each builder gives a concept whose node, gate or state 1 reads the index it is passed.
+EDGE_FROM_ONE = {
+    "dag": lambda to: ConceptDag(
+        nodes=(Literal(bit=0), And(left=0, right=to), Literal(bit=1)), root=1, n=2
+    ),
+    "threshold": lambda to: ThresholdCircuit(
+        gates=(
+            Gate(threshold=1, inputs=(Wire("bit", 0),)),
+            Gate(threshold=1, inputs=(Wire("bit", 1), Wire("gate", to))),
+            Gate(threshold=1, inputs=(Wire("bit", 1),)),
+        ),
+        root=1,
+        n=2,
+    ),
+    "adfsa": lambda to: Adfsa(
+        states=(RejectState(), BranchState(on0=to, on1=to), AcceptState()), start=1, n=2
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_FROM_ONE))
+def test_edges_must_point_to_lower_indices(kind):
+    build = EDGE_FROM_ONE[kind]
+    assert build(0).children[1] in ((0, 0), (0,))
+    for to in (1, 2):
+        with pytest.raises(InvalidConceptError):
+            build(to)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +279,34 @@ def test_arrival_offsets_chain():
 def test_max_path_depth():
     assert max_path_depth(one_bit_acceptor()) == 1
     assert max_path_depth(chain_automaton()) == 2
+
+
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_depths_match_their_recursive_definitions(n, size, seed):
+    circuit = random_circuit(n, size, seed, fan_in=min(3, n))
+    automaton = random_automaton(n, min(size, n), seed)
+
+    @functools.cache
+    def gates_on_longest_chain(i):
+        above = [w.index for w in circuit.gates[i].inputs if w.source == "gate"]
+        return 1 + max((gates_on_longest_chain(j) for j in above), default=0)
+
+    @functools.cache
+    def bits_on_longest_walk(i):
+        state = automaton.states[i]
+        if not isinstance(state, BranchState):
+            return 0
+        return 1 + max(bits_on_longest_walk(state.on0), bits_on_longest_walk(state.on1))
+
+    for i in range(circuit.size):
+        assert ThresholdCircuit(circuit.gates, i, n).depth == gates_on_longest_chain(i)
+    for i in range(automaton.size):
+        assert max_path_depth(Adfsa(automaton.states, i, n)) == bits_on_longest_walk(i)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +514,18 @@ def test_malformed_json_rejected(raw):
         concept_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b'{"type": "dag", "n": ' + b"9" * 5000 + b', "nodes": [], "root": 0}'],
+    ids=["not-utf8", "integer-too-long"],
+)
+def test_unreadable_concept_file_rejected(content, tmp_path):
+    path = tmp_path / "concept.json"
+    path.write_bytes(content)
+    with pytest.raises(InvalidConceptError):
+        load_concept(path)
+
+
 @given(st.integers(min_value=2, max_value=8), st.data())
 @settings(max_examples=40, deadline=None)
 def test_property_random_dag_round_trip(n, data):
@@ -470,3 +542,33 @@ def test_property_restructure_preserves_root_function(seed):
     X = all_inputs(5)
     assert exhaustive_agree(g, out, 5)
     assert out.size <= 2 * g.size
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+RECORDED = Path(__file__).resolve().parent / "data"
+
+
+def readme_concept_examples() -> list[dict]:
+    section = README.read_text().split("## Concept files", 1)[1].split("\n## ", 1)[0]
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+
+
+def test_readme_concept_examples_round_trip():
+    examples = readme_concept_examples()
+    assert [example["type"] for example in examples] == ["dag", "threshold", "adfsa"]
+    for example in examples:
+        assert concept_to_dict(concept_from_dict(example)) == example
+
+
+@pytest.mark.parametrize(
+    "name, concept",
+    [
+        ("mixed_relevance_dag", mixed_relevance_dag()),
+        ("layered_circuit", layered_circuit()),
+        ("chain_automaton", chain_automaton()),
+    ],
+)
+def test_saved_concept_text_matches_the_recorded_file(name, concept, tmp_path):
+    path = tmp_path / "concept.json"
+    save_concept(concept, path)
+    assert path.read_bytes() == (RECORDED / f"{name}.json").read_bytes()

@@ -88,6 +88,11 @@ def test_bad_m_configs_rejected(overrides):
         small_m_config(**overrides)
 
 
+def test_empty_parity_subset_rejected_at_load():
+    with pytest.raises(ConfigError):
+        small_m_config(subset=())
+
+
 @pytest.mark.parametrize("overrides", [{"fixed_m": None}, {"fixed_m": 0}, {"values": (6,)}])
 def test_bad_k_configs_rejected(overrides):
     with pytest.raises(ConfigError):

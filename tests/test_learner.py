@@ -418,6 +418,26 @@ def test_attribute_values_reject_inputs_wider_than_the_space():
         corrupted_view(AttributeSpace.pure(2), [1, 0, 1])
 
 
+def test_eval_table_rejects_non_bit_values():
+    with pytest.raises(InputShapeError):
+        AttributeSpace.terminals().eval_table(np.array([[0.5, 1.9]]), np.array([2]))
+
+
+def test_eval_table_rejects_lengths_past_the_bit_width():
+    with pytest.raises(InputShapeError):
+        AttributeSpace.terminals().eval_table(np.zeros((1, 2), dtype=np.uint8), np.array([5]))
+
+
+def test_eval_table_rejects_a_single_vector():
+    with pytest.raises(InputShapeError):
+        AttributeSpace.terminals().eval_table(np.array([0, 1], dtype=np.uint8), np.array([2]))
+
+
+def test_eval_table_rejects_a_length_count_other_than_the_string_count():
+    with pytest.raises(InputShapeError):
+        AttributeSpace.terminals().eval_table(np.zeros((3, 2), dtype=np.uint8), np.array([2]))
+
+
 def test_corrupted_view_single_vector():
     z = augment(AttributeSpace.pure(3), identity_pair(2))
     got = corrupted_view(z, [1, 0, 1])

@@ -1,9 +1,11 @@
 """Checks on the library's source text."""
 
 import ast
+import types
 from pathlib import Path
 
 import impact
+import impact.concepts
 
 SOURCES = sorted(Path(impact.__file__).parent.glob("*.py"))
 
@@ -39,3 +41,25 @@ def test_float32_appears_only_in_the_exactness_helper():
         ]
     assert helpers == ["learner.py"]
     assert found == []
+
+
+def test_oracle_imports_only_concept_classes_and_never_reads_children():
+    """The references in oracle.py walk each concept with traversals of their
+    own, so they must not share the children table the fast paths read."""
+    path = Path(impact.__file__).parent / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names, modules = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "concepts":
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules += [alias.name for alias in node.names]
+    assert names
+    assert [name for name in modules if name.split(".")[-1] == "concepts"] == []
+    kinds = (type, types.UnionType)
+    assert [name for name in names if not isinstance(getattr(impact.concepts, name), kinds)] == []
+    assert [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "children"
+    ] == []
