@@ -132,6 +132,12 @@ class ConceptDag:
         return len(self.nodes)
 
 
+def dag_size_bound(n: int, size: int) -> int:
+    """The size bound of a built or read DAG of `size` nodes: the default
+    n**3, or its own size where that is larger."""
+    return max(n**3, size)
+
+
 # ---------------------------------------------------------------------------
 # Threshold circuits
 # ---------------------------------------------------------------------------
@@ -679,8 +685,7 @@ def build_parity(n: int, subset) -> ConceptDag:
         return emit(Or(only_a, only_b))
 
     root = xor_tree(subset)
-    bound = max(n**3, len(nodes))
-    return ConceptDag(nodes=tuple(nodes), root=root, n=n, size_bound=bound)
+    return ConceptDag(nodes=tuple(nodes), root=root, n=n, size_bound=dag_size_bound(n, len(nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +780,7 @@ def concept_from_dict(data: dict) -> Concept:
         records = tuple(_record_from_dict(entry, tag_key) for entry in data[items])
         args = {items: records, top: json_int(data[top]), "n": n}
         if cls is ConceptDag:
-            # a DAG file is bounded by its own size, not by the default n**3
-            args["size_bound"] = max(n**3, len(records))
+            args["size_bound"] = dag_size_bound(n, len(records))
         return cls(**args)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConceptError(f"malformed concept file: {exc!r}") from exc

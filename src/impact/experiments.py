@@ -83,6 +83,10 @@ class SweepConfig:
             raise ConfigError("test_size must be >= 1")
 
 
+# SweepConfig's optional fields, each with its reader
+_OPTIONAL_READERS = {"learners": tuple, "test_size": json_int, "workers": json_int, "out_dir": str}
+
+
 def config_from_dict(raw: dict) -> SweepConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -105,10 +109,8 @@ def config_from_dict(raw: dict) -> SweepConfig:
             values=tuple(json_int(v) for v in values),
             subset=None if subset is None else tuple(json_int(b) for b in subset),
             fixed_m=None if fixed_m is None else json_int(fixed_m),
-            learners=tuple(raw.get("learners", ("impact", "tree", "stumps", "majority"))),
-            test_size=json_int(raw.get("test_size", 1000)),
-            workers=json_int(raw.get("workers", 1)),
-            out_dir=str(raw.get("out_dir", "sweep-out")),
+            # an absent optional key keeps SweepConfig's default
+            **{key: read(raw[key]) for key, read in _OPTIONAL_READERS.items() if key in raw},
         )
     except KeyError as exc:
         raise ConfigError(f"config missing required field {exc.args[0]!r}") from exc
@@ -121,8 +123,10 @@ def load_config(path) -> SweepConfig:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    # ValueError covers invalid JSON, text that is not UTF-8, and integers
+    # too long for Python to convert
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse config as JSON: {exc}") from exc
     return config_from_dict(raw)
 
 

@@ -17,6 +17,7 @@ from .concepts import (
     RejectState,
     ThresholdCircuit,
     Wire,
+    dag_size_bound,
 )
 from .errors import InvalidParameterError
 from .sampling import rng_from
@@ -38,8 +39,7 @@ def random_dag(n: int, size: int, seed: int, *, p_not: float = 0.2) -> ConceptDa
             right = int(rng.integers(0, top))
             cls = And if rng.random() < 0.5 else Or
             nodes.append(cls(left=left, right=right))
-    bound = max(n**3, size)
-    return ConceptDag(nodes=tuple(nodes), root=size - 1, n=n, size_bound=bound)
+    return ConceptDag(nodes=tuple(nodes), root=size - 1, n=n, size_bound=dag_size_bound(n, size))
 
 
 def random_circuit(

@@ -8,7 +8,7 @@ attribute space then grows by that hypothesis and its complement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,61 +129,41 @@ RoundHypothesis = PairHypothesis | PerceptronHypothesis | AdfsaNodeHypothesis
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class PureAttr:
-    bit: int
-
-
-@dataclass(eq=False)
-class TerminalAttr:
-    accepting: bool
-
-
-@dataclass(eq=False)
-class DerivedAttr:
-    hypothesis: RoundHypothesis
-
-
-@dataclass(eq=False)
-class ComplementAttr:
-    hypothesis: RoundHypothesis
-
-
-Attribute = PureAttr | TerminalAttr | DerivedAttr | ComplementAttr
-
-
 @dataclass(frozen=True)
 class AttributeSpace:
     """Ordered, append-only attribute list.
 
-    mode "bits": starts as the n raw input bits. mode "strings": starts as
-    the two terminal outcomes. Each finished round appends the learned
-    hypothesis and its complement, so earlier indices never change meaning.
+    The first base_count attributes are no round's: in mode "bits" the n raw
+    input bits, in mode "strings" the two terminal outcomes, accept then
+    reject. Then attribute base_count + 2r is hypothesis r, the r-th finished
+    round's, and base_count + 2r + 1 is its complement, so earlier indices
+    never change meaning.
     """
 
     mode: str
-    attributes: tuple[Attribute, ...]
+    base_count: int
+    hypotheses: tuple[RoundHypothesis, ...] = ()
 
     @staticmethod
     def pure(n: int) -> "AttributeSpace":
         if n < 1:
             raise InvalidParameterError("need at least one input bit")
-        return AttributeSpace(mode="bits", attributes=tuple(PureAttr(i) for i in range(n)))
+        return AttributeSpace(mode="bits", base_count=n)
 
     @staticmethod
     def terminals() -> "AttributeSpace":
-        return AttributeSpace(
-            mode="strings",
-            attributes=(TerminalAttr(accepting=True), TerminalAttr(accepting=False)),
-        )
+        return AttributeSpace(mode="strings", base_count=2)
 
     def __len__(self) -> int:
-        return len(self.attributes)
+        return self.base_count + 2 * len(self.hypotheses)
 
-    @property
-    def base_count(self) -> int:
-        """Leading attributes no round learned: the n raw bits, or the two terminals."""
-        return sum(isinstance(a, (PureAttr, TerminalAttr)) for a in self.attributes)
+    def learned(self, j: int) -> tuple[RoundHypothesis, bool]:
+        """Learned attribute j (j >= base_count): its round's hypothesis, and
+        whether j is that hypothesis's complement."""
+        r, complemented = divmod(j - self.base_count, 2)
+        if r < 0:
+            raise InvalidParameterError(f"attribute {j} is a base attribute")
+        return self.hypotheses[r], bool(complemented)
 
     def values(self, bits: np.ndarray) -> np.ndarray:
         """Attribute-value matrix (A, m) for fixed-width inputs; each round's
@@ -192,11 +172,10 @@ class AttributeSpace:
             raise InvalidParameterError("values() applies to bit-vector attribute spaces")
         n = self.base_count
         X = as_bit_matrix(bits, n)
-        rows = np.empty((len(self.attributes), X.shape[0]), dtype=np.uint8)
-        for j, attr in enumerate(self.attributes[:n]):
-            rows[j] = X[:, attr.bit]
-        for j in range(n, len(self.attributes), 2):
-            fill_bit_rows(rows, j, self.attributes[j].hypothesis)
+        rows = np.empty((len(self), X.shape[0]), dtype=np.uint8)
+        rows[:n] = X.T
+        for r, h in enumerate(self.hypotheses):
+            fill_bit_rows(rows, n + 2 * r, h)
         return rows
 
     def eval_table(self, bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -210,12 +189,10 @@ class AttributeSpace:
         X, lengths = as_string_batch(bits, lengths)
         m, width = X.shape
         string_bits, inside = string_rows(X, lengths)
-        table = np.empty((len(self.attributes), width + 1, m), dtype=np.int8)
-        n = self.base_count
-        for j, attr in enumerate(self.attributes[:n]):
-            table[j] = 1 if attr.accepting else 0
-        for j in range(n, len(self.attributes), 2):
-            fill_step_rows(table, j, self.attributes[j].hypothesis, string_bits, inside)
+        table = np.empty((len(self), width + 1, m), dtype=np.int8)
+        table[0], table[1] = 1, 0
+        for r, h in enumerate(self.hypotheses):
+            fill_step_rows(table, self.base_count + 2 * r, h, string_bits, inside)
         return table
 
 
@@ -246,9 +223,7 @@ def augment(z: AttributeSpace, h: RoundHypothesis) -> AttributeSpace:
         h = h.primary
     if isinstance(h, AdfsaNodeHypothesis) != (z.mode == "strings"):
         raise InvalidParameterError("hypothesis kind does not match the attribute space")
-    return AttributeSpace(
-        mode=z.mode, attributes=z.attributes + (DerivedAttr(h), ComplementAttr(h))
-    )
+    return replace(z, hypotheses=z.hypotheses + (h,))
 
 
 def corrupted_view(z: AttributeSpace, bits) -> np.ndarray:

@@ -31,10 +31,8 @@ from .learner import (
     OR,
     AdfsaNodeHypothesis,
     AttributeSpace,
-    ComplementAttr,
     PairHypothesis,
     PerceptronHypothesis,
-    TerminalAttr,
 )
 from .sampling import Distribution, Sample, rng_from
 
@@ -251,22 +249,21 @@ def reference_perceptron(V, y, max_epochs: int) -> PerceptronHypothesis:
 def reference_eval_table(z: AttributeSpace, bits, lengths) -> np.ndarray:
     """AttributeSpace.eval_table one attribute and one offset at a time: a
     step's output at offset o picks its on1 or on0 output at o + 1 by the
-    bit at o, and is -1 where the string ends at or before o."""
+    bit at o, and is -1 where the string ends at or before o. Attributes 0
+    and 1 accept and reject; round r's step is attribute 2 + 2r and its
+    complement, 1 - t where defined, is attribute 3 + 2r."""
     X = np.asarray(bits, dtype=np.uint8)
     m, width = X.shape
-    table = np.empty((len(z), width + 1, m), dtype=np.int8)
-    for j, attr in enumerate(z.attributes):
-        if isinstance(attr, TerminalAttr):
-            table[j] = 1 if attr.accepting else 0
-            continue
-        h = attr.hypothesis
+    table = np.empty((2 + 2 * len(z.hypotheses), width + 1, m), dtype=np.int8)
+    table[0] = 1
+    table[1] = 0
+    for r, h in enumerate(z.hypotheses):
+        j = 2 + 2 * r
         table[j] = -1
         for o in range(width - 1, -1, -1):
             picked = np.where(X[:, o] == 1, table[h.on1, o + 1], table[h.on0, o + 1])
             table[j, o] = np.where(o < lengths, picked, -1)
-        if isinstance(attr, ComplementAttr):
-            defined = table[j] >= 0
-            table[j] = np.where(defined, 1 - table[j], -1)
+        table[j + 1] = np.where(table[j] >= 0, 1 - table[j], -1)
     return table
 
 

@@ -21,6 +21,7 @@ from .concepts import (
     RejectState,
     ThresholdCircuit,
     concept_to_dict,
+    dag_size_bound,
     node_values,  # noqa: F401 (perfbench/spans.py traces the Teacher's calls here too)
     push_negations_to_leaves,
     relevance_mask,  # noqa: F401 (likewise)
@@ -36,13 +37,10 @@ from .learner import (
     DONT_KNOW,
     AdfsaNodeHypothesis,
     AttributeSpace,
-    ComplementAttr,
-    DerivedAttr,
     DontKnowType,
     ErrorBudget,
     PairHypothesis,
     PerceptronHypothesis,
-    PureAttr,
     ReliablePairSet,
     adfsa_candidate_count,
     augment,
@@ -67,8 +65,19 @@ TEST_STREAM = "test"
 # ---------------------------------------------------------------------------
 
 
+class _ConceptExport:
+    """model_dict for a classifier with a concept form: its concept file, or
+    why it has none."""
+
+    def model_dict(self) -> dict:
+        try:
+            return concept_to_dict(self.to_concept())
+        except (InvalidParameterError, InvalidConceptError) as exc:
+            return {"type": "unserializable", "reason": str(exc)}
+
+
 @dataclass(eq=False)
-class DagClassifier:
+class DagClassifier(_ConceptExport):
     """Formula learned round by round; evaluates through the attribute space."""
 
     space: AttributeSpace
@@ -83,13 +92,13 @@ class DagClassifier:
         return self.final.evaluate_rows(rows).astype(np.int8)
 
     def to_concept(self) -> ConceptDag:
-        """Expand every derived attribute into plain DAG nodes."""
+        """Expand every learned attribute into plain DAG nodes."""
         if isinstance(self.final, DontKnowType):
             raise InvalidParameterError("an always-abstaining classifier has no DAG form")
         final = self.final.primary if isinstance(self.final, ReliablePairSet) else self.final
+        space = self.space
         nodes = []
         attr_memo: dict[int, int] = {}
-        hyp_memo: dict[int, int] = {}
         neg_memo: dict[int, int] = {}
 
         def emit(node) -> int:
@@ -97,14 +106,9 @@ class DagClassifier:
             return len(nodes) - 1
 
         def hyp_node(h: PairHypothesis) -> int:
-            if id(h) in hyp_memo:
-                return hyp_memo[id(h)]
             left = ref_node(h.left_attr, h.left_negated)
             right = ref_node(h.right_attr, h.right_negated)
-            cls = And if h.op == "and" else Or
-            idx = emit(cls(left, right))
-            hyp_memo[id(h)] = idx
-            return idx
+            return emit((And if h.op == "and" else Or)(left, right))
 
         def negated(idx: int) -> int:
             if idx not in neg_memo:
@@ -112,34 +116,23 @@ class DagClassifier:
             return neg_memo[idx]
 
         def attr_node(j: int) -> int:
-            if j in attr_memo:
-                return attr_memo[j]
-            attr = self.space.attributes[j]
-            if isinstance(attr, PureAttr):
-                idx = emit(Literal(attr.bit))
-            elif isinstance(attr, DerivedAttr):
-                idx = hyp_node(attr.hypothesis)
-            elif isinstance(attr, ComplementAttr):
-                idx = negated(hyp_node(attr.hypothesis))
-            else:
-                raise InvalidParameterError("terminal attribute in a formula classifier")
-            attr_memo[j] = idx
-            return idx
+            if j not in attr_memo:
+                if j < space.base_count:
+                    attr_memo[j] = emit(Literal(j))
+                else:
+                    h, complemented = space.learned(j)
+                    # a complement is the Not of the attribute just below it
+                    attr_memo[j] = negated(attr_node(j - 1)) if complemented else hyp_node(h)
+            return attr_memo[j]
 
         def ref_node(j: int, neg: bool) -> int:
             base = attr_node(j)
             return negated(base) if neg else base
 
         root = hyp_node(final)
-        n = self.space.base_count
-        bound = max(n**3, len(nodes))
+        n = space.base_count
+        bound = dag_size_bound(n, len(nodes))
         return ConceptDag(nodes=tuple(nodes), root=root, n=n, size_bound=bound)
-
-    def model_dict(self) -> dict:
-        try:
-            return concept_to_dict(self.to_concept())
-        except (InvalidParameterError, InvalidConceptError) as exc:
-            return {"type": "unserializable", "reason": str(exc)}
 
 
 @dataclass(eq=False)
@@ -156,27 +149,20 @@ class CircuitClassifier:
     def model_dict(self) -> dict:
         """Weight-level description. Real-valued separators do not fit the
         integer gate format, so they get their own schema."""
-        n = self.space.base_count
-        rounds = []
-        for attr in self.space.attributes:
-            if isinstance(attr, DerivedAttr):
-                h = attr.hypothesis
-                rounds.append(
-                    {"weights": [float(w) for w in h.weights], "threshold": float(h.threshold)}
-                )
+
+        def gate(h: PerceptronHypothesis) -> dict:
+            return {"weights": [float(w) for w in h.weights], "threshold": float(h.threshold)}
+
         return {
             "type": "perceptron_stack",
-            "n": n,
-            "rounds": rounds,
-            "final": {
-                "weights": [float(w) for w in self.final.weights],
-                "threshold": float(self.final.threshold),
-            },
+            "n": self.space.base_count,
+            "rounds": [gate(h) for h in self.space.hypotheses],
+            "final": gate(self.final),
         }
 
 
 @dataclass(eq=False)
-class AutomatonClassifier:
+class AutomatonClassifier(_ConceptExport):
     """Learned decision steps; reads the input like an automaton walk."""
 
     space: AttributeSpace
@@ -192,50 +178,32 @@ class AutomatonClassifier:
         """Expand the learned steps into automaton states. A leading chain of
         two-way identical branches replays the final hypothesis offset."""
         states: list = [RejectState(), AcceptState()]
-        attr_memo: dict[tuple[int, bool], int] = {}
-        hyp_memo: dict[tuple[int, bool], int] = {}
+        space = self.space
+        memo: dict[tuple[int, bool], int] = {}
 
         def emit(state) -> int:
             states.append(state)
             return len(states) - 1
 
         def attr_state(j: int, swapped: bool) -> int:
-            key = (j, swapped)
-            if key in attr_memo:
-                return attr_memo[key]
-            attr = self.space.attributes[j]
-            if hasattr(attr, "accepting"):
-                accepting = attr.accepting != swapped
-                idx = 1 if accepting else 0
-            elif isinstance(attr, DerivedAttr):
-                idx = hyp_state(attr.hypothesis, swapped)
-            elif isinstance(attr, ComplementAttr):
-                idx = hyp_state(attr.hypothesis, not swapped)
-            else:
-                raise InvalidParameterError("bit attribute in an automaton classifier")
-            attr_memo[key] = idx
-            return idx
+            if j < space.base_count:
+                # attribute 0 accepts (state 1), attribute 1 rejects (state 0)
+                return int((j == 0) != swapped)
+            h, complemented = space.learned(j)
+            return hyp_state(h, swapped != complemented)
 
         def hyp_state(h: AdfsaNodeHypothesis, swapped: bool) -> int:
             key = (id(h), swapped)
-            if key in hyp_memo:
-                return hyp_memo[key]
-            s0 = attr_state(h.on0, swapped)
-            s1 = attr_state(h.on1, swapped)
-            idx = emit(BranchState(on0=s0, on1=s1))
-            hyp_memo[key] = idx
-            return idx
+            if key not in memo:
+                s0 = attr_state(h.on0, swapped)
+                s1 = attr_state(h.on1, swapped)
+                memo[key] = emit(BranchState(on0=s0, on1=s1))
+            return memo[key]
 
         start = hyp_state(self.final, False)
         for _ in range(self.final.offset):
             start = emit(BranchState(on0=start, on1=start))
         return Adfsa(states=tuple(states), start=start, n=self.n)
-
-    def model_dict(self) -> dict:
-        try:
-            return concept_to_dict(self.to_concept())
-        except (InvalidParameterError, InvalidConceptError) as exc:
-            return {"type": "unserializable", "reason": str(exc)}
 
 
 Classifier = DagClassifier | CircuitClassifier | AutomatonClassifier

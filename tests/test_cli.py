@@ -250,6 +250,23 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b'{"name": "x", "kind": "m", "n": ' + b"9" * 5000 + b"}"],
+    ids=["not-utf8", "overlong-integer"],
+)
+def test_sweep_rejects_unparseable_config(tmp_path, capsys, content):
+    """A config that json cannot decode is a usage error with one error line."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run_main(
+        capsys, ["sweep", "--mode", "m", "--config", str(bad), "--out", str(tmp_path / "y")]
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -364,6 +364,15 @@ def test_string_space_starts_at_two_and_grows_by_two():
         assert len(z) == 2 + 2 * r
 
 
+def test_learned_attributes_follow_the_base_attributes_in_pairs():
+    """Attribute base_count + 2r is round r's hypothesis, the next its complement."""
+    h1, h2 = identity_pair(0), identity_pair(2)
+    z = augment(augment(AttributeSpace.pure(2), h1), h2)
+    assert [z.learned(j) for j in range(2, 6)] == [(h1, False), (h1, True), (h2, False), (h2, True)]
+    with pytest.raises(InvalidParameterError):
+        z.learned(1)
+
+
 def test_augment_rejects_mismatched_hypothesis_kind():
     with pytest.raises(InvalidParameterError):
         augment(AttributeSpace.pure(2), AdfsaNodeHypothesis(offset=0, on0=1, on1=0))

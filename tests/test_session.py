@@ -1,6 +1,7 @@
 """Full teaching sessions: determinism, diagnostics, final classifiers, and
 their expansion back into plain concepts."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -14,13 +15,16 @@ from impact import (
     Adfsa,
     AdfsaNodeHypothesis,
     And,
+    AttributeSpace,
     BranchState,
     ConceptDag,
+    DagClassifier,
     Distribution,
     ImpactError,
     InsufficientDataError,
     InvalidParameterError,
     Literal,
+    PairHypothesis,
     RejectState,
     augment,
     build_parity,
@@ -39,6 +43,7 @@ from impact.oracle import (
     exhaustive_equivalence,
     exhaustive_string_equivalence,
     reference_eval_table,
+    run_automaton,
 )
 from impact.plan import postfix_order
 from impact.session import true_attribute_matrix
@@ -151,6 +156,89 @@ def test_automaton_session_recovers_language():
     assert report.classifier.model_dict()["type"] == "adfsa"
 
 
+@given(
+    n=st.integers(1, 5),
+    extra=st.integers(1, 12),
+    seed=st.integers(0, 10_000),
+    m=st.integers(1, 60),
+    mode=st.sampled_from(["best-fit", "reliable"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_dag_expansion_agrees_with_classifier_wherever_it_answers(n, extra, seed, m, mode):
+    """The expanded DAG of a session's classifier, in either mode, matches
+    the classifier on every input the classifier answers."""
+    g = random_dag(n, n + extra, seed)
+    report = run_teaching_session(g, Distribution.uniform(n, seed), m, mode=mode, test_size=1)
+    clf = report.classifier
+    X = all_inputs(n)
+    predicted = clf.predict_sample(make_sample(X, np.zeros(len(X))))
+    answered = predicted >= 0
+    if not answered.any():
+        return
+    expanded = evaluate_batch(clf.to_concept(), X)
+    assert np.array_equal(expanded[answered], predicted[answered])
+
+
+def pairs_over(attribute_count):
+    refs = st.integers(0, attribute_count - 1)
+    ops = st.sampled_from(["and", "or"])
+    return st.builds(PairHypothesis, ops, refs, st.booleans(), refs, st.booleans())
+
+
+@st.composite
+def pair_stacks(draw):
+    """A DagClassifier over random pairs, each reading any earlier attribute.
+    A session's pairs never read a complement attribute (the negated row
+    below it comes first in canonical order); these do."""
+    space = AttributeSpace.pure(draw(st.integers(1, 4)))
+    for _ in range(draw(st.integers(0, 4))):
+        space = augment(space, draw(pairs_over(len(space))))
+    return DagClassifier(space=space, final=draw(pairs_over(len(space))))
+
+
+@given(pair_stacks())
+@settings(max_examples=60, deadline=None)
+def test_dag_expansion_of_any_pair_stack_agrees_with_classifier(clf):
+    X = all_inputs(clf.space.base_count)
+    predicted = clf.predict_sample(make_sample(X, np.zeros(len(X))))
+    assert np.array_equal(evaluate_batch(clf.to_concept(), X).astype(np.int8), predicted)
+
+
+@given(
+    n=st.integers(1, 5),
+    branches=st.integers(1, 5),
+    seed=st.integers(0, 10_000),
+    m=st.integers(1, 60),
+)
+@settings(max_examples=40, deadline=None)
+def test_automaton_expansion_agrees_with_classifier_wherever_it_answers(n, branches, seed, m):
+    """The expanded automaton walks every string up to length n to the
+    classifier's answer wherever the classifier gives one."""
+    a = random_automaton(n, min(branches, n), seed)
+    report = run_teaching_session(a, Distribution.strings_for(a, seed), m, test_size=1)
+    clf = report.classifier
+    strings = [bits for k in range(n + 1) for bits in itertools.product((0, 1), repeat=k)]
+    X = np.array([bits + (0,) * (n - len(bits)) for bits in strings], dtype=np.uint8)
+    lengths = [len(bits) for bits in strings]
+    predicted = clf.predict_sample(make_sample(X, np.zeros(len(X)), lengths))
+    expanded = clf.to_concept()
+    for bits, p in zip(strings, predicted):
+        if p >= 0:
+            assert run_automaton(expanded, bits) == p
+
+
+def test_abstaining_classifier_reports_why_it_has_no_model():
+    """A reliable session whose final round abstains everywhere has no DAG to
+    export; its report says so instead."""
+    report = run_teaching_session(
+        random_dag(4, 10, 188), Distribution.uniform(4, 188), 10, mode="reliable"
+    )
+    assert report.to_json_dict()["model"] == {
+        "type": "unserializable",
+        "reason": "an always-abstaining classifier has no DAG form",
+    }
+
+
 def test_automaton_round_without_data_degenerates_and_continues():
     """An automaton round that moderation leaves empty keeps the learner's
     first step, (offset 0, accept, accept), and the session goes on."""
@@ -164,7 +252,7 @@ def test_automaton_round_without_data_degenerates_and_continues():
     assert starved.subset_size == 0
     # three offsets, and four attributes for each child
     assert starved.candidate_count == 3 * 4 * 4
-    assert report.classifier.space.attributes[4].hypothesis == AdfsaNodeHypothesis(0, 0, 0)
+    assert report.classifier.space.learned(4)[0] == AdfsaNodeHypothesis(0, 0, 0)
     assert report.attribute_count == 2 + 2 * len(report.rounds)
 
 
@@ -202,7 +290,7 @@ def test_session_value_cube_matches_the_reference(n, branches, seed, m, chain):
     assert len(fed) == len(cubes)
     for (record, row), (table, columns) in zip(fed, cubes):
         assert np.array_equal(table, whole[: len(table)])
-        step = z.attributes[row].hypothesis
+        step, _ = z.learned(row)
         wrong = whole[row, step.offset, columns] != s.labels[columns]
         assert record.training_error == float(np.mean(wrong))
 

@@ -45,7 +45,9 @@ def test_float32_appears_only_in_the_exactness_helper():
 
 def test_oracle_imports_only_concept_classes_and_never_reads_children():
     """The references in oracle.py walk each concept with traversals of their
-    own, so they must not share the children table the fast paths read."""
+    own, so they must not share the children table the fast paths read. The
+    reference cube restates the attribute layout and the step recurrence, so
+    it must not share AttributeSpace.learned or the row fillers either."""
     path = Path(impact.__file__).parent / "oracle.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     names, modules = [], []
@@ -58,8 +60,10 @@ def test_oracle_imports_only_concept_classes_and_never_reads_children():
     assert [name for name in modules if name.split(".")[-1] == "concepts"] == []
     kinds = (type, types.UnionType)
     assert [name for name in names if not isinstance(getattr(impact.concepts, name), kinds)] == []
+    shared = {"fill_bit_rows", "fill_step_rows", "select_outputs"}
+    assert shared.isdisjoint(names + modules)
     assert [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "children"
+        if isinstance(node, ast.Attribute) and node.attr in shared | {"children", "learned"}
     ] == []
