@@ -298,9 +298,12 @@ def _and_planes(V: np.ndarray, y: np.ndarray) -> np.ndarray:
     A, m = V.shape
     pos = y == 1
     m1 = int(np.count_nonzero(pos))
+    m0 = m - m1
+    # labels sorted negatives first split into two views; other labels need a gather
+    F0, F1 = (V[:, :m0], V[:, m0:]) if not pos[:m0].any() else (V[:, ~pos], V[:, pos])
     # every value below is a row count or a difference of two: at most m
     dtype = exact_float_dtype(m)
-    F0, F1 = V[:, ~pos].astype(dtype), V[:, pos].astype(dtype)
+    F0, F1 = F0.astype(dtype), F1.astype(dtype)
     P = np.empty((2, 2, A, A), dtype=dtype)
     # rows where both plain refs are 1, negatives minus positives (Gram products: half the work)
     both = np.matmul(F0, F0.T, out=P[1, 1])
@@ -311,7 +314,7 @@ def _and_planes(V: np.ndarray, y: np.ndarray) -> np.ndarray:
     np.subtract((m1 + ones)[None, :], both, out=P[1, 0])
     # both minus the right ref's ones: rows where only the right ref is 1
     np.subtract(both, ones[None, :], out=P[1, 1])
-    P[1, 1] += ((m - m1) - ones)[:, None]
+    P[1, 1] += (m0 - ones)[:, None]
     return P
 
 
@@ -334,7 +337,7 @@ def canonical_first_pair() -> PairHypothesis:
 
 
 def learn_pair_node(
-    V: np.ndarray, y: np.ndarray, mode: str = "best-fit"
+    V: np.ndarray, y: np.ndarray, mode: str = "best-fit", *, base_count: int | None = None
 ) -> PairHypothesis | ReliablePairSet | DontKnowType:
     """Exhaust the canonical pair space against the round's attribute rows
     V (A, m) and labels y. best-fit returns the first candidate with minimal
@@ -347,12 +350,25 @@ def learn_pair_node(
     not b). And wins a tie of the two minima; then the first (left, right)
     with a hit, and its smallest (ln, rn), is canonical: a non-canonical
     entry's twin (references swapped) has the same count and comes first.
+
+    With base_count, V holds the base_count base rows and then one row per
+    learned hypothesis, with no complement rows, and the result is stated in
+    the full attribute layout: hypothesis row base_count + r is attribute
+    base_count + 2r, and its complement the next. A session's pair rounds
+    learn this way, and it is exact. A pair that reads a complement has a
+    twin that reads the hypothesis with that reference's negation flipped:
+    the same values, so the same count, and a lower index, so the twin comes
+    first in canonical order. So best-fit never picks a complement, and its
+    pick maps index by index; reliable mode widens each hit to every such
+    variant before the canonical filter and order. Reports and candidate
+    counts still describe the full canonical space.
     """
     if mode not in ("best-fit", "reliable"):
         raise InvalidParameterError(f"unknown learning mode {mode!r}")
     A, m = V.shape
     if m == 0:
         raise UndefinedMetricError("cannot learn from an empty sample")
+    n = A if base_count is None else base_count
     P = _and_planes(V, y)
     if mode == "reliable":
         zeros, fulls = np.flatnonzero(P == 0), np.flatnonzero(P == m)
@@ -361,13 +377,26 @@ def learn_pair_node(
         op = np.repeat([0, 1], [zeros.size, fulls.size])
         k, left, right = np.unravel_index(np.concatenate([zeros, fulls]), (4, A, A))
         k = k ^ 3 * op
-        return ReliablePairSet(tuple(_canonical_hypotheses(op, k >> 1, k & 1, left, right)))
+        # variant (a, b) of a hit reads its left (a = 1) and its right (b = 1)
+        # reference, where that is a hypothesis, as the complement, flag flipped
+        a, b = np.indices((2, 2)).reshape(2, 4, 1)
+        keep = (a <= (left >= n)) & (b <= (right >= n))
+        op, ln, rn = np.broadcast_to(op, keep.shape), (k >> 1) ^ a, (k & 1) ^ b
+        hits = (op, ln, rn, _attribute(left, n) + a, _attribute(right, n) + b)
+        return ReliablePairSet(tuple(_canonical_hypotheses(*(c[keep] for c in hits))))
     low, high = P.min(), P.max()
     is_or = bool(low > m - high)
     hits = (P == (high if is_or else low)).reshape(4, A * A)[:: -1 if is_or else 1]
     p = int(hits.any(axis=0).argmax())
     k = int(hits[:, p].argmax())
-    return PairHypothesis(OR if is_or else AND, p // A, bool(k >> 1), p % A, bool(k & 1))
+    left, right = (int(_attribute(i, n)) for i in divmod(p, A))
+    return PairHypothesis(OR if is_or else AND, left, bool(k >> 1), right, bool(k & 1))
+
+
+def _attribute(i, base_count: int):
+    """The attribute read by row i of base and hypothesis rows: a base row's
+    own, and attribute base_count + 2r for hypothesis row base_count + r."""
+    return np.maximum(i, 2 * i - base_count)
 
 
 # ---------------------------------------------------------------------------

@@ -293,17 +293,25 @@ def true_attribute_matrix(values: np.ndarray, plan: RoundPlan, X: np.ndarray) ->
 
 
 class _BitRounds:
-    """Rounds over bit vectors. The training attribute matrix holds the raw
-    bits, then two rows per round, each filled from the rows before it."""
+    """Rounds over bit vectors. The training attribute matrix V holds the raw
+    bits, then two rows per round, each filled from the rows before it. V is
+    column-major, so a round's gather of its sample columns copies contiguous
+    runs."""
+
+    rows_per_round = 2
 
     def __init__(self, teacher: Teacher, plan: RoundPlan, mode: str, diagnostics: bool):
         n, s = teacher.concept.n, teacher.sample
         self.teacher = teacher
         self.mode = mode
         self.space = AttributeSpace.pure(n)
-        self.V = np.empty((n + 2 * len(plan), len(s)), dtype=np.uint8)
+        self.V = np.empty((n + self.rows_per_round * len(plan), len(s)), dtype=np.uint8, order="F")
         self.V[:n] = s.bits.T
         self.truth = true_attribute_matrix(teacher.values, plan, s.bits) if diagnostics else None
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        """Attribute j's values on the sample."""
+        return self.V[j]
 
     def fill(self, A: int, h) -> np.ndarray:
         """Fill rows A and A + 1 with the hypothesis and its complement; return row A."""
@@ -313,10 +321,10 @@ class _BitRounds:
     def diagnose(self, node: int, A: int, h) -> dict:
         if self.truth is None:
             return {}
-        V, truth = self.V, self.truth
+        truth = self.truth
         rel = self.teacher.relevant(node)
         # truth[A] is the true row of this round's node
-        wrong_relevant = int(np.sum(rel & (V[A] != truth[A])))
+        wrong_relevant = int(np.sum(rel & (self[A] != truth[A])))
         rel_count = int(rel.sum())
         extra = {
             "error_full": wrong_relevant / len(rel),
@@ -325,15 +333,31 @@ class _BitRounds:
         if isinstance(h, PairHypothesis):
             left = h.left_attr
             right = h.right_attr
-            extra["child_error_left"] = float(np.mean(V[left] != truth[left]))
-            extra["child_error_right"] = float(np.mean(V[right] != truth[right]))
+            extra["child_error_left"] = float(np.mean(self[left] != truth[left]))
+            extra["child_error_right"] = float(np.mean(self[right] != truth[right]))
             h_on_truth = h.evaluate_rows(truth[:A])
-            extra["hypothesis_corruption"] = float(np.mean(V[A] != h_on_truth))
+            extra["hypothesis_corruption"] = float(np.mean(self[A] != h_on_truth))
         return extra
 
 
 class _PairRounds(_BitRounds):
+    """Pair rounds learn on the base rows and one hypothesis row per round,
+    with no complement rows: V row n + r holds round r's hypothesis,
+    attribute n + 2r of the full layout. This is exact (see learn_pair_node's
+    base_count): no complement row adds a pair that best-fit can pick, and
+    the learned pairs, reports and candidate_count still describe the full
+    canonical space. self[j] reads attribute j of the full layout through the
+    same index map."""
+
     classifier = DagClassifier
+    rows_per_round = 1
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        n = self.space.base_count
+        if j < n:
+            return self.V[j]
+        r, complemented = divmod(j - n, 2)
+        return 1 - self.V[n + r] if complemented else self.V[n + r]
 
     def candidates(self, z: AttributeSpace) -> int:
         return pair_space_size(len(z))
@@ -343,13 +367,22 @@ class _PairRounds(_BitRounds):
         return (DONT_KNOW if self.mode == "reliable" else h), h
 
     def learn(self, A: int, subset: Sample, kept: np.ndarray):
-        rows = self.V[:A, kept]
-        h = learn_pair_node(rows, subset.labels, self.mode)
+        n = self.space.base_count
+        # negative rows first: the learner's label split is then two views
+        order = np.argsort(subset.labels, kind="stable")
+        rows, y = self.V[: (n + A) // 2, kept[order]], subset.labels[order]
+        h = learn_pair_node(rows, y, self.mode, base_count=n)
         if isinstance(h, DontKnowType):
-            return h, learn_pair_node(rows, subset.labels, "best-fit")
+            return h, learn_pair_node(rows, y, "best-fit", base_count=n)
         if isinstance(h, ReliablePairSet):
             return h, h.primary
         return h, h
+
+    def fill(self, A: int, h: PairHypothesis) -> np.ndarray:
+        """Fill the row of attribute A, a hypothesis, with h; return it."""
+        row = self[A]
+        row[:] = h.evaluate_rows(self)
+        return row
 
 
 class _ThresholdRounds(_BitRounds):

@@ -339,6 +339,74 @@ def test_dont_know_is_a_singleton():
 
 
 # ---------------------------------------------------------------------------
+# Learning on base and hypothesis rows
+# ---------------------------------------------------------------------------
+
+
+def space_case(n, hypotheses, bits, labels):
+    z = AttributeSpace.pure(n)
+    for h in hypotheses:
+        z = augment(z, PairHypothesis(*h))
+    return z, z.values(np.array(bits, dtype=np.uint8)), np.array(labels, dtype=np.uint8)
+
+
+@st.composite
+def spaces_with_complements(draw):
+    """A space with at least one hypothesis and its complement row, its value
+    rows on a random sample, and labels that are random bits, a constant, or
+    an attribute's row (possibly negated), so that reliable sets hold
+    identity pairs and pairs reading one hypothesis twice."""
+    n = draw(st.integers(1, 4))
+    hypotheses = []
+    for r in range(draw(st.integers(1, 4))):
+        refs = st.integers(0, n + 2 * r - 1)
+        ops = st.sampled_from(["and", "or"])
+        hypotheses.append(draw(st.tuples(ops, refs, st.booleans(), refs, st.booleans())))
+    m = draw(st.integers(1, 12))
+    bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m))
+    z, V, _ = space_case(n, hypotheses, bits, [])
+    kind = draw(st.sampled_from(["random", "constant", "attribute"]))
+    if kind == "random":
+        labels = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    elif kind == "constant":
+        labels = [draw(st.integers(0, 1))] * m
+    else:
+        labels = V[draw(st.integers(0, len(z) - 1))] ^ draw(st.integers(0, 1))
+    return z, V, np.array(labels, dtype=np.uint8)
+
+
+@given(case=spaces_with_complements(), mode=st.sampled_from(["best-fit", "reliable"]))
+# one hypothesis over x0 and constant labels: the reliable set holds pairs
+# reading that hypothesis twice with different flags, whose complement
+# variants come only from the reference-swapped twin
+@example(case=space_case(1, [("and", 0, False, 0, False)], [[0], [1]], [0, 0]), mode="reliable")
+# contradictory labels: reliable abstains, and the best-fit fallback maps back
+@example(case=space_case(2, [("and", 0, False, 1, False)], [[1, 0], [1, 0]], [0, 1]), mode="reliable")
+@settings(max_examples=300, deadline=None)
+def test_learning_on_hypothesis_rows_maps_back_to_the_full_layout(case, mode):
+    """learn_pair_node on the base and hypothesis rows, with their base_count,
+    equals learn_pair_node on every row, complements included;
+    so does the best-fit fallback of an abstaining reliable round. Columns
+    sorted negatives first, as a session passes them, change nothing."""
+    z, V, y = case
+    n = z.base_count
+    rows = V[np.r_[0:n, n : len(z) : 2]]
+    order = np.argsort(y, kind="stable")
+    expected = learn_pair_node(V, y, mode)
+    for got in (
+        learn_pair_node(rows, y, mode, base_count=n),
+        learn_pair_node(rows[:, order], y[order], mode, base_count=n),
+    ):
+        if isinstance(expected, ReliablePairSet):
+            assert isinstance(got, ReliablePairSet)
+            assert got.members == expected.members
+        else:
+            assert got == expected
+    if expected is DONT_KNOW:
+        assert learn_pair_node(rows, y, base_count=n) == learn_pair_node(V, y)
+
+
+# ---------------------------------------------------------------------------
 # Attribute space growth
 # ---------------------------------------------------------------------------
 

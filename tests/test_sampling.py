@@ -87,6 +87,21 @@ def test_subset_preserves_order_and_sources():
     assert np.array_equal(picked.bits, s.bits[[0, 2, 5]])
 
 
+@pytest.mark.parametrize(
+    "selector", [np.array([True, False, True, False, False, True, False, True]), np.array([7, 2, 5])]
+)
+def test_subset_arrays_are_fresh_and_frozen(selector):
+    s = make_sample(all_inputs(3), np.arange(8) % 2)
+    picked = s.subset(selector)
+    fields = ("bits", "labels", "lengths", "source_indices")
+    for name in fields:
+        arr = getattr(picked, name)
+        assert not any(np.shares_memory(arr, getattr(s, other)) for other in fields)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_sample_arrays_are_frozen():
     s = make_sample(all_inputs(2), np.zeros(4))
     with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from impact import (
     evaluate_batch,
     export_privileged_view,
     node_values,
+    pair_space_size,
     push_negations_to_leaves,
     run_teaching_session,
 )
@@ -452,3 +453,31 @@ def test_medium_dag_session_generalizes():
 def test_diagnostics_flag_suppresses_extras():
     report = parity_session(m=80, diagnostics=False)
     assert all(r.error_full is None for r in report.rounds)
+
+
+@pytest.mark.parametrize("mode", ["best-fit", "reliable"])
+def test_pair_rounds_learn_on_base_and_hypothesis_rows(monkeypatch, mode):
+    """No round's attribute pair reads a complement attribute, which is what
+    lets pair rounds keep only the n base rows and one row per round; the
+    reported candidate counts still describe the full canonical space."""
+    learned = []
+    learn = impact.session._PairRounds.learn
+
+    def recording(self, A, subset, kept):
+        h, attr_h = learn(self, A, subset, kept)
+        learned.append((self.V.shape[0], attr_h))
+        return h, attr_h
+
+    monkeypatch.setattr(impact.session._PairRounds, "learn", recording)
+    n = 6
+    for seed in range(20):
+        learned.clear()
+        g = random_dag(n, 40, seed)
+        report = run_teaching_session(g, Distribution.uniform(n, seed), 300, mode=mode)
+        R = len(report.rounds)
+        assert learned and all(rows == n + R for rows, _ in learned)
+        pairs = [attr_h for _, attr_h in learned] + list(report.classifier.space.hypotheses)
+        assert all(j < n or (j - n) % 2 == 0 for h in pairs for j in (h.left_attr, h.right_attr))
+        assert [r.candidate_count for r in report.rounds] == [
+            pair_space_size(n + 2 * r) for r in range(R)
+        ]
