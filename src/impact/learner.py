@@ -418,38 +418,52 @@ def learn_threshold_node(
     row k is a mistake iff Z[k] @ u < off[k] (1 for a negative label), and
     u += Z[k] updates. Integer margins are exact in any order, so scanning
     for the first mistake window by window equals a full rescan.
+
+    Z, off and u run in single precision while that is exact. After t
+    mistakes, an epoch adds at most m more, each moving every entry of u by
+    at most 1, so through the epoch every entry of u stays within t + m and
+    every partial sum of a margin within (A + 1)(t + m). Each epoch passes
+    that bound to exact_float_dtype, and the arrays move to float64 once, for
+    the rest of the run, when it passes 2**24. Weights and threshold are
+    returned as float64.
     """
     if V.shape[1] == 0:
         raise UndefinedMetricError("cannot learn from an empty sample")
     A, m = V.shape
     pos = y == 1
-    Z = np.empty((m, A + 1), dtype=np.float64)
+    dtype = exact_float_dtype((A + 1) * m)
+    Z = np.empty((m, A + 1), dtype=dtype)
     Z[:, :A] = V.T
-    Z[:, A] = -1.0
-    Z *= np.where(pos, 1.0, -1.0)[:, None]
-    off = (~pos).astype(np.float64)
-    u = np.zeros(A + 1, dtype=np.float64)
+    Z[:, A] = -1
+    Z[~pos] *= -1
+    off = (~pos).astype(dtype)
+    u = np.zeros(A + 1, dtype=dtype)
     # zero weights call every row positive
-    pocket_u, pocket_acc = u.copy(), float(np.mean(pos))
+    pocket_u, pocket_hits = u.copy(), int(np.count_nonzero(pos))
+    t = 0  # mistakes over all epochs so far
     for _ in range(max_epochs):
-        i = 0
-        mistakes = 0
+        dtype = exact_float_dtype((A + 1) * (t + m))
+        if dtype != Z.dtype:
+            Z, off, u = Z.astype(dtype), off.astype(dtype), u.astype(dtype)
+        i, epoch_start = 0, t
         while i < m:
             end = i + _SCAN_WINDOW
-            wrong = Z[i:end] @ u < off[i:end]
+            wrong = np.dot(Z[i:end], u) < off[i:end]
             j = int(wrong.argmax())
             if not wrong[j]:
                 i = end
                 continue
             u += Z[i + j]
-            mistakes += 1
+            t += 1
             i += j + 1
-        epoch_acc = float(np.mean(Z @ u >= off))
-        if epoch_acc > pocket_acc:
-            pocket_u, pocket_acc = u.copy(), epoch_acc
-        if mistakes == 0:
+        hits = int(np.count_nonzero(np.dot(Z, u) >= off))
+        if hits > pocket_hits:
+            pocket_u, pocket_hits = u.copy(), hits
+        if t == epoch_start:
             break
-    return PerceptronHypothesis(weights=pocket_u[:A].copy(), threshold=float(pocket_u[A]))
+    return PerceptronHypothesis(
+        weights=pocket_u[:A].astype(np.float64), threshold=float(pocket_u[A])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -648,6 +648,34 @@ def test_perceptron_matches_the_reference(problem):
     assert repr(h.threshold) == repr(reference.threshold)
 
 
+def test_perceptron_stays_exact_across_its_precision_switch(monkeypatch):
+    """Every margin and weight lies within the bound the perceptron passes to
+    exact_float_dtype each epoch. Modelled at half precision, exact for
+    integers up to 2**11, each problem starts in half precision, crosses
+    the bound as mistakes accumulate, finishes in float64, and still keeps
+    the reference's weights and threshold."""
+    chosen = []
+
+    def half_up_to_2_11(bound):
+        chosen.append(np.float16 if bound <= 2**11 else np.float64)
+        return chosen[-1]
+
+    monkeypatch.setattr("impact.learner.exact_float_dtype", half_up_to_2_11)
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        A = int(rng.integers(1, 12))
+        m = int(rng.integers(2**11 // (A + 1) // 2, 2**11 // (A + 1) + 1))
+        V = rng.integers(0, 2, size=(A, m)).astype(np.uint8)
+        y = (rng.integers(-3, 4, size=A) @ V >= rng.integers(-2, 4)).astype(np.uint8)
+        y ^= (rng.random(m) < 0.1).astype(np.uint8)
+        chosen.clear()
+        h = learn_threshold_node(V, y, max_epochs=40)
+        reference = reference_perceptron(V, y, 40)
+        assert chosen[0] is np.float16 and chosen[-1] is np.float64
+        assert h.weights.tobytes() == reference.weights.tobytes()
+        assert repr(h.threshold) == repr(reference.threshold)
+
+
 # ---------------------------------------------------------------------------
 # Automaton-step learning
 # ---------------------------------------------------------------------------
