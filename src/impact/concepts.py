@@ -11,7 +11,6 @@ which concept files, `impact verify` and session reports use.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -357,14 +356,6 @@ def node_values(concept: ConceptDag | ThresholdCircuit, X: np.ndarray) -> np.nda
     return rows.T
 
 
-def evaluate(concept: ConceptDag | ThresholdCircuit, bits) -> int:
-    """Root value of the concept on one input vector."""
-    X = as_bit_matrix(bits, concept.n)
-    if X.shape[0] != 1:
-        raise InputShapeError("evaluate takes a single input vector")
-    return int(node_values(concept, X)[0, concept.root])
-
-
 def evaluate_batch(concept: ConceptDag | ThresholdCircuit, X: np.ndarray) -> np.ndarray:
     return node_values(concept, X)[:, concept.root]
 
@@ -405,29 +396,6 @@ def relevance_mask(
     rows[node] = 1
     _fill_rows(concept, X, rows, above)
     return low != rows[concept.root]
-
-
-def is_relevant(concept: ConceptDag | ThresholdCircuit, node: int, bits) -> bool:
-    X = as_bit_matrix(bits, concept.n)
-    if X.shape[0] != 1:
-        raise InputShapeError("is_relevant takes a single input vector")
-    return bool(relevance_mask(concept, node, X)[0])
-
-
-class Correlation(enum.Enum):
-    CORRELATED = "correlated"
-    ANTICORRELATED = "anticorrelated"
-
-
-def correlation_at(concept: ConceptDag | ThresholdCircuit, node: int, bits) -> Correlation:
-    """Whether the node's value on this input matches the root's value."""
-    X = as_bit_matrix(bits, concept.n)
-    if X.shape[0] != 1:
-        raise InputShapeError("correlation_at takes a single input vector")
-    vals = node_values(concept, X)
-    if vals[0, node] == vals[0, concept.root]:
-        return Correlation.CORRELATED
-    return Correlation.ANTICORRELATED
 
 
 def reachable_indices(concept: Concept, top: int | None = None) -> set[int]:
@@ -515,24 +483,6 @@ def _adfsa_tables(a: Adfsa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return moves[:, 0], moves[:, 1], branch, accept
 
 
-def run_adfsa(a: Adfsa, string) -> int:
-    """Classify one bit string: 1 if the walk reaches the accept terminal.
-
-    Raises MalformedAutomatonError if the string runs out while the walk is
-    still on a branch state.
-    """
-    if isinstance(string, str):
-        if any(c not in "01" for c in string):
-            raise InputShapeError(f"bit string may only contain 0/1, got {string!r}")
-        string = [int(c) for c in string]
-    bits = _bit_array(string)
-    if bits.ndim != 1:
-        raise InputShapeError("expected a single bit string")
-    if len(bits) > a.n:
-        raise InputShapeError(f"string of length {len(bits)} exceeds n={a.n}")
-    return int(adfsa_labels(a, bits[None, :], np.array([len(bits)]))[0])
-
-
 def _walk(
     a: Adfsa, X: np.ndarray, lengths: np.ndarray, state: int, offset: int, watch=()
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -586,11 +536,6 @@ def adfsa_labels(a: Adfsa, X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
             f"{count} strings exhausted before reaching a terminal"
         )
     return out.astype(np.uint8)
-
-
-def arrival_offsets(a: Adfsa, X: np.ndarray, lengths: np.ndarray, target: int) -> np.ndarray:
-    """Bit position at which each string's walk sits on `target`, else -1."""
-    return _walk(a, X, lengths, a.start, 0, (target,))[1][0]
 
 
 def string_rows(X: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

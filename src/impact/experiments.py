@@ -97,7 +97,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
             subset = raw["subset"]
             fixed_m = None
         else:
-            values = raw.get("k_values", raw.get("values"))
+            values = raw["k_values"]
             subset = None
             fixed_m = raw.get("m", 75)
         return SweepConfig(

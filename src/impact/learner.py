@@ -226,14 +226,6 @@ def augment(z: AttributeSpace, h: RoundHypothesis) -> AttributeSpace:
     return replace(z, hypotheses=z.hypotheses + (h,))
 
 
-def corrupted_view(z: AttributeSpace, bits) -> np.ndarray:
-    """Attribute values the learner would see for one raw input."""
-    arr = np.asarray(bits)
-    if arr.ndim != 1:
-        raise InvalidParameterError("corrupted_view takes a single input vector")
-    return z.values(arr)[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # Sample complexity
 # ---------------------------------------------------------------------------

@@ -418,25 +418,6 @@ def exhaustive_string_equivalence(
 # ---------------------------------------------------------------------------
 
 
-def _rows_outputs(h, rows: np.ndarray) -> np.ndarray:
-    if hasattr(h, "evaluate_rows"):
-        return np.asarray(h.evaluate_rows(rows))
-    return np.asarray(h(rows))
-
-
-def empirical_disagreement(f, g, s, z, truth: np.ndarray | None = None) -> float:
-    """Per-sample norm: fraction of examples where f on the true attribute
-    rows differs from g on the corrupted rows. With truth omitted both sides
-    see the same rows, so f = g gives 0."""
-    if len(s) == 0:
-        raise UndefinedMetricError("disagreement over an empty sample is undefined")
-    corrupted = z.values(s.bits)
-    true_rows = corrupted if truth is None else np.asarray(truth)
-    fa = _rows_outputs(f, true_rows)
-    fb = _rows_outputs(g, corrupted)
-    return float(np.mean(fa != fb))
-
-
 def sampled_disagreement(f, g, d: Distribution, m: int, *, stream: int = 0) -> float:
     """Fraction of freshly drawn inputs on which two predictors differ.
     Draws its own inputs rather than trusting the library sampler."""

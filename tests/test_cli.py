@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import chain_automaton, vote_circuit
+import impact.cli
 import impact.session
 from impact import build_parity, save_concept
 from impact.cli import main
@@ -291,6 +292,24 @@ def test_verify_single_automaton(automaton_file, capsys):
     )
     assert code == 0
     assert json.loads(out)["kind"] == "adfsa"
+
+
+@pytest.mark.parametrize("exhaustive", [[], ["--exhaustive"]], ids=["sampled", "exhaustive"])
+def test_verify_counts_undefined_walks(automaton_file, capsys, monkeypatch, exhaustive):
+    """Both automaton checks count the walks that run out before a terminal."""
+    walk = impact.cli.walk_from_state
+
+    def one_undefined(*args):
+        out = walk(*args).copy()
+        out[0] = -1
+        return out
+
+    monkeypatch.setattr(impact.cli, "walk_from_state", one_undefined)
+    code, out, _ = run_main(capsys, ["verify", "--concept", str(automaton_file), *exhaustive])
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert not check["passed"]
+    assert check["details"]["undefined"] == 1
 
 
 def test_verify_equivalent_pair(parity_file, tmp_path, capsys):

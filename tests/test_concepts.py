@@ -3,6 +3,7 @@
 import functools
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from impact import (
     And,
     BranchState,
     ConceptDag,
-    Correlation,
     Gate,
     InputShapeError,
     InvalidConceptError,
@@ -40,23 +40,18 @@ from impact import (
     ThresholdCircuit,
     Wire,
     adfsa_labels,
-    arrival_offsets,
     build_parity,
     concept_from_dict,
     concept_to_dict,
-    correlation_at,
-    evaluate,
     evaluate_batch,
-    is_relevant,
     load_concept,
     max_path_depth,
     node_values,
     push_negations_to_leaves,
     relevance_mask,
-    run_adfsa,
     save_concept,
 )
-from impact.concepts import state_outputs, walk_from_state
+from impact.concepts import _walk, state_outputs, walk_from_state
 from impact.generate import random_automaton, random_circuit, random_dag
 from impact.oracle import (
     reference_evaluate,
@@ -143,12 +138,12 @@ def test_edges_must_point_to_lower_indices(kind):
 
 
 def test_and_identity():
-    assert evaluate(and_dag(), (1, 1)) == 1
+    assert evaluate_batch(and_dag(), [(1, 1)]).tolist() == [1]
 
 
 def test_parity_all_zeros():
     g = build_parity(10, (1, 6, 8, 9))
-    assert evaluate(g, (0,) * 10) == 0
+    assert evaluate_batch(g, [(0,) * 10]).tolist() == [0]
 
 
 def test_random_dag_matches_recursive_oracle_exhaustively():
@@ -204,13 +199,12 @@ def test_parity_single_bit_is_the_bit():
 
 def test_single_branch_acceptance():
     a = one_bit_acceptor()
-    assert run_adfsa(a, (1,)) == 1
-    assert run_adfsa(a, (0,)) == 0
+    assert adfsa_labels(a, [(1,), (0,)], [1, 1]).tolist() == [1, 0]
 
 
-def test_run_adfsa_exhaustion_raises():
+def test_adfsa_labels_exhaustion_raises():
     with pytest.raises(MalformedAutomatonError):
-        run_adfsa(chain_automaton(), (1,))
+        adfsa_labels(chain_automaton(), [(1, 0)], [1])
 
 
 def test_random_automaton_matches_walk_oracle():
@@ -252,16 +246,20 @@ def test_walk_from_state_undefined_when_short():
 def test_state_outputs_match_walks(automaton, m, narrower, seed):
     """The descending-offset table of every state, terminals included, equals
     one walk per offset, on strings of lengths 1 to their width, which may be
-    less than n."""
+    less than n. walk_from_state shares its walker with the fast paths, so
+    every output is also checked against the oracle's walk, string by string."""
     width = max(1, automaton.n - narrower)
     X, lengths = random_strings(np.random.default_rng(seed), m, width)
     states = list(range(automaton.size))
+    from_state = [replace(automaton, start=state) for state in states]
     offsets = []
     for o, out in state_outputs(automaton, X, lengths, states):
         offsets.append(o)
         assert out.shape == (automaton.size, m)
         for state in states:
             assert np.array_equal(out[state], walk_from_state(automaton, X, lengths, state, o))
+            for i in range(m):
+                assert out[state, i] == run_automaton(from_state[state], X[i, o : lengths[i]])
     assert offsets == list(range(automaton.n - 1, -1, -1))
 
 
@@ -270,10 +268,10 @@ def test_arrival_offsets_chain():
     X = np.array([[1, 1], [1, 0], [0, 1], [0, 0]], dtype=np.uint8)
     lengths = np.full(4, 2)
     # inner branch state 2 is reached only after a leading 1
-    offsets = arrival_offsets(a, X, lengths, 2)
+    offsets = _walk(a, X, lengths, a.start, 0, (2,))[1][0]
     assert offsets.tolist() == [1, 1, -1, -1]
     # the start state is everyone's offset 0
-    assert arrival_offsets(a, X, lengths, a.start).tolist() == [0, 0, 0, 0]
+    assert _walk(a, X, lengths, a.start, 0, (a.start,))[1][0].tolist() == [0, 0, 0, 0]
 
 
 def test_max_path_depth():
@@ -360,14 +358,11 @@ def test_root_always_relevant_and_correlated():
     g = mixed_relevance_dag()
     X = all_inputs(3)
     assert relevance_mask(g, g.root, X).all()
-    for bits in X:
-        assert correlation_at(g, g.root, bits) is Correlation.CORRELATED
 
 
 def test_blocked_and_leaf_irrelevant():
     g = and_dag()
-    assert not is_relevant(g, 0, (1, 0))
-    assert is_relevant(g, 0, (0, 1))
+    assert relevance_mask(g, 0, [(1, 0), (0, 1)]).tolist() == [False, True]
 
 
 def assert_relevance_matches_oracle(concept, X):
@@ -426,11 +421,11 @@ def test_values_other_than_bits_are_rejected(bits):
     g = mixed_relevance_dag()
     for given_bits in (bits, np.asarray(bits)):
         with pytest.raises(InputShapeError):
-            evaluate(g, given_bits)
+            evaluate_batch(g, given_bits)
         with pytest.raises(InputShapeError):
             node_values(g, [given_bits])
         with pytest.raises(InputShapeError):
-            run_adfsa(one_bit_acceptor(3), given_bits)
+            adfsa_labels(one_bit_acceptor(3), [given_bits], [3])
 
 
 def test_taught_nodes_relevant_implies_correlated():
@@ -447,10 +442,10 @@ def test_taught_nodes_relevant_implies_correlated():
 def test_shared_literal_breaks_the_rule_outside_taught_nodes():
     g = mixed_relevance_dag()
     # x0 relevant and correlated on (1,1,0), relevant and anticorrelated on (0,0,1)
-    assert is_relevant(g, 0, (1, 1, 0))
-    assert correlation_at(g, 0, (1, 1, 0)) is Correlation.CORRELATED
-    assert is_relevant(g, 0, (0, 0, 1))
-    assert correlation_at(g, 0, (0, 0, 1)) is Correlation.ANTICORRELATED
+    X = [(1, 1, 0), (0, 0, 1)]
+    assert relevance_mask(g, 0, X).tolist() == [True, True]
+    vals = node_values(g, X)
+    assert (vals[:, 0] == vals[:, g.root]).tolist() == [True, False]
 
 
 def test_irrelevant_examples_mix_correlations():

@@ -128,6 +128,8 @@ def test_config_from_dict_k_sweep_defaults_m():
 def test_config_from_dict_requires_fields():
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "m", "n": 4})
+    with pytest.raises(ConfigError, match="missing required field 'k_values'"):
+        config_from_dict({"name": "k", "kind": "k", "n": 4, "trials": 1, "seed": 0})
     with pytest.raises(ConfigError):
         config_from_dict(["not", "a", "dict"])
 

@@ -10,10 +10,10 @@ from impact import (
     Literal,
     Not,
     Or,
+    adfsa_labels,
     concept_to_dict,
     evaluate_batch,
     max_path_depth,
-    run_adfsa,
 )
 from impact.generate import (
     random_automaton,
@@ -77,8 +77,8 @@ def test_random_automaton_shape():
     a = random_automaton(6, 4, seed=5)
     assert len(a.states) == 6
     assert a.start == 5
-    out = run_adfsa(a, np.ones(6, dtype=np.uint8))
-    assert out in (0, 1)
+    out = adfsa_labels(a, np.ones((1, 6), dtype=np.uint8), [6])
+    assert out.tolist() in ([0], [1])
 
 
 def test_random_automaton_walks_stay_short():

@@ -21,7 +21,6 @@ from impact import (
     ReliablePairSet,
     UndefinedMetricError,
     augment,
-    corrupted_view,
     learn_adfsa_node,
     learn_pair_node,
     learn_threshold_node,
@@ -478,21 +477,21 @@ def test_attribute_values_reject_non_bit_values():
     with pytest.raises(InputShapeError):
         AttributeSpace.pure(2).values(np.array([[0.5, 1.9]]))
     with pytest.raises(InputShapeError):
-        corrupted_view(AttributeSpace.pure(2), [0.7, 1.2])
+        AttributeSpace.pure(2).values([0.7, 1.2])
 
 
 def test_attribute_values_reject_inputs_narrower_than_the_space():
     with pytest.raises(InputShapeError):
         AttributeSpace.pure(3).values(np.zeros((4, 2), dtype=np.uint8))
     with pytest.raises(InputShapeError):
-        corrupted_view(AttributeSpace.pure(3), [1, 0])
+        AttributeSpace.pure(3).values([1, 0])
 
 
 def test_attribute_values_reject_inputs_wider_than_the_space():
     with pytest.raises(InputShapeError):
         AttributeSpace.pure(2).values(np.zeros((4, 3), dtype=np.uint8))
     with pytest.raises(InputShapeError):
-        corrupted_view(AttributeSpace.pure(2), [1, 0, 1])
+        AttributeSpace.pure(2).values([1, 0, 1])
 
 
 def test_eval_table_rejects_non_bit_values():
@@ -515,13 +514,11 @@ def test_eval_table_rejects_a_length_count_other_than_the_string_count():
         AttributeSpace.terminals().eval_table(np.zeros((3, 2), dtype=np.uint8), np.array([2]))
 
 
-def test_corrupted_view_single_vector():
+def test_attribute_values_of_a_single_vector():
     z = augment(AttributeSpace.pure(3), identity_pair(2))
-    got = corrupted_view(z, [1, 0, 1])
-    assert got.shape == (5,)
-    assert got.tolist() == [1, 0, 1, 1, 0]
-    with pytest.raises(InvalidParameterError):
-        corrupted_view(z, all_inputs(3))
+    got = z.values([1, 0, 1])
+    assert got.shape == (5, 1)
+    assert got[:, 0].tolist() == [1, 0, 1, 1, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from helpers import (
     all_inputs,
     and_dag,
     chain_automaton,
-    make_sample,
     mixed_relevance_dag,
     nand_dag,
     one_bit_acceptor,
@@ -20,12 +19,10 @@ from impact import (
     EnumerationCapError,
     ImpactError,
     PairHypothesis,
-    UndefinedMetricError,
     build_parity,
 )
 from impact.oracle import (
     DisagreementReport,
-    empirical_disagreement,
     exhaustive_equivalence,
     exhaustive_string_equivalence,
     reference_evaluate,
@@ -176,36 +173,6 @@ def test_string_equivalence_strict_vs_ignore_undefined():
 def test_string_equivalence_cap():
     with pytest.raises(EnumerationCapError):
         exhaustive_string_equivalence(chain_automaton(), chain_automaton(), max_len=21)
-
-
-def test_empirical_disagreement_identity_is_zero():
-    z = AttributeSpace.pure(3)
-    bits = all_inputs(3)
-    s = make_sample(bits, np.zeros(len(bits)))
-    h = PairHypothesis(op="and", left_attr=0, left_negated=False, right_attr=1, right_negated=False)
-    assert empirical_disagreement(h, h, s, z) == 0.0
-
-
-def test_empirical_disagreement_bounded_by_corruption():
-    z = AttributeSpace.pure(3)
-    bits = all_inputs(3)
-    s = make_sample(bits, np.zeros(len(bits)))
-    truth = z.values(s.bits).copy()
-    corrupted_fraction = 0.25
-    flip = np.zeros(len(bits), dtype=bool)
-    flip[: int(len(bits) * corrupted_fraction)] = True
-    truth[0, flip] = 1 - truth[0, flip]
-    h = PairHypothesis(op="and", left_attr=0, left_negated=False, right_attr=1, right_negated=False)
-    frac = empirical_disagreement(h, h, s, z, truth=truth)
-    assert 0.0 <= frac <= corrupted_fraction
-
-
-def test_empirical_disagreement_empty_sample():
-    z = AttributeSpace.pure(2)
-    s = make_sample(np.zeros((0, 2)), np.zeros(0))
-    h = PairHypothesis(op="and", left_attr=0, left_negated=False, right_attr=0, right_negated=False)
-    with pytest.raises(UndefinedMetricError):
-        empirical_disagreement(h, h, s, z)
 
 
 def test_empirical_concentrates_on_distribution_norm():

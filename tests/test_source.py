@@ -69,3 +69,23 @@ def test_oracle_imports_only_concept_classes_and_never_reads_children():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in shared | {"children", "learned"}
     ] == []
+
+
+def test_every_export_is_used_or_documented():
+    """A name the package exports is read somewhere in the library outside
+    its own definition, or the README documents it in backticks; any other
+    export is surface that nothing in the system needs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    read = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    read.add((node.id, own))
+                elif isinstance(node, ast.Attribute):
+                    read.add((node.attr, own))
+    used = {name for name, own in read if name != own}
+    assert [name for name in impact.__all__ if name not in used and f"`{name}`" not in readme] == []

@@ -184,11 +184,10 @@ def test_touching_strings_agree_at_their_arrival_offset():
     a = random_automaton(6, 5, seed=77)
     d = Distribution.strings_for(a, 5)
     s = draw_sample(d, a, 300)
-    from impact import arrival_offsets
-    from impact.concepts import walk_from_state
+    from impact.concepts import _walk, walk_from_state
 
     for rnd in postfix_order(a).rounds:
-        arrivals = arrival_offsets(a, s.bits, s.lengths, rnd.node)
+        arrivals = _walk(a, s.bits, s.lengths, a.start, 0, (rnd.node,))[1][0]
         touched = arrivals >= 0
         if not touched.any():
             continue
