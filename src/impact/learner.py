@@ -14,7 +14,6 @@ import numpy as np
 
 from .concepts import as_bit_matrix, as_string_batch, select_outputs, string_rows
 from .errors import InvalidParameterError, UndefinedMetricError
-from .sampling import Sample
 
 AND = "and"
 OR = "or"
@@ -463,40 +462,36 @@ def learn_threshold_node(
 # ---------------------------------------------------------------------------
 
 
-def learn_adfsa_node(table: np.ndarray, s: Sample, columns: np.ndarray) -> AdfsaNodeHypothesis:
+def learn_adfsa_node(
+    table: np.ndarray, bits: np.ndarray, inside: np.ndarray, y: np.ndarray, columns: np.ndarray
+) -> AdfsaNodeHypothesis:
     """Pick the (offset, on0, on1) step that best matches the aligned data.
 
-    `table` is an eval_table cube (A, n+1, M) of the attribute space, and the
-    round's strings s are its distinct columns `columns`, in s's order: a
-    session passes the cube of its whole sample and a subset's source
-    indices, a cube of s alone goes with np.arange(len(s)). Each offset reads
-    the cube's contiguous (A, M) slab and weights every column by the side of
-    the bit its string reads there, zero for columns outside s, so the cube
-    is never gathered or copied. Every offset is searched. Because agreement
-    splits over the examined bit, the two children are chosen independently,
-    and ties resolve to the lower offset then lower attribute indices.
+    `table` is an eval_table cube (A, n+1, M), `bits` and `inside` are the
+    string_rows of its M strings and `y` their labels, and the round's
+    strings are the distinct columns `columns`. Each offset reads the cube's
+    contiguous (A, M) slab and weights every column by the side of the bit
+    its string reads there, zero outside the round, so the cube is never
+    gathered or copied. Every offset is searched. Because agreement splits
+    over the examined bit, the two children are chosen independently, and
+    ties resolve to the lower offset then lower attribute indices.
     """
-    if len(s) == 0:
+    if len(columns) == 0:
         raise UndefinedMetricError("cannot learn from an empty sample")
-    M = table.shape[2]
-    width = s.bits.shape[1]
-    # s spread over the cube's columns; a length of 0 keeps a column out of
-    # both sides at every offset
-    y = np.zeros(M, dtype=np.int8)
-    y[columns] = s.labels
-    lengths = np.zeros(M, dtype=np.int64)
-    lengths[columns] = s.lengths
-    bits = np.zeros((width, M), dtype=np.uint8)
-    bits[:, columns] = s.bits.T
+    width, M = bits.shape
+    in_round = np.zeros(M, dtype=bool)
+    in_round[columns] = True
+    # int8 like the cube: uint8 labels would widen every slab comparison to int16
+    y = y.astype(table.dtype)
     # agreement counts are sums of at most M products of 0/1 values
     dtype = exact_float_dtype(M)
     sides = np.empty((2, M), dtype=dtype)
     best = None
     best_score = -1
     for o in range(width):
-        inside = o < lengths
-        sides[0] = inside & (bits[o] == 0)
-        sides[1] = inside & (bits[o] == 1)
+        live = in_round & (inside[o] == 1)
+        sides[0] = live & (bits[o] == 0)
+        sides[1] = live & (bits[o] == 1)
         agree = (table[:, o + 1] == y).astype(dtype) @ sides.T
         a0, a1 = (int(a) for a in np.argmax(agree, axis=0))
         score = int(agree[a0, 0] + agree[a1, 1])

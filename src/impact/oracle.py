@@ -21,7 +21,6 @@ from .concepts import (
     ConceptDag,
     Literal,
     Not,
-    Or,
     RejectState,
     ThresholdCircuit,
 )

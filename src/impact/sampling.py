@@ -8,15 +8,13 @@ shifts anyone else's stream.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .concepts import (
     Adfsa,
     Concept,
-    ConceptDag,
-    ThresholdCircuit,
     adfsa_labels,
     evaluate_batch,
     max_path_depth,
@@ -104,20 +102,16 @@ class Sample:
     """Immutable batch of labeled examples.
 
     bits is (m, n); for string concepts only the first lengths[i] entries of
-    row i are meaningful and the rest are zero padding. source_indices tracks
-    each row's position in the originally drawn sample, so moderated subsets
-    can prove they are genuine subsets.
+    row i are meaningful and the rest are zero padding. A moderated round
+    names its rows by their indices here, so it never copies them.
     """
 
     bits: np.ndarray
     labels: np.ndarray
     lengths: np.ndarray
-    source_indices: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.source_indices is None:
-            self.source_indices = np.arange(len(self.labels), dtype=np.int64)
-        for arr in (self.bits, self.labels, self.lengths, self.source_indices):
+        for arr in (self.bits, self.labels, self.lengths):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
@@ -126,16 +120,6 @@ class Sample:
     @property
     def n(self) -> int:
         return int(self.bits.shape[1])
-
-    def subset(self, selector) -> "Sample":
-        """Row subset in original order (boolean mask) or given order (index array)."""
-        sel = np.asarray(selector)
-        return Sample(
-            bits=self.bits[sel].copy(),
-            labels=self.labels[sel].copy(),
-            lengths=self.lengths[sel].copy(),
-            source_indices=self.source_indices[sel].copy(),
-        )
 
 
 def draw_sample(d: Distribution, concept: Concept, m: int, *, stream=0) -> Sample:

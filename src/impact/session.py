@@ -366,11 +366,11 @@ class _PairRounds(_BitRounds):
         h = canonical_first_pair()
         return (DONT_KNOW if self.mode == "reliable" else h), h
 
-    def learn(self, A: int, subset: Sample, kept: np.ndarray):
+    def learn(self, A: int, kept: np.ndarray, y: np.ndarray):
         n = self.space.base_count
         # negative rows first: the learner's label split is then two views
-        order = np.argsort(subset.labels, kind="stable")
-        rows, y = self.V[: (n + A) // 2, kept[order]], subset.labels[order]
+        order = np.argsort(y, kind="stable")
+        rows, y = self.V[: (n + A) // 2, kept[order]], y[order]
         h = learn_pair_node(rows, y, self.mode, base_count=n)
         if isinstance(h, DontKnowType):
             return h, learn_pair_node(rows, y, "best-fit", base_count=n)
@@ -395,8 +395,8 @@ class _ThresholdRounds(_BitRounds):
         h = PerceptronHypothesis(weights=np.zeros(A, dtype=np.float64), threshold=0.0)
         return h, h
 
-    def learn(self, A: int, subset: Sample, kept: np.ndarray):
-        h = learn_threshold_node(self.V[:A, kept], subset.labels)
+    def learn(self, A: int, kept: np.ndarray, y: np.ndarray):
+        h = learn_threshold_node(self.V[:A, kept], y)
         return h, h
 
 
@@ -411,6 +411,7 @@ class _AutomatonRounds:
         self.space = AttributeSpace.terminals()
         self.T = np.empty((2 + 2 * len(plan), n + 1, len(s)), dtype=np.int8)
         self.T[0], self.T[1] = 1, 0
+        self.labels = s.labels
         self.string_bits, self.inside = string_rows(s.bits, s.lengths)
 
     def candidates(self, z: AttributeSpace) -> int:
@@ -421,8 +422,8 @@ class _AutomatonRounds:
         h = AdfsaNodeHypothesis(offset=0, on0=0, on1=0)
         return h, h
 
-    def learn(self, A: int, subset: Sample, kept: np.ndarray):
-        h = learn_adfsa_node(self.T[:A], subset, kept)
+    def learn(self, A: int, kept: np.ndarray, y: np.ndarray):
+        h = learn_adfsa_node(self.T[:A], self.string_bits, self.inside, self.labels, kept)
         return h, h
 
     def fill(self, A: int, h: AdfsaNodeHypothesis) -> np.ndarray:
@@ -485,12 +486,12 @@ def run_teaching_session(
     for r, rnd in enumerate(plan.rounds):
         A = len(z)
         try:
-            subset, offset = moderate(teacher, rnd.node, s, rnd.rule)
+            kept, offset = moderate(teacher, rnd.node, s, rnd.rule)
         except InsufficientDataError:
             # no admissible data: every candidate fits equally well, so the
             # round degenerates instead of aborting, unless the budget is enforced
-            subset, offset = None, None
-        size = 0 if subset is None else len(subset)
+            kept, offset = None, None
+        size = 0 if kept is None else len(kept)
         if enforce_budget and size < budget.per_round_budget:
             raise InsufficientDataError(
                 f"round {r} starved: its moderated subset has {size} examples, "
@@ -500,19 +501,17 @@ def run_teaching_session(
                 subset_size=size,
                 required=budget.per_round_budget,
             )
-        if subset is None:
+        if kept is None:
             h, attr_h = rounds.degenerate(A)
         else:
-            # moderation only removes rows: every kept row is a sample row,
-            # with its label unchanged
-            kept = subset.source_indices
-            if not np.all((kept >= 0) & (kept < len(s))):
-                raise ImpactError(f"round {r} subset names rows outside the sample")
-            if not np.array_equal(s.labels[kept], subset.labels):
-                raise ImpactError(f"round {r} subset changed the sample's labels")
-            h, attr_h = rounds.learn(A, subset, kept)
+            # moderation only removes rows: it names rows of the sample, each
+            # once and in order, and the learner reads their labels from s
+            if not np.all(np.diff(kept, prepend=-1, append=len(s)) > 0):
+                raise ImpactError(f"round {r} subset is not ascending rows of the sample")
+            y = s.labels[kept]
+            h, attr_h = rounds.learn(A, kept, y)
         row = rounds.fill(A, attr_h)
-        training_error = 0.0 if subset is None else float(np.mean(row[kept] != subset.labels))
+        training_error = 0.0 if kept is None else float(np.mean(row[kept] != y))
 
         records.append(
             RoundRecord(

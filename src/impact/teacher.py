@@ -115,18 +115,19 @@ def _offset_buckets(
 
 def moderate(
     concept: Teacher | Concept, node: int, s: Sample, rule: ModerationRule
-) -> tuple[Sample, int | None]:
-    """Select one round's training subset, preserving order and labels (see
-    Teacher.mask). Returns the subset and the offset of an automaton round,
-    else None. `concept` is the session's Teacher of `s`, or a concept to
-    build one from. An empty selection raises InsufficientDataError."""
+) -> tuple[np.ndarray, int | None]:
+    """Select one round's training subset of `s` (see Teacher.mask). Returns
+    the ascending indices of its rows in `s` and the offset of an automaton
+    round, else None. `concept` is the session's Teacher of `s`, or a concept
+    to build one from. An empty selection raises InsufficientDataError."""
     teacher = concept if isinstance(concept, Teacher) else Teacher(concept, s, [node])
     mask, offset = teacher.mask(node, rule)
-    if not mask.any():
+    kept = np.flatnonzero(mask)
+    if kept.size == 0:
         raise InsufficientDataError(
             f"no usable examples for node {node}", node=node, subset_size=0
         )
-    return s.subset(mask), offset
+    return kept, offset
 
 
 @dataclass

@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -128,14 +127,15 @@ def test_teach_missing_concept_file(tmp_path, capsys):
 
 def test_teach_library_error_exits_two(parity_file, capsys, monkeypatch):
     """A library error outside the named input errors, here the session's
-    check that moderation keeps labels, still ends with one error line."""
+    check that moderation keeps the sample's order, still ends with one
+    error line."""
     real = impact.session.moderate
 
-    def relabeling(*args):
-        subset, offset = real(*args)
-        return replace(subset, labels=1 - subset.labels), offset
+    def reordering(*args):
+        kept, offset = real(*args)
+        return kept[::-1], offset
 
-    monkeypatch.setattr(impact.session, "moderate", relabeling)
+    monkeypatch.setattr(impact.session, "moderate", reordering)
     code, out, err = run_main(
         capsys, ["teach", "--concept", str(parity_file), "--m", "80", "--seed", "3"]
     )

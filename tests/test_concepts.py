@@ -19,7 +19,6 @@ from helpers import (
     mixed_relevance_dag,
     nand_dag,
     one_bit_acceptor,
-    or_dag,
     random_strings,
     vote_circuit,
 )

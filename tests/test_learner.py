@@ -27,6 +27,7 @@ from impact import (
     pair_space_size,
     sample_budget,
 )
+from impact.concepts import string_rows
 from impact.learner import (
     _and_planes,
     _canonical_hypotheses,
@@ -678,6 +679,12 @@ def test_perceptron_stays_exact_across_its_precision_switch(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def cube_of(z, s):
+    """learn_adfsa_node's view of the sample s under space z: its eval_table
+    cube, its strings' string_rows, and its labels."""
+    return (z.eval_table(s.bits, s.lengths), *string_rows(s.bits, s.lengths), s.labels)
+
+
 def test_learns_single_bit_acceptor_step():
     z = AttributeSpace.terminals()
     s = make_sample(
@@ -685,7 +692,7 @@ def test_learns_single_bit_acceptor_step():
         np.array([0, 1], dtype=np.uint8),
         lengths=np.array([1, 1]),
     )
-    h = learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, np.arange(len(s)))
+    h = learn_adfsa_node(*cube_of(z, s), np.arange(len(s)))
     assert h == AdfsaNodeHypothesis(offset=0, on0=1, on1=0)
 
 
@@ -696,7 +703,7 @@ def test_learns_complement_pattern_with_swapped_children():
         np.array([1, 0], dtype=np.uint8),
         lengths=np.array([1, 1]),
     )
-    h = learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, np.arange(len(s)))
+    h = learn_adfsa_node(*cube_of(z, s), np.arange(len(s)))
     assert h == AdfsaNodeHypothesis(offset=0, on0=0, on1=1)
 
 
@@ -710,14 +717,14 @@ def test_second_round_links_to_first_round_attribute():
         np.array([0, 1], dtype=np.uint8),
         lengths=np.array([2, 2]),
     )
-    h1 = learn_adfsa_node(z.eval_table(tail.bits, tail.lengths), tail, np.arange(len(tail)))
+    h1 = learn_adfsa_node(*cube_of(z, tail), np.arange(len(tail)))
     assert h1 == AdfsaNodeHypothesis(offset=1, on0=1, on1=0)
     z2 = augment(z, h1)
 
     bits = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
     labels = np.array([0, 0, 0, 1], dtype=np.uint8)
     start = make_sample(bits, labels, lengths=np.full(4, 2))
-    h2 = learn_adfsa_node(z2.eval_table(start.bits, start.lengths), start, np.arange(len(start)))
+    h2 = learn_adfsa_node(*cube_of(z2, start), np.arange(len(start)))
     assert h2 == AdfsaNodeHypothesis(offset=0, on0=1, on1=2)
 
     z3 = augment(z2, h2)
@@ -733,7 +740,7 @@ def test_adfsa_learner_searches_offsets_itself():
         np.array([0, 1, 0, 1], dtype=np.uint8),
         lengths=np.full(4, 2),
     )
-    h = learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, np.arange(len(s)))
+    h = learn_adfsa_node(*cube_of(z, s), np.arange(len(s)))
     assert h.offset == 1
     assert (h.on0, h.on1) == (1, 0)
 
@@ -751,7 +758,7 @@ def test_adfsa_empty_sample_rejected():
         lengths=np.zeros(0, dtype=np.int64),
     )
     with pytest.raises(UndefinedMetricError):
-        learn_adfsa_node(z.eval_table(s.bits, s.lengths), s, np.arange(len(s)))
+        learn_adfsa_node(*cube_of(z, s), np.arange(len(s)))
 
 
 @st.composite
@@ -808,8 +815,8 @@ def test_adfsa_learner_reads_a_subset_from_the_whole_cube(problem):
     step, ties included, as a cube of the subset alone, and both pick the
     reference's first best-scoring candidate."""
     z, s, kept = problem
-    subset = s.subset(kept)
-    from_whole = learn_adfsa_node(z.eval_table(s.bits, s.lengths), subset, kept)
-    alone = z.eval_table(subset.bits, subset.lengths)
-    from_alone = learn_adfsa_node(alone, subset, np.arange(len(subset)))
-    assert from_whole == from_alone == reference_adfsa_node(alone, subset)
+    from_whole = learn_adfsa_node(*cube_of(z, s), kept)
+    alone = make_sample(s.bits[kept], s.labels[kept], s.lengths[kept])
+    from_alone = learn_adfsa_node(*cube_of(z, alone), np.arange(len(alone)))
+    assert from_whole == from_alone
+    assert from_alone == reference_adfsa_node(z.eval_table(alone.bits, alone.lengths), alone)

@@ -7,7 +7,6 @@ from helpers import chain_automaton, make_sample
 from impact import (
     Distribution,
     InvalidParameterError,
-    Sample,
     UndefinedMetricError,
     accuracy,
     build_parity,
@@ -80,32 +79,16 @@ def test_string_lengths_cover_the_supported_range():
         assert not s.bits[i, s.lengths[i] :].any()
 
 
-def test_subset_preserves_order_and_sources():
-    s = make_sample(all_inputs(3), np.arange(8) % 2)
-    picked = s.subset(np.array([True, False, True, False, False, True, False, False]))
-    assert picked.source_indices.tolist() == [0, 2, 5]
-    assert np.array_equal(picked.bits, s.bits[[0, 2, 5]])
-
-
-@pytest.mark.parametrize(
-    "selector", [np.array([True, False, True, False, False, True, False, True]), np.array([7, 2, 5])]
-)
-def test_subset_arrays_are_fresh_and_frozen(selector):
-    s = make_sample(all_inputs(3), np.arange(8) % 2)
-    picked = s.subset(selector)
-    fields = ("bits", "labels", "lengths", "source_indices")
-    for name in fields:
-        arr = getattr(picked, name)
-        assert not any(np.shares_memory(arr, getattr(s, other)) for other in fields)
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
-
-
 def test_sample_arrays_are_frozen():
-    s = make_sample(all_inputs(2), np.zeros(4))
-    with pytest.raises(ValueError):
-        s.bits[0, 0] = 1
+    g, a = build_parity(4, (0, 2)), chain_automaton()
+    for s in (
+        draw_sample(Distribution.uniform(4, 3), g, 8),
+        draw_sample(Distribution.strings_for(a, 3), a, 8),
+    ):
+        for arr in (s.bits, s.labels, s.lengths):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 def test_accuracy_bounds():

@@ -2,7 +2,6 @@
 their expansion back into plain concepts."""
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,9 +275,9 @@ def test_session_value_cube_matches_the_reference(n, branches, seed, m, chain):
     cubes = []
     real = impact.session.learn_adfsa_node
 
-    def recording(table, subset, columns):
+    def recording(table, bits, inside, y, columns):
         cubes.append((table.copy(), columns.copy()))
-        return real(table, subset, columns)
+        return real(table, bits, inside, y, columns)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(impact.session, "learn_adfsa_node", recording)
@@ -402,23 +401,21 @@ def test_automaton_session_walks_from_the_start_a_fixed_number_of_times(monkeypa
 
 
 @pytest.mark.parametrize(
-    "corrupt,message",
-    [
-        (lambda sub: replace(sub, labels=1 - sub.labels), "labels"),
-        (lambda sub: replace(sub, source_indices=sub.source_indices + 10**6), "outside"),
-    ],
+    "corrupt,case",
+    [(lambda kept: kept[::-1], "reversed"), (lambda kept: kept + 10**6, "outside")],
 )
-def test_moderation_that_changes_rows_is_an_error(monkeypatch, corrupt, message):
-    """A subset whose rows are not the sample's rows, label for label, stops
-    the session with an explicit error, also under python -O."""
+def test_moderation_that_changes_rows_is_an_error(monkeypatch, corrupt, case):
+    """A round whose row indices are not ascending rows of the sample, here
+    reordered or outside it, stops the session with an explicit error, also
+    under python -O."""
     real = impact.session.moderate
 
     def corrupted(*args):
-        subset, offset = real(*args)
-        return corrupt(subset), offset
+        kept, offset = real(*args)
+        return corrupt(kept), offset
 
     monkeypatch.setattr(impact.session, "moderate", corrupted)
-    with pytest.raises(ImpactError, match=message):
+    with pytest.raises(ImpactError, match="not ascending rows of the sample"):
         parity_session()
 
 
@@ -463,8 +460,8 @@ def test_pair_rounds_learn_on_base_and_hypothesis_rows(monkeypatch, mode):
     learned = []
     learn = impact.session._PairRounds.learn
 
-    def recording(self, A, subset, kept):
-        h, attr_h = learn(self, A, subset, kept)
+    def recording(self, A, kept, y):
+        h, attr_h = learn(self, A, kept, y)
         learned.append((self.V.shape[0], attr_h))
         return h, attr_h
 

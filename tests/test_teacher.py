@@ -52,7 +52,7 @@ def test_blocked_and_rows_removed():
     s = full_sample(g, 2)
     kept = moderate(g, 0, s, ModerationRule.RELEVANT_FILTER)[0]
     # x1=0 rows are irrelevant at leaf x0
-    assert all(s.bits[i, 1] == 1 for i in kept.source_indices)
+    assert all(s.bits[i, 1] == 1 for i in kept)
     assert len(kept) == 2
 
 
@@ -69,7 +69,7 @@ def test_relevant_filter_matches_flip_oracle():
                     moderate(g, rnd.node, s, ModerationRule.RELEVANT_FILTER)
                 continue
             kept = moderate(g, rnd.node, s, ModerationRule.RELEVANT_FILTER)[0]
-            assert kept.source_indices.tolist() == expected
+            assert kept.tolist() == expected
 
 
 def test_moderation_never_relabels_or_reorders():
@@ -79,9 +79,8 @@ def test_moderation_never_relabels_or_reorders():
     for rnd in postfix_order(g).rounds:
         kept, offset = moderate(g, rnd.node, s, rnd.rule)
         assert offset is None
-        assert np.array_equal(kept.labels, s.labels[kept.source_indices])
-        assert np.array_equal(kept.bits, s.bits[kept.source_indices])
-        assert np.all(np.diff(kept.source_indices) > 0)
+        assert 0 <= kept[0] and kept[-1] < len(s)
+        assert np.all(np.diff(kept) > 0)
 
 
 def test_partition_rule_keeps_at_least_half():
@@ -160,7 +159,7 @@ def test_chain_second_state_buckets():
     assert offset in (0, 1)
     assert len(kept) >= 1
     # bypassing strings are labeled by the teacher's walk of state 2 at that offset
-    for idx_pos, src in enumerate(kept.source_indices):
+    for src in kept:
         row = s.bits[src, : s.lengths[src]]
         arrived = row[0] == 1
         if not arrived:
@@ -286,7 +285,7 @@ def assert_view_replays_moderation(concept, s, starved_ok=False):
         column = np.zeros(len(s), dtype=np.uint8)
         try:
             kept, _ = moderate(concept, rnd.node, s, rnd.rule)
-            column[kept.source_indices] = 1
+            column[kept] = 1
         except InsufficientDataError:
             if not starved_ok:
                 raise
