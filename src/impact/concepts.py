@@ -372,15 +372,17 @@ def relevance_mask(
     Edges point to lower indices, so a clamp changes only nodes above it:
     the concept is evaluated once (not at all when `values`, its
     node_values on X, is given), and each clamp re-evaluates just the nodes
-    that read a changed one.
+    that read a changed one. Only the unchanged rows those nodes read are
+    copied out of the node values; the clamps write every other row they
+    read.
     """
     X = as_bit_matrix(X, concept.n)
     if not (0 <= node < concept.size):
         raise InvalidConceptError(f"node {node} out of range")
-    changed = {node}
-    above = []
+    changed, above, read = {node}, [], set()
     for i in range(node + 1, concept.root + 1):
         if not changed.isdisjoint(concept.children[i]):
+            read.update(concept.children[i])
             changed.add(i)
             above.append(i)
     if values is None:
@@ -389,7 +391,9 @@ def relevance_mask(
         raise InputShapeError(
             f"expected node values of shape {(X.shape[0], concept.size)}, got {values.shape}"
         )
-    rows = values.T.copy()
+    rows = np.empty((concept.size, X.shape[0]), dtype=values.dtype)
+    for k in read - changed:
+        rows[k] = values[:, k]
     rows[node] = 0
     _fill_rows(concept, X, rows, above)
     low = rows[concept.root].copy()

@@ -462,43 +462,59 @@ def learn_threshold_node(
 # ---------------------------------------------------------------------------
 
 
+_CHUNK_BYTES = 2**19  # bound on learn_adfsa_node's per-chunk AND temporary
+
+
+def _packed_words(mask: np.ndarray) -> np.ndarray:
+    """A boolean array packed along its last axis of M into ceil(M / 64)
+    little-endian 64-bit words: bit c of word c // 64 is mask[..., c], and the
+    bits past M are zero."""
+    M = mask.shape[-1]
+    packed = np.zeros(mask.shape[:-1] + (8 * -(-M // 64),), dtype=np.uint8)
+    packed[..., : -(-M // 8)] = np.packbits(mask, axis=-1, bitorder="little")
+    return packed.view("<u8")
+
+
+def agreement_bits(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Packed label agreement of string-mode value rows (..., n+1, M), such
+    as rows of an eval_table cube: bit c of word (..., o, c // 64) is set
+    where rows[..., o, c] == y[c]. A -1 cell never agrees with a label, and
+    the padding bits past M are zero."""
+    # y in the rows' int8: uint8 labels would widen the comparison to int16
+    return _packed_words(rows == y.astype(rows.dtype))
+
+
 def learn_adfsa_node(
-    table: np.ndarray, bits: np.ndarray, inside: np.ndarray, y: np.ndarray, columns: np.ndarray
+    agree: np.ndarray, bits: np.ndarray, inside: np.ndarray, columns: np.ndarray
 ) -> AdfsaNodeHypothesis:
     """Pick the (offset, on0, on1) step that best matches the aligned data.
 
-    `table` is an eval_table cube (A, n+1, M), `bits` and `inside` are the
-    string_rows of its M strings and `y` their labels, and the round's
-    strings are the distinct columns `columns`. Each offset reads the cube's
-    contiguous (A, M) slab and weights every column by the side of the bit
-    its string reads there, zero outside the round, so the cube is never
-    gathered or copied. Every offset is searched. Because agreement splits
-    over the examined bit, the two children are chosen independently, and
-    ties resolve to the lower offset then lower attribute indices.
+    `agree` is the agreement_bits (A, n+1, W) of an eval_table cube of M
+    strings against their labels, `bits` and `inside` are the string_rows of
+    those strings, and the round's strings are the distinct columns
+    `columns`. The strings in the round that read bit 0, and those that read
+    bit 1, at each offset are packed the same way once per round, so child a
+    on side b at offset o agrees with popcount(agree[a, o + 1] & side[b, o])
+    labels: every (attribute, side, offset) count at once, in chunks of
+    attributes, and nothing outside the round counts. Because agreement
+    splits over the examined bit, the two children are chosen independently,
+    and ties resolve to the lower offset then lower attribute indices.
     """
     if len(columns) == 0:
         raise UndefinedMetricError("cannot learn from an empty sample")
-    width, M = bits.shape
-    in_round = np.zeros(M, dtype=bool)
-    in_round[columns] = True
-    # int8 like the cube: uint8 labels would widen every slab comparison to int16
-    y = y.astype(table.dtype)
-    # agreement counts are sums of at most M products of 0/1 values
-    dtype = exact_float_dtype(M)
-    sides = np.empty((2, M), dtype=dtype)
-    best = None
-    best_score = -1
-    for o in range(width):
-        live = in_round & (inside[o] == 1)
-        sides[0] = live & (bits[o] == 0)
-        sides[1] = live & (bits[o] == 1)
-        agree = (table[:, o + 1] == y).astype(dtype) @ sides.T
-        a0, a1 = (int(a) for a in np.argmax(agree, axis=0))
-        score = int(agree[a0, 0] + agree[a1, 1])
-        if score > best_score:
-            best = AdfsaNodeHypothesis(offset=o, on0=a0, on1=a1)
-            best_score = score
-    return best
+    A, width = agree.shape[0], bits.shape[0]
+    live = np.zeros(bits.shape, dtype=bool)
+    live[:, columns] = inside[:, columns] == 1
+    sides = _packed_words(np.stack([live & (bits == 0), live & (bits == 1)]))
+    counts = np.empty((A, 2, width), dtype=np.int64)
+    chunk = max(1, _CHUNK_BYTES // sides.nbytes)
+    for start in range(0, A, chunk):
+        block = agree[start : start + chunk, None, 1:] & sides
+        counts[start : start + chunk] = np.bitwise_count(block).sum(axis=-1)
+    # first best child per (side, offset), then the first offset with the best sum
+    on = counts.argmax(axis=0)
+    o = int(counts.max(axis=0).sum(axis=0).argmax())
+    return AdfsaNodeHypothesis(offset=o, on0=int(on[0, o]), on1=int(on[1, o]))
 
 
 def adfsa_candidate_count(z: AttributeSpace, width: int) -> int:

@@ -43,6 +43,7 @@ from .learner import (
     PerceptronHypothesis,
     ReliablePairSet,
     adfsa_candidate_count,
+    agreement_bits,
     augment,
     canonical_first_pair,
     fill_bit_rows,
@@ -403,7 +404,10 @@ class _ThresholdRounds(_BitRounds):
 class _AutomatonRounds:
     """Rounds over bit strings. The training value cube (see
     AttributeSpace.eval_table) holds the two terminals, accept then reject,
-    then two rows per round, each filled from the rows before it."""
+    then two rows per round, each filled from the rows before it. `agree`
+    holds each filled row's agreement_bits against the labels, which the
+    learner scores: a row never changes once filled, so its bits are packed
+    once."""
 
     def __init__(self, teacher: Teacher, plan: RoundPlan, mode: str, diagnostics: bool):
         n, s = teacher.concept.n, teacher.sample
@@ -412,6 +416,9 @@ class _AutomatonRounds:
         self.T = np.empty((2 + 2 * len(plan), n + 1, len(s)), dtype=np.int8)
         self.T[0], self.T[1] = 1, 0
         self.labels = s.labels
+        terminals = agreement_bits(self.T[:2], self.labels)
+        self.agree = np.empty((len(self.T),) + terminals.shape[1:], dtype=terminals.dtype)
+        self.agree[:2] = terminals
         self.string_bits, self.inside = string_rows(s.bits, s.lengths)
 
     def candidates(self, z: AttributeSpace) -> int:
@@ -423,12 +430,13 @@ class _AutomatonRounds:
         return h, h
 
     def learn(self, A: int, kept: np.ndarray, y: np.ndarray):
-        h = learn_adfsa_node(self.T[:A], self.string_bits, self.inside, self.labels, kept)
+        h = learn_adfsa_node(self.agree[:A], self.string_bits, self.inside, kept)
         return h, h
 
     def fill(self, A: int, h: AdfsaNodeHypothesis) -> np.ndarray:
         """Fill rows A and A + 1 with the step and its complement; return row A at its offset."""
         fill_step_rows(self.T, A, h, self.string_bits, self.inside)
+        self.agree[A : A + 2] = agreement_bits(self.T[A : A + 2], self.labels)
         return self.T[A, h.offset]
 
     def diagnose(self, node: int, A: int, h) -> dict:

@@ -32,6 +32,7 @@ from impact.learner import (
     _and_planes,
     _canonical_hypotheses,
     adfsa_candidate_count,
+    agreement_bits,
     exact_float_dtype,
 )
 from impact.oracle import (
@@ -680,9 +681,29 @@ def test_perceptron_stays_exact_across_its_precision_switch(monkeypatch):
 
 
 def cube_of(z, s):
-    """learn_adfsa_node's view of the sample s under space z: its eval_table
-    cube, its strings' string_rows, and its labels."""
-    return (z.eval_table(s.bits, s.lengths), *string_rows(s.bits, s.lengths), s.labels)
+    """learn_adfsa_node's view of the sample s under space z: the
+    agreement_bits of its eval_table cube against its labels, and its
+    strings' string_rows."""
+    table = z.eval_table(s.bits, s.lengths)
+    return (agreement_bits(table, s.labels), *string_rows(s.bits, s.lengths))
+
+
+@pytest.mark.parametrize("M", [1, 63, 64, 65, 128, 129])
+def test_agreement_bits_pad_with_zeros_and_never_count_undefined_cells(M):
+    """Bit c of word c // 64 is cell c's agreement with label c: a row equal
+    to the labels sets exactly the M low bits, its complement and a row of
+    -1 cells set none, and a mixed row sets the bits of its agreeing cells."""
+    rng = np.random.default_rng(M)
+    y = rng.integers(0, 2, size=M).astype(np.uint8)
+    mixed = rng.integers(-1, 2, size=M)
+    rows = np.stack([y, 1 - y, np.full(M, -1), mixed]).astype(np.int8)[:, None]
+    words = agreement_bits(rows, y)
+    assert words.shape == (4, 1, -(-M // 64))
+    unpacked = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")[:, 0]
+    assert not unpacked[:, M:].any()
+    expected = np.stack([np.ones(M), np.zeros(M), np.zeros(M), mixed == y])
+    assert np.array_equal(unpacked[:, :M], expected.astype(np.uint8))
+    assert [int(np.bitwise_count(w).sum()) for w in words] == [M, 0, 0, np.sum(mixed == y)]
 
 
 def test_learns_single_bit_acceptor_step():
@@ -820,3 +841,38 @@ def test_adfsa_learner_reads_a_subset_from_the_whole_cube(problem):
     from_alone = learn_adfsa_node(*cube_of(z, alone), np.arange(len(alone)))
     assert from_whole == from_alone
     assert from_alone == reference_adfsa_node(z.eval_table(alone.bits, alone.lengths), alone)
+
+
+@given(
+    M=st.sampled_from([63, 64, 65, 127, 128, 129]),
+    width=st.integers(1, 4),
+    A=st.integers(1, 6),
+    constant=st.sampled_from([None, None, 0, 1]),
+    chunk_bytes=st.integers(1, 2**11),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_adfsa_learner_matches_the_reference_across_word_edges(
+    M, width, A, constant, chunk_bytes, seed
+):
+    """On column counts at and around 64-column word edges, over any cube of
+    -1, 0 and 1 cells, the learner reading a random round of the columns
+    picks the reference's first best-scoring step, ties included, whether it
+    counts the attributes one at a time, in chunks, or all at once."""
+    rng = np.random.default_rng(seed)
+    table = rng.integers(-1, 2, size=(A, width + 1, M)).astype(np.int8)
+    bits, lengths = random_strings(rng, M, width)
+    if constant is None:
+        y = rng.integers(0, 2, size=M)
+    else:
+        y = np.full(M, constant)
+    s = make_sample(bits, y, lengths)
+    kept = np.flatnonzero(rng.random(M) < rng.random())
+    if kept.size == 0:
+        kept = np.array([int(rng.integers(M))])
+    agree = agreement_bits(table, s.labels)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("impact.learner._CHUNK_BYTES", chunk_bytes)
+        h = learn_adfsa_node(agree, *string_rows(bits, lengths), kept)
+    alone = make_sample(bits[kept], s.labels[kept], lengths[kept])
+    assert h == reference_adfsa_node(table[:, :, kept], alone)

@@ -38,6 +38,7 @@ from impact import (
 import impact.concepts
 import impact.session
 import impact.teacher
+from impact.concepts import string_rows
 from impact.generate import random_automaton, random_circuit, random_dag
 from impact.oracle import (
     exhaustive_equivalence,
@@ -45,6 +46,7 @@ from impact.oracle import (
     reference_eval_table,
     run_automaton,
 )
+from impact.learner import agreement_bits
 from impact.plan import postfix_order
 from impact.session import true_attribute_matrix
 
@@ -268,28 +270,39 @@ def test_automaton_round_without_data_degenerates_and_continues():
 def test_session_value_cube_matches_the_reference(n, branches, seed, m, chain):
     """The cube the session fills two rows per round equals the reference
     eval_table of the round's space over the whole sample (complement rows
-    and -1 cells included), each round's training error is read off its
-    step's row, and the final space's eval_table matches the reference."""
+    and -1 cells included), the learner reads that cube's agreement_bits
+    against the labels and the sample's string_rows, each round's training
+    error is read off its step's row, and the final space's eval_table
+    matches the reference."""
     a = chain_automaton() if chain else random_automaton(n, min(branches, n), seed)
     d = Distribution.strings_for(a, seed)
-    cubes = []
-    real = impact.session.learn_adfsa_node
+    cubes, calls = [], []
+    real_learn = impact.session._AutomatonRounds.learn
+    real_learner = impact.session.learn_adfsa_node
 
-    def recording(table, bits, inside, y, columns):
-        cubes.append((table.copy(), columns.copy()))
-        return real(table, bits, inside, y, columns)
+    def recording_learn(rounds, A, kept, y):
+        cubes.append(rounds.T[:A].copy())
+        return real_learn(rounds, A, kept, y)
+
+    def recording_learner(agree, bits, inside, columns):
+        calls.append((agree.copy(), bits.copy(), inside.copy(), columns.copy()))
+        return real_learner(agree, bits, inside, columns)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(impact.session, "learn_adfsa_node", recording)
+        patch.setattr(impact.session._AutomatonRounds, "learn", recording_learn)
+        patch.setattr(impact.session, "learn_adfsa_node", recording_learner)
         report = run_teaching_session(a, d, m, test_size=20)
     s = draw_sample(d, a, m, stream=impact.session.TRAIN_STREAM)
     z = augment(report.classifier.space, report.classifier.final)
     whole = reference_eval_table(z, s.bits, s.lengths)
     assert np.array_equal(z.eval_table(s.bits, s.lengths), whole)
+    string_bits, inside = string_rows(s.bits, s.lengths)
     fed = [(r, 2 + 2 * r.index) for r in report.rounds if r.subset_size > 0]
-    assert len(fed) == len(cubes)
-    for (record, row), (table, columns) in zip(fed, cubes):
+    assert len(fed) == len(cubes) == len(calls)
+    for (record, row), table, (agree, bits, ins, columns) in zip(fed, cubes, calls):
         assert np.array_equal(table, whole[: len(table)])
+        assert np.array_equal(agree, agreement_bits(whole[: len(table)], s.labels))
+        assert np.array_equal(bits, string_bits) and np.array_equal(ins, inside)
         step, _ = z.learned(row)
         wrong = whole[row, step.offset, columns] != s.labels[columns]
         assert record.training_error == float(np.mean(wrong))

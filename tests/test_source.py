@@ -50,7 +50,9 @@ def test_oracle_imports_only_concept_classes_and_never_reads_children():
     reference cube restates the attribute layout and the step recurrence, so
     it must not share AttributeSpace.learned or the row fillers either. The
     reference perceptron counts in float64, so it must not share
-    exact_float_dtype, the precision rule it checks."""
+    exact_float_dtype, the precision rule it checks. The reference automaton
+    step scores string by string, so it must not share agreement_bits or
+    count packed bits with bitwise_count."""
     path = Path(impact.__file__).parent / "oracle.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     names, modules = [], []
@@ -63,7 +65,14 @@ def test_oracle_imports_only_concept_classes_and_never_reads_children():
     assert [name for name in modules if name.split(".")[-1] == "concepts"] == []
     kinds = (type, types.UnionType)
     assert [name for name in names if not isinstance(getattr(impact.concepts, name), kinds)] == []
-    shared = {"fill_bit_rows", "fill_step_rows", "select_outputs", "exact_float_dtype"}
+    shared = {
+        "fill_bit_rows",
+        "fill_step_rows",
+        "select_outputs",
+        "exact_float_dtype",
+        "agreement_bits",
+        "bitwise_count",
+    }
     assert shared.isdisjoint(names + modules)
     assert [
         node.lineno
