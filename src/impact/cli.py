@@ -37,7 +37,7 @@ from .oracle import (
     exhaustive_string_equivalence,
 )
 from .plan import ModerationRule, postfix_order
-from .sampling import Distribution, draw_sample
+from .sampling import Distribution, draw_inputs
 from .session import run_teaching_session
 
 _MODERATION_FLAGS = {
@@ -124,8 +124,7 @@ def _verify_single(concept, args) -> list[dict]:
             lengths = np.repeat(supported, [1 << k for k in supported])
         else:
             name = "walks-total-on-sampled-strings"
-            s = draw_sample(Distribution.strings_for(concept, args.seed), concept, args.samples)
-            X, lengths = s.bits, s.lengths
+            X, lengths = draw_inputs(_default_distribution(concept, args.seed), args.samples)
         # strings whose walk from the start runs out before a terminal
         undefined = int(np.sum(walk_from_state(concept, X, lengths, concept.start, 0) < 0))
         checks.append(
@@ -140,8 +139,7 @@ def _verify_single(concept, args) -> list[dict]:
     if args.exhaustive:
         X = _all_inputs(concept.n)
     else:
-        d = Distribution.uniform(concept.n, args.seed)
-        X = draw_sample(d, concept, args.samples).bits
+        X = draw_inputs(_default_distribution(concept, args.seed), args.samples)[0]
     if isinstance(concept, ConceptDag):
         restructured = push_negations_to_leaves(concept)
         a = node_values(concept, X)[:, concept.root]

@@ -19,23 +19,6 @@ AND = "and"
 OR = "or"
 
 
-class DontKnowType:
-    """Singleton returned by reliable-mode learning when nothing fits."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "DontKnow"
-
-
-DONT_KNOW = DontKnowType()
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis shapes
 # ---------------------------------------------------------------------------
@@ -97,27 +80,30 @@ class AdfsaNodeHypothesis:
 
 @dataclass(eq=False)
 class ReliablePairSet:
-    """Every zero-disagreement pair from one round.
+    """Every zero-disagreement pair from one round, and its best-fit pair.
 
     Classifies by unanimity: a label only when all members agree, -1
-    otherwise. The canonically first member stands in when a single
-    two-valued attribute is required downstream.
+    otherwise. With no members the set abstains everywhere. `primary`, the
+    round's best-fit pair, stands in when a single two-valued attribute is
+    required downstream; with members it is the canonically first one.
     """
 
+    primary: PairHypothesis
     members: tuple[PairHypothesis, ...]
 
     @property
-    def primary(self) -> PairHypothesis:
-        return self.members[0]
+    def abstains(self) -> bool:
+        return not self.members
 
     def classify_rows(self, rows: np.ndarray) -> np.ndarray:
+        if self.abstains:
+            return np.full(rows.shape[1], -1, dtype=np.int8)
         out = self.members[0].evaluate_rows(rows).astype(np.int8)
         settled = np.ones(out.shape, dtype=bool)
         for h in self.members[1:]:
             vals = h.evaluate_rows(rows).astype(np.int8)
             settled &= vals == out
-        result = np.where(settled, out, -1).astype(np.int8)
-        return result
+        return np.where(settled, out, -1).astype(np.int8)
 
 
 RoundHypothesis = PairHypothesis | PerceptronHypothesis | AdfsaNodeHypothesis
@@ -217,7 +203,8 @@ def fill_step_rows(
 
 
 def augment(z: AttributeSpace, h: RoundHypothesis) -> AttributeSpace:
-    """Grow the space by a finished round: the hypothesis and its complement."""
+    """Grow the space by a finished round: the hypothesis and its complement.
+    A reliable pair set's attribute is its primary, the round's best fit."""
     if isinstance(h, ReliablePairSet):
         h = h.primary
     if isinstance(h, AdfsaNodeHypothesis) != (z.mode == "strings"):
@@ -329,11 +316,12 @@ def canonical_first_pair() -> PairHypothesis:
 
 def learn_pair_node(
     V: np.ndarray, y: np.ndarray, mode: str = "best-fit", *, base_count: int | None = None
-) -> PairHypothesis | ReliablePairSet | DontKnowType:
+) -> PairHypothesis | ReliablePairSet:
     """Exhaust the canonical pair space against the round's attribute rows
     V (A, m) and labels y. best-fit returns the first candidate with minimal
     disagreement in canonical order; reliable returns the whole
-    zero-disagreement set, or DONT_KNOW when that set is empty.
+    zero-disagreement set with that best-fit pair as its primary, and the set
+    abstains when it has no member.
 
     Only the and counts are built: one contiguous array of planes k = 2 * ln
     + rn, indexed (k, left, right), in exact_float_dtype(m). Or plane (ln,
@@ -341,17 +329,20 @@ def learn_pair_node(
     not b). And wins a tie of the two minima; then the first (left, right)
     with a hit, and its smallest (ln, rn), is canonical: a non-canonical
     entry's twin (references swapped) has the same count and comes first.
+    That is the order _canonical_hypotheses sorts by, so when the set has
+    members the minimum is 0 and the best-fit pair is its first member.
 
     With base_count, V holds the base_count base rows and then one row per
     learned hypothesis, with no complement rows, and the result is stated in
     the full attribute layout: hypothesis row base_count + r is attribute
     base_count + 2r, and its complement the next. A session's pair rounds
-    learn this way, and it is exact. A pair that reads a complement has a
-    twin that reads the hypothesis with that reference's negation flipped:
-    the same values, so the same count, and a lower index, so the twin comes
-    first in canonical order. So best-fit never picks a complement, and its
-    pick maps index by index; reliable mode widens each hit to every such
-    variant before the canonical filter and order. Reports and candidate
+    learn this way. A pair that reads a complement has a twin that reads the
+    hypothesis with that reference's negation flipped: the same values, so
+    the same count, and a lower index, so the twin comes first in canonical
+    order. So best-fit never picks a complement, and its pick maps index by
+    index. The reliable set then holds no pair that reads a complement; each
+    such pair's twin is a member with the same values, so the set's votes
+    and its primary are those of the full layout. Reports and candidate
     counts still describe the full canonical space.
     """
     if mode not in ("best-fit", "reliable"):
@@ -361,27 +352,23 @@ def learn_pair_node(
         raise UndefinedMetricError("cannot learn from an empty sample")
     n = A if base_count is None else base_count
     P = _and_planes(V, y)
-    if mode == "reliable":
-        zeros, fulls = np.flatnonzero(P == 0), np.flatnonzero(P == m)
-        if zeros.size + fulls.size == 0:
-            return DONT_KNOW
-        op = np.repeat([0, 1], [zeros.size, fulls.size])
-        k, left, right = np.unravel_index(np.concatenate([zeros, fulls]), (4, A, A))
-        k = k ^ 3 * op
-        # variant (a, b) of a hit reads its left (a = 1) and its right (b = 1)
-        # reference, where that is a hypothesis, as the complement, flag flipped
-        a, b = np.indices((2, 2)).reshape(2, 4, 1)
-        keep = (a <= (left >= n)) & (b <= (right >= n))
-        op, ln, rn = np.broadcast_to(op, keep.shape), (k >> 1) ^ a, (k & 1) ^ b
-        hits = (op, ln, rn, _attribute(left, n) + a, _attribute(right, n) + b)
-        return ReliablePairSet(tuple(_canonical_hypotheses(*(c[keep] for c in hits))))
     low, high = P.min(), P.max()
     is_or = bool(low > m - high)
     hits = (P == (high if is_or else low)).reshape(4, A * A)[:: -1 if is_or else 1]
     p = int(hits.any(axis=0).argmax())
     k = int(hits[:, p].argmax())
     left, right = (int(_attribute(i, n)) for i in divmod(p, A))
-    return PairHypothesis(OR if is_or else AND, left, bool(k >> 1), right, bool(k & 1))
+    best = PairHypothesis(OR if is_or else AND, left, bool(k >> 1), right, bool(k & 1))
+    if mode == "best-fit":
+        return best
+    zeros, fulls = np.flatnonzero(P == 0), np.flatnonzero(P == m)
+    op = np.repeat([0, 1], [zeros.size, fulls.size])
+    ks, lefts, rights = np.unravel_index(np.concatenate([zeros, fulls]), (4, A, A))
+    # an or hit's negation flags are those of its and plane, both flipped
+    ks = ks ^ 3 * op
+    refs = _attribute(lefts, n), _attribute(rights, n)
+    members = _canonical_hypotheses(op, ks >> 1, ks & 1, *refs)
+    return ReliablePairSet(best, tuple(members))
 
 
 def _attribute(i, base_count: int):

@@ -85,12 +85,3 @@ def postfix_order(concept: Concept, rule: ModerationRule | None = None) -> Round
             raise InvalidConceptError("automaton has no branch states to teach")
     return RoundPlan(rounds=tuple(Round(i, rule) for i in order))
 
-
-def check_postfix(plan: RoundPlan, concept: Concept) -> bool:
-    """True when every scheduled node appears after all its scheduled descendants."""
-    position = {r.node: k for k, r in enumerate(plan.rounds)}
-    for r in plan.rounds:
-        for kid in concept.children[r.node]:
-            if kid in position and position[kid] >= position[r.node]:
-                return False
-    return True

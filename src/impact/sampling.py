@@ -122,20 +122,12 @@ class Sample:
         return int(self.bits.shape[1])
 
 
-def draw_sample(d: Distribution, concept: Concept, m: int, *, stream=0) -> Sample:
-    """Draw m labeled examples. The same (distribution, stream) always yields
-    the same sample; distinct streams are independent."""
+def draw_inputs(d: Distribution, m: int, *, stream=0) -> tuple[np.ndarray, np.ndarray]:
+    """Draw m unlabelled inputs: bits (m, n), zero past each string's length,
+    and lengths (m,). The same (distribution, stream) always yields the same
+    inputs; distinct streams are independent."""
     if m < 1:
         raise InvalidParameterError(f"sample size must be positive, got {m}")
-    if d.n != concept.n:
-        raise InvalidParameterError(
-            f"distribution is over {d.n} bits but the concept reads {concept.n}"
-        )
-    is_string_concept = isinstance(concept, Adfsa)
-    if is_string_concept != (d.kind == "strings"):
-        raise InvalidParameterError(
-            "string concepts need a strings distribution and vice versa"
-        )
     rng = rng_from(d.seed, "draw", stream)
     if d.kind == "strings":
         high = d.length_high if d.length_high is not None else d.n
@@ -143,15 +135,30 @@ def draw_sample(d: Distribution, concept: Concept, m: int, *, stream=0) -> Sampl
         bits = rng.integers(0, 2, size=(m, d.n), dtype=np.uint8)
         mask = np.arange(d.n)[None, :] >= lengths[:, None]
         bits[mask] = 0
-        labels = adfsa_labels(concept, bits, lengths)
-        return Sample(bits=bits, labels=labels, lengths=lengths)
+        return bits, lengths
     if d.kind == "uniform":
         bits = rng.integers(0, 2, size=(m, d.n), dtype=np.uint8)
     else:
         probs = np.asarray(d.probabilities, dtype=np.float64)
         bits = (rng.random(size=(m, d.n)) < probs[None, :]).astype(np.uint8)
-    labels = evaluate_batch(concept, bits).astype(np.uint8)
-    lengths = np.full(m, d.n, dtype=np.int64)
+    return bits, np.full(m, d.n, dtype=np.int64)
+
+
+def draw_sample(d: Distribution, concept: Concept, m: int, *, stream=0) -> Sample:
+    """Draw m examples (see draw_inputs) and label them with the concept."""
+    if d.n != concept.n:
+        raise InvalidParameterError(
+            f"distribution is over {d.n} bits but the concept reads {concept.n}"
+        )
+    if isinstance(concept, Adfsa) != (d.kind == "strings"):
+        raise InvalidParameterError(
+            "string concepts need a strings distribution and vice versa"
+        )
+    bits, lengths = draw_inputs(d, m, stream=stream)
+    if isinstance(concept, Adfsa):
+        labels = adfsa_labels(concept, bits, lengths)
+    else:
+        labels = evaluate_batch(concept, bits).astype(np.uint8)
     return Sample(bits=bits, labels=labels, lengths=lengths)
 
 

@@ -4,7 +4,7 @@ moderate / learn / augment round by round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,10 +34,8 @@ from .errors import (
     InvalidParameterError,
 )
 from .learner import (
-    DONT_KNOW,
     AdfsaNodeHypothesis,
     AttributeSpace,
-    DontKnowType,
     ErrorBudget,
     PairHypothesis,
     PerceptronHypothesis,
@@ -82,21 +80,21 @@ class DagClassifier(_ConceptExport):
     """Formula learned round by round; evaluates through the attribute space."""
 
     space: AttributeSpace
-    final: PairHypothesis | ReliablePairSet | DontKnowType
+    final: PairHypothesis | ReliablePairSet
 
     def predict_sample(self, s: Sample) -> np.ndarray:
         rows = self.space.values(s.bits)
-        if isinstance(self.final, DontKnowType):
-            return np.full(len(s), -1, dtype=np.int8)
         if isinstance(self.final, ReliablePairSet):
             return self.final.classify_rows(rows)
         return self.final.evaluate_rows(rows).astype(np.int8)
 
     def to_concept(self) -> ConceptDag:
         """Expand every learned attribute into plain DAG nodes."""
-        if isinstance(self.final, DontKnowType):
-            raise InvalidParameterError("an always-abstaining classifier has no DAG form")
-        final = self.final.primary if isinstance(self.final, ReliablePairSet) else self.final
+        final = self.final
+        if isinstance(final, ReliablePairSet):
+            if final.abstains:
+                raise InvalidParameterError("an always-abstaining classifier has no DAG form")
+            final = final.primary
         space = self.space
         nodes = []
         attr_memo: dict[int, int] = {}
@@ -232,6 +230,10 @@ class RoundRecord:
     hypothesis_corruption: float | None = None
 
 
+# RoundRecord fields the JSON report does not carry yet (ROADMAP item 3)
+_UNREPORTED = ("child_error_left", "child_error_right", "hypothesis_corruption")
+
+
 @dataclass(eq=False)
 class SessionReport:
     concept_kind: str
@@ -258,18 +260,7 @@ class SessionReport:
             "test_dont_know_rate": self.test_dont_know_rate,
             "attribute_count": self.attribute_count,
             "rounds": [
-                {
-                    "index": r.index,
-                    "node": r.node,
-                    "rule": r.rule,
-                    "subset_size": r.subset_size,
-                    "training_error": r.training_error,
-                    "candidate_count": r.candidate_count,
-                    "offset": r.offset,
-                    "dont_know": r.dont_know,
-                    "error_full": r.error_full,
-                    "error_relevant": r.error_relevant,
-                }
+                {f.name: getattr(r, f.name) for f in fields(r) if f.name not in _UNREPORTED}
                 for r in self.rounds
             ],
             "model": self.classifier.model_dict(),
@@ -365,19 +356,14 @@ class _PairRounds(_BitRounds):
 
     def degenerate(self, A: int):
         h = canonical_first_pair()
-        return (DONT_KNOW if self.mode == "reliable" else h), h
+        return ReliablePairSet(h, ()) if self.mode == "reliable" else h
 
     def learn(self, A: int, kept: np.ndarray, y: np.ndarray):
         n = self.space.base_count
         # negative rows first: the learner's label split is then two views
         order = np.argsort(y, kind="stable")
-        rows, y = self.V[: (n + A) // 2, kept[order]], y[order]
-        h = learn_pair_node(rows, y, self.mode, base_count=n)
-        if isinstance(h, DontKnowType):
-            return h, learn_pair_node(rows, y, "best-fit", base_count=n)
-        if isinstance(h, ReliablePairSet):
-            return h, h.primary
-        return h, h
+        rows = self.V[: (n + A) // 2, kept[order]]
+        return learn_pair_node(rows, y[order], self.mode, base_count=n)
 
     def fill(self, A: int, h: PairHypothesis) -> np.ndarray:
         """Fill the row of attribute A, a hypothesis, with h; return it."""
@@ -393,12 +379,10 @@ class _ThresholdRounds(_BitRounds):
         return 0
 
     def degenerate(self, A: int):
-        h = PerceptronHypothesis(weights=np.zeros(A, dtype=np.float64), threshold=0.0)
-        return h, h
+        return PerceptronHypothesis(weights=np.zeros(A, dtype=np.float64), threshold=0.0)
 
     def learn(self, A: int, kept: np.ndarray, y: np.ndarray):
-        h = learn_threshold_node(self.V[:A, kept], y)
-        return h, h
+        return learn_threshold_node(self.V[:A, kept], y)
 
 
 class _AutomatonRounds:
@@ -426,12 +410,10 @@ class _AutomatonRounds:
 
     def degenerate(self, A: int):
         # the first step in the learner's tie order
-        h = AdfsaNodeHypothesis(offset=0, on0=0, on1=0)
-        return h, h
+        return AdfsaNodeHypothesis(offset=0, on0=0, on1=0)
 
     def learn(self, A: int, kept: np.ndarray, y: np.ndarray):
-        h = learn_adfsa_node(self.agree[:A], self.string_bits, self.inside, kept)
-        return h, h
+        return learn_adfsa_node(self.agree[:A], self.string_bits, self.inside, kept)
 
     def fill(self, A: int, h: AdfsaNodeHypothesis) -> np.ndarray:
         """Fill rows A and A + 1 with the step and its complement; return row A at its offset."""
@@ -446,8 +428,8 @@ class _AutomatonRounds:
         return AutomatonClassifier(space=space, final=final, n=self.n)
 
 
-# The rounds of each concept kind. degenerate and learn return the round's hypothesis
-# and its attribute's, which differ only when a reliable pair round abstains or ties.
+# The rounds of each concept kind. degenerate and learn return the round's hypothesis;
+# augment knows its attribute, which for a reliable pair set is the set's primary.
 _ROUNDS = {ConceptDag: _PairRounds, ThresholdCircuit: _ThresholdRounds, Adfsa: _AutomatonRounds}
 
 
@@ -488,8 +470,7 @@ def run_teaching_session(
     rounds = _ROUNDS[type(taught)](teacher, plan, mode, diagnostics)
 
     records: list[RoundRecord] = []
-    z = final_space = rounds.space
-    final_h = None
+    z = rounds.space
 
     for r, rnd in enumerate(plan.rounds):
         A = len(z)
@@ -510,15 +491,16 @@ def run_teaching_session(
                 required=budget.per_round_budget,
             )
         if kept is None:
-            h, attr_h = rounds.degenerate(A)
+            h = rounds.degenerate(A)
         else:
             # moderation only removes rows: it names rows of the sample, each
             # once and in order, and the learner reads their labels from s
             if not np.all(np.diff(kept, prepend=-1, append=len(s)) > 0):
                 raise ImpactError(f"round {r} subset is not ascending rows of the sample")
             y = s.labels[kept]
-            h, attr_h = rounds.learn(A, kept, y)
-        row = rounds.fill(A, attr_h)
+            h = rounds.learn(A, kept, y)
+        space, z = z, augment(z, h)
+        row = rounds.fill(A, z.hypotheses[-1])
         training_error = 0.0 if kept is None else float(np.mean(row[kept] != y))
 
         records.append(
@@ -528,17 +510,15 @@ def run_teaching_session(
                 rule=rnd.rule.value,
                 subset_size=size,
                 training_error=training_error,
-                candidate_count=rounds.candidates(z),
+                candidate_count=rounds.candidates(space),
                 offset=offset,
-                dont_know=isinstance(h, DontKnowType),
-                **rounds.diagnose(rnd.node, A, attr_h),
+                dont_know=isinstance(h, ReliablePairSet) and h.abstains,
+                **rounds.diagnose(rnd.node, A, z.hypotheses[-1]),
             )
         )
-        final_space = z
-        final_h = h
-        z = augment(z, attr_h)
 
-    classifier = rounds.classifier(space=final_space, final=final_h)
+    # the plan is never empty: h and space are the last round's
+    classifier = rounds.classifier(space=space, final=h)
     # free the training matrix or cube (row is a view of it) before predicting
     del rounds, teacher, row
     preds = classifier.predict_sample(test)

@@ -121,6 +121,8 @@ def moderate(
     round, else None. `concept` is the session's Teacher of `s`, or a concept
     to build one from. An empty selection raises InsufficientDataError."""
     teacher = concept if isinstance(concept, Teacher) else Teacher(concept, s, [node])
+    if s is not teacher.sample:
+        raise InvalidParameterError("the Teacher moderates another sample")
     mask, offset = teacher.mask(node, rule)
     kept = np.flatnonzero(mask)
     if kept.size == 0:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import chain_automaton, vote_circuit
 import impact.cli
+import impact.concepts
 import impact.session
 from impact import build_parity, save_concept
 from impact.cli import main
@@ -310,6 +311,26 @@ def test_verify_counts_undefined_walks(automaton_file, capsys, monkeypatch, exha
     (check,) = json.loads(out)["checks"]
     assert not check["passed"]
     assert check["details"]["undefined"] == 1
+
+
+def test_verify_sampled_strings_are_unlabelled(automaton_file, capsys, monkeypatch):
+    """The sampled automaton check draws unlabelled strings, so a walk that
+    runs out is counted as undefined (exit 1); labelling the draw would stop
+    it with MalformedAutomatonError (exit 2) before the count."""
+    walk = impact.concepts._walk
+
+    def one_undefined(*args):
+        out, arrived = walk(*args)
+        out = out.copy()
+        out[0] = -1
+        return out, arrived
+
+    monkeypatch.setattr(impact.concepts, "_walk", one_undefined)
+    code, out, _ = run_main(capsys, ["verify", "--concept", str(automaton_file)])
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "walks-total-on-sampled-strings"
+    assert check["details"]["undefined"] >= 1
 
 
 def test_verify_equivalent_pair(parity_file, tmp_path, capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from helpers import all_inputs, make_sample, random_strings
 from impact import (
-    DONT_KNOW,
     AdfsaNodeHypothesis,
     AttributeSpace,
     ErrorBudget,
@@ -153,22 +152,25 @@ def tied_attribute_matrices(draw, max_attributes=5, max_rows=12):
     return np.array(rows, dtype=np.uint8), np.array(labels, dtype=np.uint8)
 
 
+def assert_pair_learner_matches_the_reference(V, y):
+    """Best fit is the canonically first minimal candidate. The reliable set
+    is every zero-error candidate, in canonical order; it abstains when
+    there is none, and its primary is the best fit either way."""
+    candidates = reference_pair_candidates(V.shape[0])
+    errors = reference_pair_errors(V, y)
+    best = candidates[errors.index(min(errors))]
+    assert learn_pair_node(V, y) == best
+    out = learn_pair_node(V, y, mode="reliable")
+    assert isinstance(out, ReliablePairSet)
+    assert list(out.members) == [h for h, e in zip(candidates, errors) if e == 0]
+    assert out.abstains == (min(errors) > 0)
+    assert out.primary == best
+
+
 @given(tied_attribute_matrices())
 @settings(max_examples=200, deadline=None)
 def test_pair_learner_matches_the_reference(data):
-    """Best fit is the canonically first minimal candidate and the reliable
-    set is every zero-error candidate, in canonical order."""
-    V, y = data
-    candidates = reference_pair_candidates(V.shape[0])
-    errors = reference_pair_errors(V, y)
-    assert learn_pair_node(V, y) == candidates[errors.index(min(errors))]
-    consistent = [h for h, e in zip(candidates, errors) if e == 0]
-    out = learn_pair_node(V, y, mode="reliable")
-    if consistent:
-        assert isinstance(out, ReliablePairSet)
-        assert list(out.members) == consistent
-    else:
-        assert out is DONT_KNOW
+    assert_pair_learner_matches_the_reference(*data)
 
 
 @given(tied_attribute_matrices(max_attributes=12, max_rows=64))
@@ -176,16 +178,7 @@ def test_pair_learner_matches_the_reference(data):
 def test_pair_learner_matches_the_reference_on_wider_spaces(data):
     """The same check on up to 12 attributes and 64 rows, where duplicate
     rows repeat a first hit across planes and both halves."""
-    V, y = data
-    candidates = reference_pair_candidates(V.shape[0])
-    errors = reference_pair_errors(V, y)
-    assert learn_pair_node(V, y) == candidates[errors.index(min(errors))]
-    consistent = [h for h, e in zip(candidates, errors) if e == 0]
-    out = learn_pair_node(V, y, mode="reliable")
-    if consistent:
-        assert list(out.members) == consistent
-    else:
-        assert out is DONT_KNOW
+    assert_pair_learner_matches_the_reference(*data)
 
 
 def test_best_fit_prefers_and_when_the_or_half_ties_earlier():
@@ -323,20 +316,20 @@ def test_reliable_abstains_where_members_disagree():
     assert out.classify_rows(V)[0] == -1
 
 
-def test_reliable_returns_dont_know_on_contradiction():
+def test_reliable_abstains_everywhere_on_contradiction():
+    """No pair fits contradictory labels: the set has no member, votes -1 on
+    every input, and carries the best-fit pair as its attribute."""
     z = AttributeSpace.pure(2)
     s = make_sample(
         np.array([[1, 0], [1, 0]], dtype=np.uint8),
         np.array([0, 1], dtype=np.uint8),
     )
-    assert learn_pair_node(z.values(s.bits), s.labels, mode="reliable") is DONT_KNOW
-
-
-def test_dont_know_is_a_singleton():
-    from impact.learner import DontKnowType
-
-    assert DontKnowType() is DONT_KNOW
-    assert repr(DONT_KNOW) == "DontKnow"
+    V = z.values(s.bits)
+    out = learn_pair_node(V, s.labels, mode="reliable")
+    assert out.abstains and out.members == ()
+    assert out.primary == learn_pair_node(V, s.labels)
+    assert out.classify_rows(z.values(all_inputs(2))).tolist() == [-1] * 4
+    assert augment(z, out).hypotheses == (out.primary,)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +374,16 @@ def spaces_with_complements(draw):
 # reading that hypothesis twice with different flags, whose complement
 # variants come only from the reference-swapped twin
 @example(case=space_case(1, [("and", 0, False, 0, False)], [[0], [1]], [0, 0]), mode="reliable")
-# contradictory labels: reliable abstains, and the best-fit fallback maps back
+# contradictory labels: reliable abstains, and its primary maps back
 @example(case=space_case(2, [("and", 0, False, 1, False)], [[1, 0], [1, 0]], [0, 1]), mode="reliable")
 @settings(max_examples=300, deadline=None)
 def test_learning_on_hypothesis_rows_maps_back_to_the_full_layout(case, mode):
     """learn_pair_node on the base and hypothesis rows, with their base_count,
-    equals learn_pair_node on every row, complements included;
-    so does the best-fit fallback of an abstaining reliable round. Columns
-    sorted negatives first, as a session passes them, change nothing."""
+    equals learn_pair_node on every row, complements included, up to the
+    reliable members that read a complement: each has a member twin with the
+    same values, so the votes and the primary, abstaining or not, are the
+    same. Columns sorted negatives first, as a session passes them, change
+    nothing."""
     z, V, y = case
     n = z.base_count
     rows = V[np.r_[0:n, n : len(z) : 2]]
@@ -398,13 +393,17 @@ def test_learning_on_hypothesis_rows_maps_back_to_the_full_layout(case, mode):
         learn_pair_node(rows, y, mode, base_count=n),
         learn_pair_node(rows[:, order], y[order], mode, base_count=n),
     ):
-        if isinstance(expected, ReliablePairSet):
-            assert isinstance(got, ReliablePairSet)
-            assert got.members == expected.members
-        else:
+        if mode == "best-fit":
             assert got == expected
-    if expected is DONT_KNOW:
-        assert learn_pair_node(rows, y, base_count=n) == learn_pair_node(V, y)
+            continue
+        reads_hypotheses = [
+            h
+            for h in expected.members
+            if all(j < n or (j - n) % 2 == 0 for j in (h.left_attr, h.right_attr))
+        ]
+        assert got.members == tuple(reads_hypotheses)
+        assert got.primary == expected.primary
+        assert np.array_equal(got.classify_rows(V), expected.classify_rows(V))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from impact import (
     rng_from,
     stable_entropy,
 )
+from impact.sampling import draw_inputs
 from helpers import all_inputs
 
 
@@ -49,6 +50,23 @@ def test_zero_m_rejected():
     d = Distribution.uniform(4, 0)
     with pytest.raises(InvalidParameterError):
         draw_sample(d, build_parity(4, (0,)), 0)
+
+
+def test_draw_inputs_are_the_sample_without_labels():
+    """draw_inputs makes the rng calls draw_sample makes, so the sample is
+    those inputs labelled, for every kind of distribution and stream."""
+    g, a = build_parity(4, (0, 2)), chain_automaton()
+    for d, concept in [
+        (Distribution.uniform(4, 3), g),
+        (Distribution.product((0.9, 0.1, 0.5, 1.0), 5), g),
+        (Distribution.strings_for(a, 7), a),
+    ]:
+        for stream in (0, "train"):
+            s = draw_sample(d, concept, 50, stream=stream)
+            bits, lengths = draw_inputs(d, 50, stream=stream)
+            assert np.array_equal(bits, s.bits) and np.array_equal(lengths, s.lengths)
+    with pytest.raises(InvalidParameterError):
+        draw_inputs(Distribution.uniform(4, 0), 0)
 
 
 def test_single_literal_label_frequency():

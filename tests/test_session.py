@@ -25,6 +25,7 @@ from impact import (
     Literal,
     PairHypothesis,
     RejectState,
+    ReliablePairSet,
     augment,
     build_parity,
     draw_sample,
@@ -467,16 +468,17 @@ def test_diagnostics_flag_suppresses_extras():
 
 @pytest.mark.parametrize("mode", ["best-fit", "reliable"])
 def test_pair_rounds_learn_on_base_and_hypothesis_rows(monkeypatch, mode):
-    """No round's attribute pair reads a complement attribute, which is what
-    lets pair rounds keep only the n base rows and one row per round; the
-    reported candidate counts still describe the full canonical space."""
+    """No round's pair, and no member of a round's reliable set, reads a
+    complement attribute, which is what lets pair rounds keep only the n base
+    rows and one row per round; the reported candidate counts still describe
+    the full canonical space."""
     learned = []
     learn = impact.session._PairRounds.learn
 
     def recording(self, A, kept, y):
-        h, attr_h = learn(self, A, kept, y)
-        learned.append((self.V.shape[0], attr_h))
-        return h, attr_h
+        h = learn(self, A, kept, y)
+        learned.append((self.V.shape[0], h))
+        return h
 
     monkeypatch.setattr(impact.session._PairRounds, "learn", recording)
     n = 6
@@ -486,8 +488,37 @@ def test_pair_rounds_learn_on_base_and_hypothesis_rows(monkeypatch, mode):
         report = run_teaching_session(g, Distribution.uniform(n, seed), 300, mode=mode)
         R = len(report.rounds)
         assert learned and all(rows == n + R for rows, _ in learned)
-        pairs = [attr_h for _, attr_h in learned] + list(report.classifier.space.hypotheses)
+        pairs = list(report.classifier.space.hypotheses)
+        for _, h in learned:
+            pairs += [h.primary, *h.members] if isinstance(h, ReliablePairSet) else [h]
         assert all(j < n or (j - n) % 2 == 0 for h in pairs for j in (h.left_attr, h.right_attr))
         assert [r.candidate_count for r in report.rounds] == [
             pair_space_size(n + 2 * r) for r in range(R)
         ]
+
+
+@pytest.mark.parametrize("mode", ["best-fit", "reliable"])
+def test_a_fed_pair_round_calls_the_learner_once(monkeypatch, mode):
+    """Every round with moderated data calls learn_pair_node once, and a
+    starved round not at all. In reliable mode round 3 abstains in both
+    sessions: starved in the first, fed in the second, where its set carries
+    the best-fit pair that becomes the round's attribute."""
+    calls = []
+    learn = impact.session.learn_pair_node
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return learn(*args, **kwargs)
+
+    monkeypatch.setattr(impact.session, "learn_pair_node", counting)
+    sessions = [
+        (random_dag(10, 40, seed=18), Distribution.uniform(10, 5), 30, 0),
+        (random_dag(8, 30, seed=53), Distribution.uniform(8, 53), 60, 60),
+    ]
+    for g, d, m, abstaining_size in sessions:
+        calls.clear()
+        report = run_teaching_session(g, d, m, mode=mode)
+        fed = [r for r in report.rounds if r.subset_size > 0]
+        assert len(calls) == len(fed)
+        abstaining = [(r.index, r.subset_size) for r in report.rounds if r.dont_know]
+        assert abstaining == ([(3, abstaining_size)] if mode == "reliable" else [])

@@ -105,6 +105,19 @@ def test_tampered_labels_rejected():
         moderate(a, a.start, s, ModerationRule.OFFSET_PARTITION)
 
 
+def test_a_teacher_moderates_only_its_own_sample():
+    """A Teacher holds one sample's node values, so indices it returns name
+    rows of that sample; a different sample, even a slice of it, is refused."""
+    g = push_negations_to_leaves(build_parity(6, (0, 2, 5)))
+    s = draw_sample(Distribution.uniform(6, 3), g, 60)
+    teacher = Teacher(g, s, [g.root])
+    part = make_sample(s.bits[:20], s.labels[:20])
+    with pytest.raises(InvalidParameterError):
+        moderate(teacher, g.root, part, ModerationRule.RELEVANT_FILTER)
+    kept, _ = moderate(teacher, g.root, s, ModerationRule.RELEVANT_FILTER)
+    assert np.array_equal(kept, moderate(g, g.root, s, ModerationRule.RELEVANT_FILTER)[0])
+
+
 def test_empty_subset_raises_with_context():
     g = and_dag()
     # only blocked rows: x1 = 0 everywhere
