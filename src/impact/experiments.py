@@ -34,6 +34,11 @@ MEAN_TRIAL = -1
 STDDEV_TRIAL = -2
 
 
+def _check_kind(kind) -> None:
+    if kind not in ("m", "k"):
+        raise ConfigError(f"kind must be 'm' or 'k', got {kind!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     name: str
@@ -50,8 +55,7 @@ class SweepConfig:
     out_dir: str = "sweep-out"
 
     def __post_init__(self):
-        if self.kind not in ("m", "k"):
-            raise ConfigError(f"kind must be 'm' or 'k', got {self.kind!r}")
+        _check_kind(self.kind)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.n < 1:
@@ -92,17 +96,14 @@ def config_from_dict(raw: dict) -> SweepConfig:
         raise ConfigError("config must be a JSON object")
     try:
         kind = raw["kind"]
-        if kind == "m":
-            values = raw["m_values"]
-            subset = raw["subset"]
-            fixed_m = None
-        else:
-            values = raw["k_values"]
-            subset = None
-            fixed_m = raw.get("m", 75)
+        # the kind decides which fields to read
+        _check_kind(kind)
+        values = raw[f"{kind}_values"]
+        subset = raw["subset"] if kind == "m" else None
+        fixed_m = raw.get("m", 75) if kind == "k" else None
         return SweepConfig(
             name=str(raw["name"]),
-            kind=str(kind),
+            kind=kind,
             n=json_int(raw["n"]),
             trials=json_int(raw["trials"]),
             seed=json_int(raw["seed"]),

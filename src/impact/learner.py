@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .concepts import as_bit_matrix, as_string_batch, select_outputs, string_rows
-from .errors import InvalidParameterError, UndefinedMetricError
+from .errors import InvalidParameterError
 
 AND = "and"
 OR = "or"
@@ -227,31 +227,6 @@ def sample_budget(epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Total error budget split evenly across the concept's teachable nodes."""
-
-    epsilon_total: float
-    delta: float
-    node_count: int
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon_total < 1.0):
-            raise InvalidParameterError("epsilon_total must lie in (0, 1)")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidParameterError("delta must lie in (0, 1)")
-        if self.node_count < 1:
-            raise InvalidParameterError("node_count must be at least 1")
-
-    @property
-    def epsilon_per_node(self) -> float:
-        return self.epsilon_total / self.node_count
-
-    @property
-    def per_round_budget(self) -> int:
-        return sample_budget(self.epsilon_per_node, self.delta)
-
-
 # ---------------------------------------------------------------------------
 # Pair learning
 # ---------------------------------------------------------------------------
@@ -305,15 +280,6 @@ def _canonical_hypotheses(op, ln, rn, left, right) -> list[PairHypothesis]:
     return [PairHypothesis(OR if o else AND, *h) for o, *h in zip(*(c.tolist() for c in cols))]
 
 
-def canonical_first_pair() -> PairHypothesis:
-    """First candidate in canonical order: the identity on attribute 0.
-
-    Every candidate fits an empty round equally well, so this is what
-    best-fit degenerates to when moderation leaves nothing behind.
-    """
-    return PairHypothesis(AND, 0, False, 0, False)
-
-
 def learn_pair_node(
     V: np.ndarray, y: np.ndarray, mode: str = "best-fit", *, base_count: int | None = None
 ) -> PairHypothesis | ReliablePairSet:
@@ -344,12 +310,15 @@ def learn_pair_node(
     such pair's twin is a member with the same values, so the set's votes
     and its primary are those of the full layout. Reports and candidate
     counts still describe the full canonical space.
+
+    On an empty sample every count is 0, so best-fit returns the canonically
+    first pair, and(0, 0) un-negated. The reliable set abstains with that
+    pair as its primary: every pair fits no rows, and a pair and its
+    negation disagree on every input, so all of them would abstain too.
     """
     if mode not in ("best-fit", "reliable"):
         raise InvalidParameterError(f"unknown learning mode {mode!r}")
     A, m = V.shape
-    if m == 0:
-        raise UndefinedMetricError("cannot learn from an empty sample")
     n = A if base_count is None else base_count
     P = _and_planes(V, y)
     low, high = P.min(), P.max()
@@ -361,6 +330,8 @@ def learn_pair_node(
     best = PairHypothesis(OR if is_or else AND, left, bool(k >> 1), right, bool(k & 1))
     if mode == "best-fit":
         return best
+    if m == 0:
+        return ReliablePairSet(best, ())
     zeros, fulls = np.flatnonzero(P == 0), np.flatnonzero(P == m)
     op = np.repeat([0, 1], [zeros.size, fulls.size])
     ks, lefts, rights = np.unravel_index(np.concatenate([zeros, fulls]), (4, A, A))
@@ -403,10 +374,9 @@ def learn_threshold_node(
     every partial sum of a margin within (A + 1)(t + m). Each epoch passes
     that bound to exact_float_dtype, and the arrays move to float64 once, for
     the rest of the run, when it passes 2**24. Weights and threshold are
-    returned as float64.
+    returned as float64. An empty sample makes no mistake, so it gets the
+    starting point: zero weights and threshold 0.0.
     """
-    if V.shape[1] == 0:
-        raise UndefinedMetricError("cannot learn from an empty sample")
     A, m = V.shape
     pos = y == 1
     dtype = exact_float_dtype((A + 1) * m)
@@ -485,16 +455,16 @@ def learn_adfsa_node(
     labels: every (attribute, side, offset) count at once, in chunks of
     attributes, and nothing outside the round counts. Because agreement
     splits over the examined bit, the two children are chosen independently,
-    and ties resolve to the lower offset then lower attribute indices.
+    and ties resolve to the lower offset then lower attribute indices. With
+    no columns every count is 0, so the step is (offset 0, on0 0, on1 0).
     """
-    if len(columns) == 0:
-        raise UndefinedMetricError("cannot learn from an empty sample")
     A, width = agree.shape[0], bits.shape[0]
     live = np.zeros(bits.shape, dtype=bool)
     live[:, columns] = inside[:, columns] == 1
     sides = _packed_words(np.stack([live & (bits == 0), live & (bits == 1)]))
     counts = np.empty((A, 2, width), dtype=np.int64)
-    chunk = max(1, _CHUNK_BYTES // sides.nbytes)
+    # a cube of no strings packs into no words
+    chunk = max(1, _CHUNK_BYTES // max(1, sides.nbytes))
     for start in range(0, A, chunk):
         block = agree[start : start + chunk, None, 1:] & sides
         counts[start : start + chunk] = np.bitwise_count(block).sum(axis=-1)

@@ -36,20 +36,19 @@ from .errors import (
 from .learner import (
     AdfsaNodeHypothesis,
     AttributeSpace,
-    ErrorBudget,
     PairHypothesis,
     PerceptronHypothesis,
     ReliablePairSet,
     adfsa_candidate_count,
     agreement_bits,
     augment,
-    canonical_first_pair,
     fill_bit_rows,
     fill_step_rows,
     learn_adfsa_node,
     learn_pair_node,
     learn_threshold_node,
     pair_space_size,
+    sample_budget,
 )
 from .plan import ModerationRule, RoundPlan, default_rule, postfix_order
 from .sampling import Distribution, Sample, draw_sample
@@ -354,10 +353,6 @@ class _PairRounds(_BitRounds):
     def candidates(self, z: AttributeSpace) -> int:
         return pair_space_size(len(z))
 
-    def degenerate(self, A: int):
-        h = canonical_first_pair()
-        return ReliablePairSet(h, ()) if self.mode == "reliable" else h
-
     def learn(self, A: int, kept: np.ndarray, y: np.ndarray):
         n = self.space.base_count
         # negative rows first: the learner's label split is then two views
@@ -377,9 +372,6 @@ class _ThresholdRounds(_BitRounds):
 
     def candidates(self, z: AttributeSpace) -> int:
         return 0
-
-    def degenerate(self, A: int):
-        return PerceptronHypothesis(weights=np.zeros(A, dtype=np.float64), threshold=0.0)
 
     def learn(self, A: int, kept: np.ndarray, y: np.ndarray):
         return learn_threshold_node(self.V[:A, kept], y)
@@ -408,10 +400,6 @@ class _AutomatonRounds:
     def candidates(self, z: AttributeSpace) -> int:
         return adfsa_candidate_count(z, self.n)
 
-    def degenerate(self, A: int):
-        # the first step in the learner's tie order
-        return AdfsaNodeHypothesis(offset=0, on0=0, on1=0)
-
     def learn(self, A: int, kept: np.ndarray, y: np.ndarray):
         return learn_adfsa_node(self.agree[:A], self.string_bits, self.inside, kept)
 
@@ -428,7 +416,7 @@ class _AutomatonRounds:
         return AutomatonClassifier(space=space, final=final, n=self.n)
 
 
-# The rounds of each concept kind. degenerate and learn return the round's hypothesis;
+# The rounds of each concept kind. learn returns the round's hypothesis;
 # augment knows its attribute, which for a reliable pair set is the set's primary.
 _ROUNDS = {ConceptDag: _PairRounds, ThresholdCircuit: _ThresholdRounds, Adfsa: _AutomatonRounds}
 
@@ -437,7 +425,6 @@ def run_teaching_session(
     concept: Concept,
     d: Distribution,
     m: int,
-    budget: ErrorBudget | None = None,
     mode: str = "best-fit",
     moderation: ModerationRule | None = None,
     *,
@@ -449,8 +436,9 @@ def run_teaching_session(
 
     The sample is drawn once up front; each round sees only its moderated
     subset. With enforce_budget the session aborts when a round's subset
-    falls below the per-round budget; otherwise a round left with no data
-    keeps the canonical degenerate hypothesis and the session continues.
+    falls below the per-round budget, sample_budget(0.05 / rounds, 0.05);
+    otherwise a round left with no data learns on no rows, which gives each
+    learner's first candidate, and the session continues.
     Everything is deterministic given (concept, distribution, m, mode).
     """
     if mode not in ("best-fit", "reliable"):
@@ -461,8 +449,8 @@ def run_teaching_session(
     taught = push_negations_to_leaves(concept) if isinstance(concept, ConceptDag) else concept
     rule = moderation if moderation is not None else default_rule(taught)
     plan = postfix_order(taught, rule)
-    if budget is None:
-        budget = ErrorBudget(epsilon_total=0.05, delta=0.05, node_count=len(plan))
+    # a total error of 0.05 split evenly over the rounds, at confidence 0.95
+    required = sample_budget(0.05 / len(plan), 0.05)
 
     s = draw_sample(d, concept, m, stream=TRAIN_STREAM)
     test = draw_sample(d, concept, test_size, stream=TEST_STREAM)
@@ -477,31 +465,28 @@ def run_teaching_session(
         try:
             kept, offset = moderate(teacher, rnd.node, s, rnd.rule)
         except InsufficientDataError:
-            # no admissible data: every candidate fits equally well, so the
-            # round degenerates instead of aborting, unless the budget is enforced
-            kept, offset = None, None
-        size = 0 if kept is None else len(kept)
-        if enforce_budget and size < budget.per_round_budget:
+            # no admissible data: unless the budget is enforced, the round
+            # learns on no rows, where every candidate fits equally well
+            kept, offset = np.empty(0, dtype=np.intp), None
+        size = len(kept)
+        if enforce_budget and size < required:
             raise InsufficientDataError(
                 f"round {r} starved: its moderated subset has {size} examples, "
-                f"needs {budget.per_round_budget}",
+                f"needs {required}",
                 node=rnd.node,
                 round_index=r,
                 subset_size=size,
-                required=budget.per_round_budget,
+                required=required,
             )
-        if kept is None:
-            h = rounds.degenerate(A)
-        else:
-            # moderation only removes rows: it names rows of the sample, each
-            # once and in order, and the learner reads their labels from s
-            if not np.all(np.diff(kept, prepend=-1, append=len(s)) > 0):
-                raise ImpactError(f"round {r} subset is not ascending rows of the sample")
-            y = s.labels[kept]
-            h = rounds.learn(A, kept, y)
+        # moderation only removes rows: it names rows of the sample, each
+        # once and in order, and the learner reads their labels from s
+        if not np.all(np.diff(kept, prepend=-1, append=len(s)) > 0):
+            raise ImpactError(f"round {r} subset is not ascending rows of the sample")
+        y = s.labels[kept]
+        h = rounds.learn(A, kept, y)
         space, z = z, augment(z, h)
         row = rounds.fill(A, z.hypotheses[-1])
-        training_error = 0.0 if kept is None else float(np.mean(row[kept] != y))
+        training_error = float(np.mean(row[kept] != y)) if size else 0.0
 
         records.append(
             RoundRecord(

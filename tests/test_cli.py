@@ -252,6 +252,18 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert code == 2
 
 
+def test_sweep_names_an_unknown_kind(tmp_path, capsys):
+    """An unknown kind is reported as such, not as a missing field of
+    another kind."""
+    cfg = sweep_config(tmp_path, kind="x")
+    code, _, err = run_main(
+        capsys, ["sweep", "--mode", "m", "--config", str(cfg), "--out", str(tmp_path / "y")]
+    )
+    assert code == 2
+    assert err.startswith("error:") and "kind must be 'm' or 'k', got 'x'" in err
+    assert "k_values" not in err
+
+
 @pytest.mark.parametrize(
     "content",
     [b"\xff\xfe{}", b'{"name": "x", "kind": "m", "n": ' + b"9" * 5000 + b"}"],

@@ -12,13 +12,11 @@ from helpers import all_inputs, make_sample, random_strings
 from impact import (
     AdfsaNodeHypothesis,
     AttributeSpace,
-    ErrorBudget,
     InputShapeError,
     InvalidParameterError,
     PairHypothesis,
     PerceptronHypothesis,
     ReliablePairSet,
-    UndefinedMetricError,
     augment,
     learn_adfsa_node,
     learn_pair_node,
@@ -269,13 +267,6 @@ def test_parity_defeats_every_pair():
     s = table_sample(4, lambda row: int(row.sum()) % 2)
     h = learn_pair_node(z.values(s.bits), s.labels)
     assert np.mean(h.evaluate_rows(z.values(s.bits)) != s.labels) >= 0.25
-
-
-def test_empty_sample_rejected():
-    z = AttributeSpace.pure(2)
-    s = make_sample(np.zeros((0, 2), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
-    with pytest.raises(UndefinedMetricError):
-        learn_pair_node(z.values(s.bits), s.labels)
 
 
 def test_unknown_mode_rejected():
@@ -548,14 +539,6 @@ def test_budget_rejects_degenerate_parameters(eps, delta):
         sample_budget(eps, delta)
 
 
-def test_error_budget_splits_evenly():
-    budget = ErrorBudget(epsilon_total=0.3, delta=0.05, node_count=3)
-    assert budget.epsilon_per_node == pytest.approx(0.1)
-    assert budget.per_round_budget == sample_budget(0.1, 0.05)
-    with pytest.raises(InvalidParameterError):
-        ErrorBudget(epsilon_total=0.3, delta=0.05, node_count=0)
-
-
 # ---------------------------------------------------------------------------
 # Threshold learning
 # ---------------------------------------------------------------------------
@@ -604,13 +587,6 @@ def test_perceptron_pocket_survives_nonseparable_labels():
     V = z.values(s.bits)
     err = float(np.mean(h.evaluate_rows(V) != s.labels))
     assert err <= 0.5
-
-
-def test_perceptron_empty_sample_rejected():
-    z = AttributeSpace.pure(2)
-    s = make_sample(np.zeros((0, 2), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
-    with pytest.raises(UndefinedMetricError):
-        learn_threshold_node(z.values(s.bits), s.labels)
 
 
 @st.composite
@@ -770,15 +746,35 @@ def test_adfsa_candidate_count():
     assert adfsa_candidate_count(z, width=5) == 5 * 4 * 4
 
 
-def test_adfsa_empty_sample_rejected():
-    z = AttributeSpace.terminals()
-    s = make_sample(
-        np.zeros((0, 2), dtype=np.uint8),
-        np.zeros(0, dtype=np.uint8),
-        lengths=np.zeros(0, dtype=np.int64),
-    )
-    with pytest.raises(UndefinedMetricError):
-        learn_adfsa_node(*cube_of(z, s), np.arange(len(s)))
+def test_every_learner_returns_its_first_candidate_on_an_empty_sample():
+    """On no rows every candidate fits equally well, so each learner returns
+    the first candidate in its own tie order: the pair that minimises the
+    reference counts first (a reliable set abstains with it as its primary),
+    the perceptron's zero starting point, and the reference's automaton
+    step, also when the cube holds strings outside the round."""
+    for A, base_count in ((1, None), (4, None), (5, 3)):
+        V = np.zeros((A, 0), dtype=np.uint8)
+        y = np.zeros(0, dtype=np.uint8)
+        first = reference_pair_candidates(A)[0]
+        assert int(np.argmin(reference_pair_errors(V, y))) == 0
+        for mode in ("best-fit", "reliable"):
+            h = learn_pair_node(V, y, mode, base_count=base_count)
+            if mode == "reliable":
+                assert h.abstains
+                h = h.primary
+            assert h == first
+        gate = learn_threshold_node(V, y)
+        assert gate.weights.dtype == np.float64 and gate.weights.tolist() == [0.0] * A
+        assert type(gate.threshold) is float and gate.threshold == 0.0
+
+    z = augment(AttributeSpace.terminals(), AdfsaNodeHypothesis(offset=1, on0=1, on1=0))
+    empty = make_sample(np.zeros((0, 3)), np.zeros(0), lengths=np.zeros(0))
+    step = reference_adfsa_node(z.eval_table(empty.bits, empty.lengths), empty)
+    assert step == AdfsaNodeHypothesis(offset=0, on0=0, on1=0)
+    assert learn_adfsa_node(*cube_of(z, empty), np.arange(0)) == step
+    bits, lengths = random_strings(np.random.default_rng(3), 20, 3)
+    s = make_sample(bits, np.arange(20) % 2, lengths)
+    assert learn_adfsa_node(*cube_of(z, s), np.empty(0, dtype=np.intp)) == step
 
 
 @st.composite

@@ -19,6 +19,7 @@ from impact import (
     ConceptDag,
     DagClassifier,
     Distribution,
+    Gate,
     ImpactError,
     InsufficientDataError,
     InvalidParameterError,
@@ -26,6 +27,8 @@ from impact import (
     PairHypothesis,
     RejectState,
     ReliablePairSet,
+    ThresholdCircuit,
+    Wire,
     augment,
     build_parity,
     draw_sample,
@@ -35,6 +38,7 @@ from impact import (
     pair_space_size,
     push_negations_to_leaves,
     run_teaching_session,
+    sample_budget,
 )
 import impact.concepts
 import impact.session
@@ -298,15 +302,15 @@ def test_session_value_cube_matches_the_reference(n, branches, seed, m, chain):
     whole = reference_eval_table(z, s.bits, s.lengths)
     assert np.array_equal(z.eval_table(s.bits, s.lengths), whole)
     string_bits, inside = string_rows(s.bits, s.lengths)
-    fed = [(r, 2 + 2 * r.index) for r in report.rounds if r.subset_size > 0]
-    assert len(fed) == len(cubes) == len(calls)
-    for (record, row), table, (agree, bits, ins, columns) in zip(fed, cubes, calls):
+    rows = [(r, 2 + 2 * r.index) for r in report.rounds]
+    assert len(rows) == len(cubes) == len(calls)
+    for (record, row), table, (agree, bits, ins, columns) in zip(rows, cubes, calls):
         assert np.array_equal(table, whole[: len(table)])
         assert np.array_equal(agree, agreement_bits(whole[: len(table)], s.labels))
         assert np.array_equal(bits, string_bits) and np.array_equal(ins, inside)
         step, _ = z.learned(row)
         wrong = whole[row, step.offset, columns] != s.labels[columns]
-        assert record.training_error == float(np.mean(wrong))
+        assert record.training_error == (float(np.mean(wrong)) if len(columns) else 0.0)
 
 
 def test_enforce_budget_aborts_small_samples():
@@ -316,7 +320,9 @@ def test_enforce_budget_aborts_small_samples():
         run_teaching_session(g, d, 10, enforce_budget=True)
     err = info.value
     assert err.round_index == 0
-    assert err.required > 10
+    # a total error of 0.05 split evenly over the taught rounds
+    rounds = len(postfix_order(push_negations_to_leaves(g)))
+    assert err.required == sample_budget(0.05 / rounds, 0.05)
     assert err.subset_size <= 10
 
 
@@ -343,13 +349,31 @@ def test_enforced_starvation_reports_which_node():
 
 
 def test_unenforced_starvation_degenerates_and_continues():
-    """Without budget enforcement an empty round keeps the canonical
-    fallback hypothesis and the session still produces a classifier."""
+    """Without budget enforcement an empty round learns on no rows and the
+    session still produces a classifier."""
     g, d = starving_concept()
     report = run_teaching_session(g, d, 40)
     assert report.rounds[0].subset_size == 0
     assert report.attribute_count == 3 + 2 * len(report.rounds)
     assert 0.0 <= report.test_accuracy <= 1.0
+
+
+def test_a_starved_threshold_round_learns_zero_weights():
+    """The inner gate matters only where bit 2 is 1, which the distribution
+    almost never draws: its round learns on no rows and keeps the
+    perceptron's starting point, zero weights and threshold 0.0."""
+    inner = Gate(threshold=2, inputs=(Wire("bit", 0), Wire("bit", 1)))
+    outer = Gate(threshold=2, inputs=(Wire("gate", 0), Wire("bit", 2)))
+    c = ThresholdCircuit(gates=(inner, outer), root=1, n=3)
+    report = run_teaching_session(c, Distribution.product([0.5, 0.5, 1e-12], seed=4), 40)
+    starved = report.rounds[0]
+    assert starved.subset_size == 0 and starved.training_error == 0.0
+    gate = report.classifier.space.hypotheses[0]
+    assert gate.weights.tolist() == [0.0, 0.0, 0.0] and gate.threshold == 0.0
+    assert report.to_json_dict()["model"]["rounds"][0] == {
+        "weights": [0.0, 0.0, 0.0],
+        "threshold": 0.0,
+    }
 
 
 @pytest.mark.parametrize(
@@ -498,9 +522,9 @@ def test_pair_rounds_learn_on_base_and_hypothesis_rows(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["best-fit", "reliable"])
-def test_a_fed_pair_round_calls_the_learner_once(monkeypatch, mode):
-    """Every round with moderated data calls learn_pair_node once, and a
-    starved round not at all. In reliable mode round 3 abstains in both
+def test_every_pair_round_calls_the_learner_once(monkeypatch, mode):
+    """Every round, fed or starved, calls learn_pair_node once: a starved
+    round learns on no rows. In reliable mode round 3 abstains in both
     sessions: starved in the first, fed in the second, where its set carries
     the best-fit pair that becomes the round's attribute."""
     calls = []
@@ -518,7 +542,6 @@ def test_a_fed_pair_round_calls_the_learner_once(monkeypatch, mode):
     for g, d, m, abstaining_size in sessions:
         calls.clear()
         report = run_teaching_session(g, d, m, mode=mode)
-        fed = [r for r in report.rounds if r.subset_size > 0]
-        assert len(calls) == len(fed)
+        assert len(calls) == len(report.rounds)
         abstaining = [(r.index, r.subset_size) for r in report.rounds if r.dont_know]
         assert abstaining == ([(3, abstaining_size)] if mode == "reliable" else [])
