@@ -269,6 +269,20 @@ def test_parity_defeats_every_pair():
     assert np.mean(h.evaluate_rows(z.values(s.bits)) != s.labels) >= 0.25
 
 
+def test_pair_learner_returns_its_first_candidate_on_an_empty_sample():
+    """On no rows every pair fits equally well, so best-fit returns the pair
+    that minimises the reference counts first, and a reliable set abstains
+    with that pair as its primary."""
+    for A, base_count in ((1, None), (4, None), (5, 3)):
+        V = np.zeros((A, 0), dtype=np.uint8)
+        y = np.zeros(0, dtype=np.uint8)
+        first = reference_pair_candidates(A)[0]
+        assert int(np.argmin(reference_pair_errors(V, y))) == 0
+        assert learn_pair_node(V, y, "best-fit", base_count=base_count) == first
+        h = learn_pair_node(V, y, "reliable", base_count=base_count)
+        assert h.abstains and h.primary == first
+
+
 def test_unknown_mode_rejected():
     z = AttributeSpace.pure(2)
     s = table_sample(2, lambda row: row[0])
@@ -589,6 +603,16 @@ def test_perceptron_pocket_survives_nonseparable_labels():
     assert err <= 0.5
 
 
+def test_perceptron_returns_its_starting_point_on_an_empty_sample():
+    """An empty sample makes no mistake, so the perceptron keeps its
+    starting point: zero float64 weights and threshold 0.0."""
+    for A in (1, 4, 5):
+        y = np.zeros(0, dtype=np.uint8)
+        gate = learn_threshold_node(np.zeros((A, 0), dtype=np.uint8), y)
+        assert gate.weights.dtype == np.float64 and gate.weights.tolist() == [0.0] * A
+        assert type(gate.threshold) is float and gate.threshold == 0.0
+
+
 @st.composite
 def perceptron_problems(draw):
     """Attribute rows, labels and an epoch cap for the perceptron. Sizes run
@@ -746,27 +770,10 @@ def test_adfsa_candidate_count():
     assert adfsa_candidate_count(z, width=5) == 5 * 4 * 4
 
 
-def test_every_learner_returns_its_first_candidate_on_an_empty_sample():
-    """On no rows every candidate fits equally well, so each learner returns
-    the first candidate in its own tie order: the pair that minimises the
-    reference counts first (a reliable set abstains with it as its primary),
-    the perceptron's zero starting point, and the reference's automaton
-    step, also when the cube holds strings outside the round."""
-    for A, base_count in ((1, None), (4, None), (5, 3)):
-        V = np.zeros((A, 0), dtype=np.uint8)
-        y = np.zeros(0, dtype=np.uint8)
-        first = reference_pair_candidates(A)[0]
-        assert int(np.argmin(reference_pair_errors(V, y))) == 0
-        for mode in ("best-fit", "reliable"):
-            h = learn_pair_node(V, y, mode, base_count=base_count)
-            if mode == "reliable":
-                assert h.abstains
-                h = h.primary
-            assert h == first
-        gate = learn_threshold_node(V, y)
-        assert gate.weights.dtype == np.float64 and gate.weights.tolist() == [0.0] * A
-        assert type(gate.threshold) is float and gate.threshold == 0.0
-
+def test_adfsa_learner_returns_its_first_step_on_an_empty_sample():
+    """With no columns every count is 0, so the automaton learner returns
+    the reference's step, (offset 0, on0 0, on1 0), also when the cube
+    holds strings outside the round."""
     z = augment(AttributeSpace.terminals(), AdfsaNodeHypothesis(offset=1, on0=1, on1=0))
     empty = make_sample(np.zeros((0, 3)), np.zeros(0), lengths=np.zeros(0))
     step = reference_adfsa_node(z.eval_table(empty.bits, empty.lengths), empty)
