@@ -246,14 +246,19 @@ def exact_float_dtype(bound: int) -> type:
     return np.float32 if bound <= 2**24 else np.float64
 
 
+def _label_split(V: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of V (A, m) with label 0 and those with label 1. Labels
+    sorted negatives first split into two views; other labels need a gather."""
+    pos = y == 1
+    m0 = len(y) - int(np.count_nonzero(pos))
+    return (V[:, :m0], V[:, m0:]) if not pos[:m0].any() else (V[:, ~pos], V[:, pos])
+
+
 def _and_planes(V: np.ndarray, y: np.ndarray) -> np.ndarray:
     """learn_pair_node's and counts on attribute rows V (A, m) and labels y."""
     A, m = V.shape
-    pos = y == 1
-    m1 = int(np.count_nonzero(pos))
-    m0 = m - m1
-    # labels sorted negatives first split into two views; other labels need a gather
-    F0, F1 = (V[:, :m0], V[:, m0:]) if not pos[:m0].any() else (V[:, ~pos], V[:, pos])
+    F0, F1 = _label_split(V, y)
+    m0, m1 = F0.shape[1], F1.shape[1]
     # every value below is a row count or a difference of two: at most m
     dtype = exact_float_dtype(m)
     F0, F1 = F0.astype(dtype), F1.astype(dtype)
@@ -269,6 +274,16 @@ def _and_planes(V: np.ndarray, y: np.ndarray) -> np.ndarray:
     np.subtract(both, ones[None, :], out=P[1, 1])
     P[1, 1] += (m0 - ones)[:, None]
     return P
+
+
+def _zero_error_rows(V: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ascending rows of V (A, m) that can join a zero-error pair: those
+    constant on the label-1 columns or constant on the label-0 columns."""
+    keep = np.zeros(len(V), dtype=bool)
+    for F in _label_split(V, y):
+        ones = F.sum(axis=1, dtype=np.int32)
+        keep |= (ones == 0) | (ones == F.shape[1])
+    return np.flatnonzero(keep)
 
 
 def _canonical_hypotheses(op, ln, rn, left, right) -> list[PairHypothesis]:
@@ -298,6 +313,15 @@ def learn_pair_node(
     That is the order _canonical_hypotheses sorts by, so when the set has
     members the minimum is 0 and the best-fit pair is its first member.
 
+    The planes are built first over the rows S that can join a zero-error
+    pair (_zero_error_rows). An and pair with count 0 has both literals 1 on
+    every positive, so both its rows are constant on the positives; an and
+    plane entry with count m, an or pair with no error, has both literals 1
+    on every negative. So when S's planes hold a 0 or an m, the minimum is 0
+    and every hit, and every member, lies in S x S. S is ascending, so the
+    first hit in its order is the first overall, and each index maps through
+    S. Otherwise, and when S is empty, the planes are built over every row.
+
     With base_count, V holds the base_count base rows and then one row per
     learned hypothesis, with no complement rows, and the result is stated in
     the full attribute layout: hypothesis row base_count + r is attribute
@@ -320,13 +344,19 @@ def learn_pair_node(
         raise InvalidParameterError(f"unknown learning mode {mode!r}")
     A, m = V.shape
     n = A if base_count is None else base_count
-    P = _and_planes(V, y)
+    rows = _zero_error_rows(V, y)
+    P = _and_planes(V[rows], y)
+    if not ((P == 0).any() or (P == m).any()):
+        # no zero-error pair, or no rows to hold one: every pair competes
+        rows = np.arange(A)
+        P = _and_planes(V, y)
+    a = len(rows)
     low, high = P.min(), P.max()
     is_or = bool(low > m - high)
-    hits = (P == (high if is_or else low)).reshape(4, A * A)[:: -1 if is_or else 1]
+    hits = (P == (high if is_or else low)).reshape(4, a * a)[:: -1 if is_or else 1]
     p = int(hits.any(axis=0).argmax())
     k = int(hits[:, p].argmax())
-    left, right = (int(_attribute(i, n)) for i in divmod(p, A))
+    left, right = (int(_attribute(rows[i], n)) for i in divmod(p, a))
     best = PairHypothesis(OR if is_or else AND, left, bool(k >> 1), right, bool(k & 1))
     if mode == "best-fit":
         return best
@@ -334,10 +364,10 @@ def learn_pair_node(
         return ReliablePairSet(best, ())
     zeros, fulls = np.flatnonzero(P == 0), np.flatnonzero(P == m)
     op = np.repeat([0, 1], [zeros.size, fulls.size])
-    ks, lefts, rights = np.unravel_index(np.concatenate([zeros, fulls]), (4, A, A))
+    ks, lefts, rights = np.unravel_index(np.concatenate([zeros, fulls]), (4, a, a))
     # an or hit's negation flags are those of its and plane, both flipped
     ks = ks ^ 3 * op
-    refs = _attribute(lefts, n), _attribute(rights, n)
+    refs = _attribute(rows[lefts], n), _attribute(rows[rights], n)
     members = _canonical_hypotheses(op, ks >> 1, ks & 1, *refs)
     return ReliablePairSet(best, tuple(members))
 

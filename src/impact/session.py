@@ -82,6 +82,9 @@ class DagClassifier(_ConceptExport):
     final: PairHypothesis | ReliablePairSet
 
     def predict_sample(self, s: Sample) -> np.ndarray:
+        if isinstance(self.final, ReliablePairSet) and self.final.abstains:
+            # abstention reads no attribute
+            return np.full(len(s), -1, dtype=np.int8)
         rows = self.space.values(s.bits)
         if isinstance(self.final, ReliablePairSet):
             return self.final.classify_rows(rows)
@@ -314,20 +317,21 @@ class _BitRounds:
             return {}
         truth = self.truth
         rel = self.teacher.relevant(node)
+        m = len(rel)
         # truth[A] is the true row of this round's node
-        wrong_relevant = int(np.sum(rel & (self[A] != truth[A])))
-        rel_count = int(rel.sum())
+        wrong_relevant = np.count_nonzero(rel & (self[A] != truth[A]))
+        rel_count = np.count_nonzero(rel)
         extra = {
-            "error_full": wrong_relevant / len(rel),
+            "error_full": wrong_relevant / m,
             "error_relevant": wrong_relevant / rel_count if rel_count else 0.0,
         }
         if isinstance(h, PairHypothesis):
             left = h.left_attr
             right = h.right_attr
-            extra["child_error_left"] = float(np.mean(self[left] != truth[left]))
-            extra["child_error_right"] = float(np.mean(self[right] != truth[right]))
+            extra["child_error_left"] = np.count_nonzero(self[left] != truth[left]) / m
+            extra["child_error_right"] = np.count_nonzero(self[right] != truth[right]) / m
             h_on_truth = h.evaluate_rows(truth[:A])
-            extra["hypothesis_corruption"] = float(np.mean(self[A] != h_on_truth))
+            extra["hypothesis_corruption"] = np.count_nonzero(self[A] != h_on_truth) / m
         return extra
 
 
@@ -480,13 +484,13 @@ def run_teaching_session(
             )
         # moderation only removes rows: it names rows of the sample, each
         # once and in order, and the learner reads their labels from s
-        if not np.all(np.diff(kept, prepend=-1, append=len(s)) > 0):
+        if size and not (kept[0] >= 0 and kept[-1] < len(s) and (kept[1:] > kept[:-1]).all()):
             raise ImpactError(f"round {r} subset is not ascending rows of the sample")
         y = s.labels[kept]
         h = rounds.learn(A, kept, y)
         space, z = z, augment(z, h)
         row = rounds.fill(A, z.hypotheses[-1])
-        training_error = float(np.mean(row[kept] != y)) if size else 0.0
+        training_error = np.count_nonzero(row[kept] != y) / size if size else 0.0
 
         records.append(
             RoundRecord(

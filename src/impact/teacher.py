@@ -92,24 +92,33 @@ def _offset_buckets(
     state_outputs over every offset; `arrivals` holds the bit position at
     which each string's walk sits on each state, -1 where it never does."""
     labels = s.labels.astype(np.int8)
-    flipped = 1 - labels
     untouched = arrivals < 0
+    # an untouched string's label and its flip; elsewhere -2, which no output equals
+    agreeing = np.where(untouched, labels, -2)
+    disagreeing = np.where(untouched, 1 - labels, -2)
+    # a string that sits on the state at offset o agrees with its label
+    # there, because the walk from there is the label's own walk
+    ks, cols = np.nonzero(~untouched)
+    arrived = np.bincount(ks * a.n + arrivals[ks, cols], minlength=len(nodes) * a.n)
+    arrived = arrived.reshape(len(nodes), a.n)
     best = np.full(len(nodes), -1)
     offsets = np.zeros(len(nodes), dtype=np.int64)
-    masks = np.zeros((len(nodes), len(s)), dtype=bool)
+    flips = np.zeros(len(nodes), dtype=bool)
+    # every state wins the first offset, so every row is filled
+    outs = np.empty(arrivals.shape, dtype=np.int8)
     for o, out in state_outputs(a, s.bits, s.lengths, nodes):
-        eligible = (arrivals == o) | (untouched & (out >= 0))
-        agree = eligible & (out == labels)
-        disagree = eligible & (out == flipped)
-        n_agree = np.count_nonzero(agree, axis=1)
-        n_disagree = np.count_nonzero(disagree, axis=1)
+        n_agree = arrived[:, o] + np.count_nonzero(out == agreeing, axis=1)
+        n_disagree = np.count_nonzero(out == disagreeing, axis=1)
         # offsets descend, so an equal size found now wins the tie; within
         # an offset the agreeing bucket does
         size = np.maximum(n_agree, n_disagree)
         won = size >= best
         best[won] = size[won]
         offsets[won] = o
-        masks[won] = np.where((n_disagree > n_agree)[won, None], disagree[won], agree[won])
+        flips[won] = (n_disagree > n_agree)[won]
+        outs[won] = out[won]
+    masks = outs == np.where(flips[:, None], disagreeing, agreeing)
+    masks |= ~flips[:, None] & (arrivals == offsets[:, None])
     return {node: (masks[k], int(offsets[k])) for k, node in enumerate(nodes)}
 
 

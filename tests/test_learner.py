@@ -24,6 +24,7 @@ from impact import (
     pair_space_size,
     sample_budget,
 )
+import impact.learner
 from impact.concepts import string_rows
 from impact.learner import (
     _and_planes,
@@ -374,41 +375,137 @@ def spaces_with_complements(draw):
     return z, V, np.array(labels, dtype=np.uint8)
 
 
-@given(case=spaces_with_complements(), mode=st.sampled_from(["best-fit", "reliable"]))
+@given(
+    case=spaces_with_complements(),
+    flips=st.sets(st.integers(0, 11), max_size=2),
+    mode=st.sampled_from(["best-fit", "reliable"]),
+)
 # one hypothesis over x0 and constant labels: the reliable set holds pairs
 # reading that hypothesis twice with different flags, whose complement
 # variants come only from the reference-swapped twin
-@example(case=space_case(1, [("and", 0, False, 0, False)], [[0], [1]], [0, 0]), mode="reliable")
+@example(
+    case=space_case(1, [("and", 0, False, 0, False)], [[0], [1]], [0, 0]),
+    flips=set(),
+    mode="reliable",
+)
 # contradictory labels: reliable abstains, and its primary maps back
-@example(case=space_case(2, [("and", 0, False, 1, False)], [[1, 0], [1, 0]], [0, 1]), mode="reliable")
+@example(
+    case=space_case(2, [("and", 0, False, 1, False)], [[1, 0], [1, 0]], [0, 1]),
+    flips=set(),
+    mode="reliable",
+)
+# parity of x0 and x1 over their and: only the and row is constant on a
+# label, and no pair over it fits every row
+@example(
+    case=space_case(2, [("and", 0, False, 1, False)], all_inputs(2), [0, 1, 1, 0]),
+    flips=set(),
+    mode="reliable",
+)
 @settings(max_examples=300, deadline=None)
-def test_learning_on_hypothesis_rows_maps_back_to_the_full_layout(case, mode):
+def test_learning_on_hypothesis_rows_maps_back_to_the_full_layout(case, flips, mode):
     """learn_pair_node on the base and hypothesis rows, with their base_count,
-    equals learn_pair_node on every row, complements included, up to the
-    reliable members that read a complement: each has a member twin with the
-    same values, so the votes and the primary, abstaining or not, are the
-    same. Columns sorted negatives first, as a session passes them, change
+    picks the full layout's first minimal pair by reference_pair_errors. Its
+    reliable set holds every zero-error pair of the full layout that reads no
+    complement, and abstains exactly when no pair fits every row; each pair
+    left out has a member twin with the same values, so the votes are those
+    of learn_pair_node on every row, complements included. Flipped labels
+    make rounds with no zero-error pair, where the search falls back to every
+    row. Columns sorted negatives first, as a session passes them, change
     nothing."""
     z, V, y = case
+    y = y.copy()
+    y[[i for i in flips if i < len(y)]] ^= 1
     n = z.base_count
     rows = V[np.r_[0:n, n : len(z) : 2]]
+    candidates = reference_pair_candidates(len(z))
+    errors = reference_pair_errors(V, y)
+    best = candidates[errors.index(min(errors))]
     order = np.argsort(y, kind="stable")
-    expected = learn_pair_node(V, y, mode)
     for got in (
         learn_pair_node(rows, y, mode, base_count=n),
         learn_pair_node(rows[:, order], y[order], mode, base_count=n),
     ):
         if mode == "best-fit":
-            assert got == expected
+            assert got == best
             continue
-        reads_hypotheses = [
+        assert got.primary == best
+        assert got.abstains == (min(errors) > 0)
+        assert got.members == tuple(
             h
-            for h in expected.members
-            if all(j < n or (j - n) % 2 == 0 for j in (h.left_attr, h.right_attr))
-        ]
-        assert got.members == tuple(reads_hypotheses)
-        assert got.primary == expected.primary
-        assert np.array_equal(got.classify_rows(V), expected.classify_rows(V))
+            for h, e in zip(candidates, errors)
+            if e == 0 and all(j < n or (j - n) % 2 == 0 for j in (h.left_attr, h.right_attr))
+        )
+        assert np.array_equal(got.classify_rows(V), learn_pair_node(V, y, mode).classify_rows(V))
+
+
+# ---------------------------------------------------------------------------
+# Planes over the rows that can join a zero-error pair
+# ---------------------------------------------------------------------------
+
+
+def spy_plane_rows(monkeypatch) -> list[int]:
+    """The row count of every _and_planes call from here on."""
+    seen = []
+    real = impact.learner._and_planes
+
+    def spying(V, y):
+        seen.append(V.shape[0])
+        return real(V, y)
+
+    monkeypatch.setattr(impact.learner, "_and_planes", spying)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "V, y, expected",
+    [
+        # y = x0 and x1: only x0 and x1 are constant on the positives
+        (all_inputs(4).T, all_inputs(4)[:, 0] & all_inputs(4)[:, 1], [2]),
+        # y = x2 or x3: only x2 and x3 are constant on the negatives
+        (all_inputs(4).T, all_inputs(4)[:, 2] | all_inputs(4)[:, 3], [2]),
+        # y = x1, beside a row of zeros, which is constant on both sides
+        (np.vstack([np.zeros(8, dtype=np.uint8), all_inputs(3).T]), all_inputs(3)[:, 1], [2]),
+    ],
+)
+@pytest.mark.parametrize("mode", ["best-fit", "reliable"])
+def test_a_zero_error_round_builds_planes_over_its_candidate_rows_only(
+    monkeypatch, V, y, expected, mode
+):
+    seen = spy_plane_rows(monkeypatch)
+    got = learn_pair_node(V, y, mode)
+    assert seen == expected
+    candidates = reference_pair_candidates(V.shape[0])
+    errors = reference_pair_errors(V, y)
+    best = candidates[errors.index(0)]
+    if mode == "best-fit":
+        assert got == best
+    else:
+        assert got.primary == best
+        assert list(got.members) == [h for h, e in zip(candidates, errors) if e == 0]
+
+
+@pytest.mark.parametrize(
+    "V, y, expected",
+    [
+        # parity of three bits: no row is constant on either side
+        (all_inputs(3).T, all_inputs(3).sum(axis=1) % 2, [0, 3]),
+        # parity of x0 and x1 beside their and and its complement: the two
+        # learned rows are constant on the positives, and no pair fits
+        (
+            space_case(2, [("and", 0, False, 1, False)], all_inputs(2), [])[1],
+            np.array([0, 1, 1, 0]),
+            [2, 4],
+        ),
+    ],
+)
+def test_a_round_without_a_zero_error_pair_falls_back_to_every_row(monkeypatch, V, y, expected):
+    seen = spy_plane_rows(monkeypatch)
+    got = learn_pair_node(V, y, "reliable")
+    assert seen == expected
+    errors = reference_pair_errors(V, y)
+    assert min(errors) > 0
+    assert got.abstains
+    assert got.primary == reference_pair_candidates(V.shape[0])[errors.index(min(errors))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Full teaching sessions: determinism, diagnostics, final classifiers, and
 their expansion back into plain concepts."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -244,6 +246,31 @@ def test_abstaining_classifier_reports_why_it_has_no_model():
         "type": "unserializable",
         "reason": "an always-abstaining classifier has no DAG form",
     }
+
+
+def test_an_abstaining_final_set_reads_no_test_attribute(monkeypatch):
+    """A final reliable set with no member abstains on every test input
+    without filling the test sample's attribute rows. The report is the one
+    the session gave when it filled them: the digest below is the sha256 of
+    its JSON with sorted keys, recorded before abstention skipped the fill."""
+    fills = []
+    values = AttributeSpace.values
+
+    def counting(self, bits):
+        fills.append(len(bits))
+        return values(self, bits)
+
+    monkeypatch.setattr(AttributeSpace, "values", counting)
+    report = run_teaching_session(
+        random_dag(8, 30, seed=53), Distribution.uniform(8, 53), 60, mode="reliable"
+    )
+    assert report.classifier.final.abstains
+    assert fills == []
+    assert report.test_dont_know_rate == 1.0
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "95dd105eafd77b4da336b88d7e9078b1595ace5891f352552621e65e35a9fd6a"
+    )
 
 
 def test_automaton_round_without_data_degenerates_and_continues():

@@ -52,7 +52,9 @@ def test_oracle_imports_only_concept_classes_and_never_reads_children():
     reference perceptron counts in float64, so it must not share
     exact_float_dtype, the precision rule it checks. The reference automaton
     step scores string by string, so it must not share agreement_bits or
-    count packed bits with bitwise_count."""
+    count packed bits with bitwise_count. The reference pair counts score
+    every pair, so they must not share the learner's pruning to the rows
+    that can join a zero-error pair, or its label split."""
     path = Path(impact.__file__).parent / "oracle.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     names, modules = [], []
@@ -72,6 +74,8 @@ def test_oracle_imports_only_concept_classes_and_never_reads_children():
         "exact_float_dtype",
         "agreement_bits",
         "bitwise_count",
+        "_zero_error_rows",
+        "_label_split",
     }
     assert shared.isdisjoint(names + modules)
     assert [
