@@ -81,11 +81,9 @@ def _entropy(labels: np.ndarray) -> float:
     return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
 
 
-def _grow_tree(
-    bits: np.ndarray, labels: np.ndarray, used: frozenset[int], depth_left: int
-) -> TreeLeaf | TreeSplit:
+def _grow_tree(bits: np.ndarray, labels: np.ndarray, used: frozenset[int]) -> TreeLeaf | TreeSplit:
     majority = _majority_label(labels)
-    if depth_left == 0 or len(used) == bits.shape[1]:
+    if len(used) == bits.shape[1]:
         return TreeLeaf(majority)
     if labels.min() == labels.max():
         return TreeLeaf(int(labels[0]))
@@ -111,28 +109,25 @@ def _grow_tree(
     high = bits[:, best_bit] == 1
     child_used = used | {best_bit}
     if not high.any():
-        low = _grow_tree(bits, labels, child_used, depth_left - 1)
+        low = _grow_tree(bits, labels, child_used)
         return TreeSplit(bit=best_bit, low=low, high=TreeLeaf(majority))
     if high.all():
-        hi = _grow_tree(bits, labels, child_used, depth_left - 1)
+        hi = _grow_tree(bits, labels, child_used)
         return TreeSplit(bit=best_bit, low=TreeLeaf(majority), high=hi)
     return TreeSplit(
         bit=best_bit,
-        low=_grow_tree(bits[~high], labels[~high], child_used, depth_left - 1),
-        high=_grow_tree(bits[high], labels[high], child_used, depth_left - 1),
+        low=_grow_tree(bits[~high], labels[~high], child_used),
+        high=_grow_tree(bits[high], labels[high], child_used),
     )
 
 
-def fit_tree(s: Sample, max_depth: int | None = None) -> GreedyTreeClassifier:
+def fit_tree(s: Sample) -> GreedyTreeClassifier:
     """Greedy entropy-split tree. Zero-gain splits are still taken (lowest
-    bit first) until purity or depth runs out, so it will happily memorize."""
+    bit first) until purity or every bit is used, so it will happily memorize."""
     if len(s) == 0:
         raise UndefinedMetricError("cannot fit on an empty sample")
     n = s.bits.shape[1]
-    if max_depth is not None and max_depth < 0:
-        raise InvalidParameterError("max_depth must be >= 0")
-    depth = n if max_depth is None else min(max_depth, n)
-    root = _grow_tree(s.bits, s.labels.astype(np.int8), frozenset(), depth)
+    root = _grow_tree(s.bits, s.labels.astype(np.int8), frozenset())
     return GreedyTreeClassifier(root=root, n=n)
 
 

@@ -56,6 +56,8 @@ class SweepConfig:
 
     def __post_init__(self):
         _check_kind(self.kind)
+        if any(c in self.name for c in ',"\r\n'):
+            raise ConfigError("name must not contain a comma, a quote or a line break")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.n < 1:
@@ -81,6 +83,8 @@ class SweepConfig:
             raise ConfigError(f"unknown learners: {unknown}")
         if not self.learners:
             raise ConfigError("learner set must be nonempty")
+        if any(len(set(v)) != len(v) for v in (self.values, self.learners)):
+            raise ConfigError("swept values and learners must each be distinct")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.test_size < 1:
@@ -318,6 +322,7 @@ def svg_line_chart(
     series: list[tuple[str, list[float]]], x_values: list[int], x_label: str, title: str
 ) -> str:
     lo, hi = min(x_values), max(x_values)
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif">',

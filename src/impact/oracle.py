@@ -425,8 +425,7 @@ def sampled_disagreement(f, g, d: Distribution, m: int, *, stream: int = 0) -> f
     rng = rng_from(d.seed, "oracle-disagreement", stream)
     n = d.n
     if d.kind == "strings":
-        high = d.length_high if d.length_high is not None else n
-        lengths = rng.integers(d.length_low, high + 1, size=m)
+        lengths = rng.integers(d.length_low, n + 1, size=m)
         bits = rng.integers(0, 2, size=(m, n)).astype(np.uint8)
         for i in range(m):
             bits[i, lengths[i] :] = 0

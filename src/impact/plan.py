@@ -1,4 +1,4 @@
-"""Teaching schedules: which node is taught when, and under which moderation rule."""
+"""Teaching schedules: which node each round teaches, children first."""
 
 from __future__ import annotations
 
@@ -35,15 +35,11 @@ class ModerationRule(enum.Enum):
 @dataclass(frozen=True)
 class Round:
     node: int
-    rule: ModerationRule
 
 
 @dataclass(frozen=True)
 class RoundPlan:
     rounds: tuple[Round, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rounds", tuple(self.rounds))
 
     def __len__(self) -> int:
         return len(self.rounds)
@@ -55,7 +51,7 @@ def default_rule(concept: Concept) -> ModerationRule:
     return ModerationRule.RELEVANT_FILTER
 
 
-def postfix_order(concept: Concept, rule: ModerationRule | None = None) -> RoundPlan:
+def postfix_order(concept: Concept) -> RoundPlan:
     """One round per teachable node, children always scheduled before parents.
 
     Edges point to strictly lower indices, so ascending index order over the
@@ -64,10 +60,6 @@ def postfix_order(concept: Concept, rule: ModerationRule | None = None) -> Round
     raw attributes and negations ride along as negated references. A DAG
     whose root is a bare literal or a negated literal still gets one round.
     """
-    if rule is None:
-        rule = default_rule(concept)
-    if isinstance(concept, Adfsa) != (rule is ModerationRule.OFFSET_PARTITION):
-        raise InvalidConceptError(f"moderation rule {rule.value} does not fit this concept")
     reach = reachable_indices(concept)
     if isinstance(concept, ConceptDag):
         order = [
@@ -83,5 +75,5 @@ def postfix_order(concept: Concept, rule: ModerationRule | None = None) -> Round
         order = [i for i in sorted(reach) if concept.children[i]]
         if not order:
             raise InvalidConceptError("automaton has no branch states to teach")
-    return RoundPlan(rounds=tuple(Round(i, rule) for i in order))
+    return RoundPlan(rounds=tuple(Round(i) for i in order))
 

@@ -48,8 +48,8 @@ class Distribution:
 
     kind "uniform": each bit fair and independent.
     kind "product": bit i is 1 with probability probabilities[i].
-    kind "strings": length drawn uniformly from [length_low, length_high],
-    then fair bits.
+    kind "strings": length drawn uniformly from [length_low, n], then fair
+    bits.
     """
 
     kind: str
@@ -57,7 +57,6 @@ class Distribution:
     seed: int
     probabilities: tuple[float, ...] | None = None
     length_low: int = 1
-    length_high: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("uniform", "product", "strings"):
@@ -70,10 +69,9 @@ class Distribution:
             if any(not (0.0 <= p <= 1.0) for p in self.probabilities):
                 raise InvalidParameterError("bit probabilities must lie in [0, 1]")
         if self.kind == "strings":
-            high = self.length_high if self.length_high is not None else self.n
-            if not (1 <= self.length_low <= high <= self.n):
+            if not (1 <= self.length_low <= self.n):
                 raise InvalidParameterError(
-                    f"string lengths must satisfy 1 <= {self.length_low} <= {high} <= n"
+                    f"string lengths must satisfy 1 <= {self.length_low} <= n"
                 )
 
     @staticmethod
@@ -86,10 +84,8 @@ class Distribution:
         return Distribution(kind="product", n=len(probs), seed=seed, probabilities=probs)
 
     @staticmethod
-    def strings(n: int, seed: int, length_low: int = 1, length_high: int | None = None) -> "Distribution":
-        return Distribution(
-            kind="strings", n=n, seed=seed, length_low=length_low, length_high=length_high
-        )
+    def strings(n: int, seed: int, length_low: int = 1) -> "Distribution":
+        return Distribution(kind="strings", n=n, seed=seed, length_low=length_low)
 
     @staticmethod
     def strings_for(a: Adfsa, seed: int) -> "Distribution":
@@ -130,8 +126,7 @@ def draw_inputs(d: Distribution, m: int, *, stream=0) -> tuple[np.ndarray, np.nd
         raise InvalidParameterError(f"sample size must be positive, got {m}")
     rng = rng_from(d.seed, "draw", stream)
     if d.kind == "strings":
-        high = d.length_high if d.length_high is not None else d.n
-        lengths = rng.integers(d.length_low, high + 1, size=m).astype(np.int64)
+        lengths = rng.integers(d.length_low, d.n + 1, size=m).astype(np.int64)
         bits = rng.integers(0, 2, size=(m, d.n), dtype=np.uint8)
         mask = np.arange(d.n)[None, :] >= lengths[:, None]
         bits[mask] = 0
@@ -162,23 +157,10 @@ def draw_sample(d: Distribution, concept: Concept, m: int, *, stream=0) -> Sampl
     return Sample(bits=bits, labels=labels, lengths=lengths)
 
 
-def predictions(h, s: Sample) -> np.ndarray:
-    """Labels assigned by a classifier; -1 marks an abstention."""
-    if callable(h) and not hasattr(h, "predict_sample"):
-        return np.asarray(h(s))
-    return np.asarray(h.predict_sample(s))
-
-
 def accuracy(h, s: Sample) -> float:
-    """Fraction of s the classifier labels correctly. Abstentions count as wrong."""
+    """Fraction of s that the classifier, or a callable of the sample, labels
+    correctly. Abstentions (-1) count as wrong."""
     if len(s) == 0:
         raise UndefinedMetricError("accuracy over an empty sample is undefined")
-    preds = predictions(h, s)
-    return float(np.mean(preds == s.labels))
-
-
-def dont_know_rate(h, s: Sample) -> float:
-    if len(s) == 0:
-        raise UndefinedMetricError("rate over an empty sample is undefined")
-    preds = predictions(h, s)
-    return float(np.mean(preds == -1))
+    preds = h.predict_sample(s) if hasattr(h, "predict_sample") else h(s)
+    return float(np.mean(np.asarray(preds) == s.labels))

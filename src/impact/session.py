@@ -342,7 +342,7 @@ class _PairRounds(_BitRounds):
     base_count): no complement row adds a pair that best-fit can pick, and
     the learned pairs, reports and candidate_count still describe the full
     canonical space. self[j] reads attribute j of the full layout through the
-    same index map."""
+    same index map; a complement raises, as no pair a round picks reads one."""
 
     classifier = DagClassifier
     rows_per_round = 1
@@ -352,7 +352,9 @@ class _PairRounds(_BitRounds):
         if j < n:
             return self.V[j]
         r, complemented = divmod(j - n, 2)
-        return 1 - self.V[n + r] if complemented else self.V[n + r]
+        if complemented:
+            raise ImpactError(f"attribute {j} is a complement, which no pair round reads")
+        return self.V[n + r]
 
     def candidates(self, z: AttributeSpace) -> int:
         return pair_space_size(len(z))
@@ -452,7 +454,7 @@ def run_teaching_session(
 
     taught = push_negations_to_leaves(concept) if isinstance(concept, ConceptDag) else concept
     rule = moderation if moderation is not None else default_rule(taught)
-    plan = postfix_order(taught, rule)
+    plan = postfix_order(taught)
     # a total error of 0.05 split evenly over the rounds, at confidence 0.95
     required = sample_budget(0.05 / len(plan), 0.05)
 
@@ -467,7 +469,7 @@ def run_teaching_session(
     for r, rnd in enumerate(plan.rounds):
         A = len(z)
         try:
-            kept, offset = moderate(teacher, rnd.node, s, rnd.rule)
+            kept, offset = moderate(teacher, rnd.node, s, rule)
         except InsufficientDataError:
             # no admissible data: unless the budget is enforced, the round
             # learns on no rows, where every candidate fits equally well
@@ -496,7 +498,7 @@ def run_teaching_session(
             RoundRecord(
                 index=r,
                 node=rnd.node,
-                rule=rnd.rule.value,
+                rule=rule.value,
                 subset_size=size,
                 training_error=training_error,
                 candidate_count=rounds.candidates(space),

@@ -10,10 +10,6 @@ pass.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
 from .concepts import (
@@ -141,27 +137,12 @@ def moderate(
     return kept, offset
 
 
-@dataclass
-class PrivilegedView:
-    """Per-example round membership: entry (i, r) is 1 iff example i was in
-    the moderated subset of round r."""
-
-    membership: np.ndarray  # (m, R) uint8
-
-    @property
-    def round_count(self) -> int:
-        return int(self.membership.shape[1])
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"bit_{r}" for r in range(self.round_count)])
-            for row in self.membership:
-                writer.writerow([int(v) for v in row])
-
-
-def export_privileged_view(plan: RoundPlan, s: Sample, concept: Concept) -> PrivilegedView:
-    """Every round's moderation over the full sample, through one Teacher.
+def export_privileged_view(
+    plan: RoundPlan, s: Sample, concept: Concept, rule: ModerationRule
+) -> np.ndarray:
+    """Every round's moderation under the rule over the full sample, through
+    one Teacher: the (m, R) uint8 matrix whose entry (i, r) is 1 iff example
+    i is in round r's moderated subset.
 
     Rounds that would select nothing produce an all-zero column here instead
     of aborting; the abort semantics belong to the session driver.
@@ -169,5 +150,5 @@ def export_privileged_view(plan: RoundPlan, s: Sample, concept: Concept) -> Priv
     teacher = Teacher(concept, s, [rnd.node for rnd in plan.rounds])
     membership = np.zeros((len(s), len(plan)), dtype=np.uint8)
     for r, rnd in enumerate(plan.rounds):
-        membership[:, r] = teacher.mask(rnd.node, rnd.rule)[0]
-    return PrivilegedView(membership=membership)
+        membership[:, r] = teacher.mask(rnd.node, rule)[0]
+    return membership

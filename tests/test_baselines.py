@@ -77,13 +77,6 @@ def test_tree_memorization_means_chance_off_sample():
     assert accuracy(clf, test) <= 0.65
 
 
-def test_tree_depth_zero_is_majority():
-    s = table_sample(2, lambda row: row[0] | row[1])
-    clf = fit_tree(s, max_depth=0)
-    assert isinstance(clf.root, TreeLeaf)
-    assert clf.root.label == 1
-
-
 def test_tree_is_deterministic():
     d = Distribution.uniform(5, 7)
     g = build_parity(5, (0, 2))

@@ -264,6 +264,19 @@ def test_sweep_names_an_unknown_kind(tmp_path, capsys):
     assert "k_values" not in err
 
 
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_sweep_refuses_a_name_that_breaks_the_csv(tmp_path, capsys, name):
+    """The name fills the first field of every results.csv row, so a comma,
+    a quote or a line break in it is a config error, and nothing is written."""
+    cfg = sweep_config(tmp_path, name=name)
+    code, _, err = run_main(
+        capsys, ["sweep", "--mode", "m", "--config", str(cfg), "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+    assert err.startswith("error:") and "name" in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize(
     "content",
     [b"\xff\xfe{}", b'{"name": "x", "kind": "m", "n": ' + b"9" * 5000 + b"}"],

@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import re
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,9 @@ def strip_runtime(csv_text):
         {"learners": ()},
         {"workers": 0},
         {"test_size": 0},
+        # a repeat would run its tasks twice and write its rows twice
+        {"values": (30, 30)},
+        {"learners": ("majority", "majority")},
     ],
 )
 def test_bad_m_configs_rejected(overrides):
@@ -93,7 +97,9 @@ def test_empty_parity_subset_rejected_at_load():
         small_m_config(subset=())
 
 
-@pytest.mark.parametrize("overrides", [{"fixed_m": None}, {"fixed_m": 0}, {"values": (6,)}])
+@pytest.mark.parametrize(
+    "overrides", [{"fixed_m": None}, {"fixed_m": 0}, {"values": (6,)}, {"values": (1, 2, 1)}]
+)
 def test_bad_k_configs_rejected(overrides):
     with pytest.raises(ConfigError):
         small_k_config(**overrides)
@@ -308,6 +314,15 @@ def test_svg_has_one_polyline_per_learner():
     assert svg.count("<polyline") == len(cfg.learners)
     first = re.search(r'<polyline points="([^"]+)"', svg).group(1)
     assert len(first.split(" ")) == len(cfg.values)
+
+
+def test_svg_title_is_escaped():
+    """A name with markup characters still gives well-formed XML, whose
+    title reads back unchanged."""
+    cfg = small_m_config(name="a <&> b", values=(30,), trials=1, learners=("majority",))
+    root = ET.fromstring(plot_from_rows(cfg, run_sweep(cfg)))
+    titles = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert titles[0] == "a <&> b"
 
 
 def test_empty_rows_warn_and_skip_plot():

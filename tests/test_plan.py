@@ -1,4 +1,4 @@
-"""Round planning: postfix order, rule defaults, validation."""
+"""Round planning: postfix order and rule defaults."""
 
 import pytest
 
@@ -6,7 +6,8 @@ from helpers import and_dag, chain_automaton, layered_circuit, one_bit_acceptor
 from impact import (
     And,
     ConceptDag,
-    InvalidConceptError,
+    Distribution,
+    InvalidParameterError,
     Literal,
     ModerationRule,
     Not,
@@ -14,6 +15,7 @@ from impact import (
     build_parity,
     postfix_order,
     push_negations_to_leaves,
+    run_teaching_session,
 )
 from impact.generate import random_dag
 from impact.plan import default_rule
@@ -74,10 +76,17 @@ def test_default_rules_by_kind():
 
 
 def test_offset_rule_rejected_for_boolean():
-    with pytest.raises(InvalidConceptError):
-        postfix_order(and_dag(), ModerationRule.OFFSET_PARTITION)
-    with pytest.raises(InvalidConceptError):
-        postfix_order(one_bit_acceptor(), ModerationRule.RELEVANT_FILTER)
+    """A plan carries no rule: the teacher refuses a session's rule that does
+    not fit the concept's kind when it moderates a round."""
+    with pytest.raises(InvalidParameterError, match="does not apply"):
+        run_teaching_session(
+            and_dag(), Distribution.uniform(2, 0), 8, moderation=ModerationRule.OFFSET_PARTITION
+        )
+    a = one_bit_acceptor()
+    with pytest.raises(InvalidParameterError, match="does not apply"):
+        run_teaching_session(
+            a, Distribution.strings_for(a, 0), 8, moderation=ModerationRule.RELEVANT_FILTER
+        )
 
 
 def test_circuit_plan_covers_reachable_gates():

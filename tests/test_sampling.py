@@ -11,7 +11,6 @@ from impact import (
     accuracy,
     build_parity,
     derive_seed,
-    dont_know_rate,
     draw_sample,
     evaluate_batch,
     max_path_depth,
@@ -129,7 +128,6 @@ def test_abstentions_count_as_errors():
     s = make_sample(all_inputs(2), np.ones(4))
     preds = np.array([1, 1, -1, -1], dtype=np.int8)
     assert accuracy(lambda sample: preds, s) == 0.5
-    assert dont_know_rate(lambda sample: preds, s) == 0.5
 
 
 def test_empty_sample_metrics_undefined():
@@ -163,6 +161,6 @@ def test_distribution_validation():
 
 
 def test_strings_distribution_requires_automaton():
-    d = Distribution.strings(4, 0, length_low=1, length_high=4)
+    d = Distribution.strings(4, 0)
     with pytest.raises(InvalidParameterError):
         draw_sample(d, build_parity(4, (0,)), 5)

@@ -54,7 +54,7 @@ from impact.oracle import (
     run_automaton,
 )
 from impact.learner import agreement_bits
-from impact.plan import postfix_order
+from impact.plan import default_rule, postfix_order
 from impact.session import true_attribute_matrix
 
 
@@ -420,12 +420,30 @@ def test_a_starved_threshold_round_learns_zero_weights():
 def test_session_moderation_matches_the_privileged_view(concept, d, m):
     """The session and export_privileged_view share one moderation path:
     each round's subset size is its column sum of the view over the
-    session's training sample."""
+    session's training sample, under the session's one rule."""
     report = run_teaching_session(concept, d, m, test_size=20)
     taught = push_negations_to_leaves(concept) if isinstance(concept, ConceptDag) else concept
+    rule = default_rule(taught)
+    assert {r.rule for r in report.rounds} == {rule.value}
     s = draw_sample(d, concept, m, stream=impact.session.TRAIN_STREAM)
-    view = export_privileged_view(postfix_order(taught), s, taught)
-    assert [r.subset_size for r in report.rounds] == view.membership.sum(axis=0).tolist()
+    view = export_privileged_view(postfix_order(taught), s, taught, rule)
+    assert [r.subset_size for r in report.rounds] == view.sum(axis=0).tolist()
+
+
+def test_pair_rounds_refuse_to_read_a_complement():
+    """Pair rounds keep no complement rows, and no pair a round picks reads
+    one, so reading a complement attribute is an invariant error rather
+    than a row computed on the fly."""
+    g = push_negations_to_leaves(build_parity(4, (0, 1, 3)))
+    s = draw_sample(Distribution.uniform(4, 0), g, 40)
+    plan = postfix_order(g)
+    teacher = impact.teacher.Teacher(g, s, [rnd.node for rnd in plan.rounds])
+    rounds = impact.session._PairRounds(teacher, plan, "best-fit", diagnostics=False)
+    assert np.array_equal(rounds[3], s.bits[:, 3])
+    assert np.shares_memory(rounds[4], rounds.V)  # round 0's hypothesis row
+    for j in (5, 4 + 2 * len(plan) - 1):
+        with pytest.raises(ImpactError, match="complement"):
+            rounds[j]
 
 
 def test_parity_session_evaluates_the_concept_once(monkeypatch):

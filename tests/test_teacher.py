@@ -77,7 +77,7 @@ def test_moderation_never_relabels_or_reorders():
     d = Distribution.uniform(8, 99)
     s = draw_sample(d, g, 300)
     for rnd in postfix_order(g).rounds:
-        kept, offset = moderate(g, rnd.node, s, rnd.rule)
+        kept, offset = moderate(g, rnd.node, s, ModerationRule.RELEVANT_FILTER)
         assert offset is None
         assert 0 <= kept[0] and kept[-1] < len(s)
         assert np.all(np.diff(kept) > 0)
@@ -187,7 +187,7 @@ def test_bucket_guarantee_over_random_automata():
         d = Distribution.strings_for(a, seed)
         s = draw_sample(d, a, 240)
         for rnd in postfix_order(a).rounds:
-            kept, offset = moderate(a, rnd.node, s, rnd.rule)
+            kept, offset = moderate(a, rnd.node, s, ModerationRule.OFFSET_PARTITION)
             assert len(kept) >= len(s) / (2 * a.n)
             assert 0 <= offset < a.n
 
@@ -242,7 +242,7 @@ def test_offset_moderation_matches_the_reference(automaton, m, narrower, seed):
     plan = postfix_order(automaton)
     teacher = Teacher(automaton, s, [rnd.node for rnd in plan.rounds])
     for rnd in plan.rounds:
-        mask, offset = teacher.mask(rnd.node, rnd.rule)
+        mask, offset = teacher.mask(rnd.node, ModerationRule.OFFSET_PARTITION)
         expected, expected_offset = reference_offset_selection(automaton, s, rnd.node)
         assert np.array_equal(mask, expected)
         assert offset == expected_offset
@@ -267,7 +267,7 @@ def test_automaton_teacher_makes_one_descending_pass(monkeypatch):
         plan = postfix_order(a)
         teacher = Teacher(a, s, [rnd.node for rnd in plan.rounds])
         for rnd in plan.rounds:
-            teacher.mask(rnd.node, rnd.rule)
+            teacher.mask(rnd.node, ModerationRule.OFFSET_PARTITION)
         round_counts.add(len(plan))
         assert len(calls) == 1
     assert len(round_counts) == 2
@@ -281,41 +281,43 @@ def test_automaton_teacher_makes_one_descending_pass(monkeypatch):
 def test_privileged_view_single_round_all_ones():
     g = and_dag()
     s = full_sample(g, 2)
-    plan = postfix_order(g)
-    view = export_privileged_view(plan, s, g)
-    assert view.membership.shape == (4, 1)
-    assert view.membership.all()  # the root keeps every example
+    view = export_privileged_view(postfix_order(g), s, g, ModerationRule.RELEVANT_FILTER)
+    assert view.shape == (4, 1)
+    assert view.dtype == np.uint8
+    assert view.all()  # the root keeps every example
 
 
-def assert_view_replays_moderation(concept, s, starved_ok=False):
-    """Each column of the privileged view is the membership of that round's
-    moderated subset. A round moderation starves fails the check unless
-    `starved_ok`, and then its column must be all zeros."""
+def assert_view_replays_moderation(concept, s, rule, starved_ok=False):
+    """Each column of the privileged view under the rule is the membership
+    of that round's moderated subset. A round moderation starves fails the
+    check unless `starved_ok`, and then its column must be all zeros."""
     plan = postfix_order(concept)
-    view = export_privileged_view(plan, s, concept)
-    assert view.membership.shape == (len(s), len(plan))
+    view = export_privileged_view(plan, s, concept, rule)
+    assert view.shape == (len(s), len(plan))
     for r, rnd in enumerate(plan.rounds):
         column = np.zeros(len(s), dtype=np.uint8)
         try:
-            kept, _ = moderate(concept, rnd.node, s, rnd.rule)
+            kept, _ = moderate(concept, rnd.node, s, rule)
             column[kept] = 1
         except InsufficientDataError:
             if not starved_ok:
                 raise
-        assert np.array_equal(view.membership[:, r], column)
+        assert np.array_equal(view[:, r], column)
 
 
 def test_privileged_view_matches_moderation_replay():
     g = push_negations_to_leaves(build_parity(6, (0, 2, 5)))
-    d = Distribution.uniform(6, 4)
-    assert_view_replays_moderation(g, draw_sample(d, g, 120))
+    s = draw_sample(Distribution.uniform(6, 4), g, 120)
+    for rule in (ModerationRule.RELEVANT_FILTER, ModerationRule.LARGER_PARTITION):
+        assert_view_replays_moderation(g, s, rule)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_privileged_view_matches_moderation_replay_for_automata(seed):
     a = random_automaton(8, 6, seed=seed)
     d = Distribution.strings_for(a, seed)
-    assert_view_replays_moderation(a, draw_sample(d, a, 150), starved_ok=True)
+    s = draw_sample(d, a, 150)
+    assert_view_replays_moderation(a, s, ModerationRule.OFFSET_PARTITION, starved_ok=True)
 
 
 def test_offset_moderation_makes_no_walk_per_offset(monkeypatch):
@@ -335,20 +337,6 @@ def test_offset_moderation_makes_no_walk_per_offset(monkeypatch):
     a = random_automaton(8, 6, seed=1)
     s = draw_sample(Distribution.strings_for(a, 1), a, 100)
     for rnd in postfix_order(a).rounds:
-        moderate(a, rnd.node, s, rnd.rule)
+        moderate(a, rnd.node, s, ModerationRule.OFFSET_PARTITION)
     assert calls == []
 
-
-def test_privileged_view_csv_header():
-    g = and_dag()
-    s = full_sample(g, 2)
-    view = export_privileged_view(postfix_order(g), s, g)
-    import pathlib
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        target = pathlib.Path(tmp) / "view.csv"
-        view.to_csv(target)
-        lines = target.read_text().strip().split("\n")
-    assert lines[0] == "bit_0"
-    assert len(lines) == 5
