@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, UndefinedMetricError
+from .errors import UndefinedMetricError
 from .sampling import Sample
 
 
@@ -54,7 +54,6 @@ class TreeSplit:
 @dataclass(frozen=True)
 class GreedyTreeClassifier:
     root: TreeLeaf | TreeSplit
-    n: int
 
     def predict_sample(self, s: Sample) -> np.ndarray:
         out = np.empty(len(s), dtype=np.int8)
@@ -103,22 +102,17 @@ def _grow_tree(bits: np.ndarray, labels: np.ndarray, used: frozenset[int]) -> Tr
         if gain > best_gain + 1e-12:
             best_gain = gain
             best_bit = bit
-    if best_bit < 0:
-        return TreeLeaf(majority)
-
+    # every bit gains more than the starting -1, so some bit wins
     high = bits[:, best_bit] == 1
     child_used = used | {best_bit}
-    if not high.any():
-        low = _grow_tree(bits, labels, child_used)
-        return TreeSplit(bit=best_bit, low=low, high=TreeLeaf(majority))
-    if high.all():
-        hi = _grow_tree(bits, labels, child_used)
-        return TreeSplit(bit=best_bit, low=TreeLeaf(majority), high=hi)
-    return TreeSplit(
-        bit=best_bit,
-        low=_grow_tree(bits[~high], labels[~high], child_used),
-        high=_grow_tree(bits[high], labels[high], child_used),
-    )
+
+    def side(rows: np.ndarray) -> TreeLeaf | TreeSplit:
+        # an empty side is a leaf of this node's majority
+        if not rows.any():
+            return TreeLeaf(majority)
+        return _grow_tree(bits[rows], labels[rows], child_used)
+
+    return TreeSplit(bit=best_bit, low=side(~high), high=side(high))
 
 
 def fit_tree(s: Sample) -> GreedyTreeClassifier:
@@ -126,9 +120,7 @@ def fit_tree(s: Sample) -> GreedyTreeClassifier:
     bit first) until purity or every bit is used, so it will happily memorize."""
     if len(s) == 0:
         raise UndefinedMetricError("cannot fit on an empty sample")
-    n = s.bits.shape[1]
-    root = _grow_tree(s.bits, s.labels.astype(np.int8), frozenset())
-    return GreedyTreeClassifier(root=root, n=n)
+    return GreedyTreeClassifier(root=_grow_tree(s.bits, s.labels.astype(np.int8), frozenset()))
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +155,12 @@ class BoostedStumpsClassifier:
         return out.astype(np.int8)
 
 
-def fit_stumps(s: Sample, rounds: int = 50) -> BoostedStumpsClassifier:
-    """Adaptive boosting over single-bit stumps. Stops early when no stump
-    beats weighted chance; ties in the final vote fall back to the training
-    majority."""
+def fit_stumps(s: Sample) -> BoostedStumpsClassifier:
+    """Adaptive boosting over single-bit stumps, 50 rounds at most. Stops
+    early when no stump beats weighted chance; ties in the final vote fall
+    back to the training majority."""
     if len(s) == 0:
         raise UndefinedMetricError("cannot fit on an empty sample")
-    if rounds < 1:
-        raise InvalidParameterError("rounds must be >= 1")
     m, n = s.bits.shape
     y = s.labels.astype(np.float64) * 2.0 - 1.0
     w = np.full(m, 1.0 / m)
@@ -179,7 +169,7 @@ def fit_stumps(s: Sample, rounds: int = 50) -> BoostedStumpsClassifier:
     stumps: list[Stump] = []
     alphas: list[float] = []
     signed_bits = s.bits.astype(np.float64) * 2.0 - 1.0
-    for _ in range(rounds):
+    for _ in range(50):
         # weighted error of every (bit, polarity) pair in one pass
         agree_pos = (signed_bits * y[:, None] > 0).astype(np.float64)
         err_pos = w @ (1.0 - agree_pos)

@@ -15,12 +15,12 @@ import numpy as np
 from .concepts import (
     Adfsa,
     ConceptDag,
+    _walk,
     load_concept,
     max_path_depth,
     node_values,
     push_negations_to_leaves,
     relevance_mask,
-    walk_from_state,
 )
 from .errors import (
     ConfigError,
@@ -40,11 +40,6 @@ from .plan import ModerationRule, postfix_order
 from .sampling import Distribution, draw_inputs
 from .session import run_teaching_session
 
-_MODERATION_FLAGS = {
-    "relevant": ModerationRule.RELEVANT_FILTER,
-    "partition": ModerationRule.LARGER_PARTITION,
-}
-
 
 def _default_distribution(concept, seed: int) -> Distribution:
     if isinstance(concept, Adfsa):
@@ -54,14 +49,13 @@ def _default_distribution(concept, seed: int) -> Distribution:
 
 def _cmd_teach(args) -> int:
     concept = load_concept(args.concept)
-    moderation = _MODERATION_FLAGS[args.moderation] if args.moderation else None
     d = _default_distribution(concept, args.seed)
     report = run_teaching_session(
         concept,
         d,
         args.m,
         mode=args.mode,
-        moderation=moderation,
+        moderation=args.moderation,
         test_size=args.test_size,
         enforce_budget=args.enforce_budget,
     )
@@ -94,10 +88,10 @@ def _all_inputs(n: int) -> np.ndarray:
     return ((rows[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
 
 
-def _check_taught_nodes(concept, X) -> dict:
-    """Relevant inputs must agree with the root at every taught node."""
+def _check_taught_nodes(concept, X, vals) -> dict:
+    """Relevant inputs must agree with the root at every taught node; vals
+    holds the concept's node_values on X."""
     plan = postfix_order(concept)
-    vals = node_values(concept, X)
     root = vals[:, concept.root]
     bad = 0
     for rnd in plan.rounds:
@@ -126,7 +120,7 @@ def _verify_single(concept, args) -> list[dict]:
             name = "walks-total-on-sampled-strings"
             X, lengths = draw_inputs(_default_distribution(concept, args.seed), args.samples)
         # strings whose walk from the start runs out before a terminal
-        undefined = int(np.sum(walk_from_state(concept, X, lengths, concept.start, 0) < 0))
+        undefined = int(np.sum(_walk(concept, X, lengths)[0] < 0))
         checks.append(
             {
                 "name": name,
@@ -143,7 +137,8 @@ def _verify_single(concept, args) -> list[dict]:
     if isinstance(concept, ConceptDag):
         restructured = push_negations_to_leaves(concept)
         a = node_values(concept, X)[:, concept.root]
-        b = node_values(restructured, X)[:, restructured.root]
+        vals = node_values(restructured, X)
+        b = vals[:, restructured.root]
         mismatches = int(np.sum(a != b))
         within_double = restructured.size <= 2 * concept.size
         checks.append(
@@ -159,9 +154,9 @@ def _verify_single(concept, args) -> list[dict]:
                 },
             }
         )
-        checks.append(_check_taught_nodes(restructured, X))
+        checks.append(_check_taught_nodes(restructured, X, vals))
     else:
-        checks.append(_check_taught_nodes(concept, X))
+        checks.append(_check_taught_nodes(concept, X, node_values(concept, X)))
     return checks
 
 
@@ -226,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     teach.add_argument("--m", type=int, required=True, help="training sample size")
     teach.add_argument("--seed", type=int, required=True)
     teach.add_argument("--mode", choices=("best-fit", "reliable"), default="best-fit")
-    teach.add_argument("--moderation", choices=tuple(_MODERATION_FLAGS))
+    teach.add_argument("--moderation", choices=[rule.value for rule in ModerationRule])
     teach.add_argument("--test-size", type=int, default=1000)
     teach.add_argument("--enforce-budget", action="store_true")
     teach.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -168,7 +168,6 @@ class ThresholdCircuit:
     gates: tuple[Gate, ...]
     root: int
     n: int
-    depth_cap: int = 8
     children: Children = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -190,10 +189,8 @@ class ThresholdCircuit:
                     raise InvalidConceptError(f"unknown wire source {wire.source!r}")
             children.append(tuple(w.index for w in gate.inputs if w.source == "gate"))
         _set_children(self, children, self.root, "gate")
-        if self.depth > self.depth_cap:
-            raise InvalidConceptError(
-                f"circuit depth {self.depth} exceeds cap {self.depth_cap}"
-            )
+        if self.depth > 8:
+            raise InvalidConceptError(f"circuit depth {self.depth} exceeds cap 8")
 
     @property
     def depth(self) -> int:
@@ -488,24 +485,24 @@ def _adfsa_tables(a: Adfsa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
 
 def _walk(
-    a: Adfsa, X: np.ndarray, lengths: np.ndarray, state: int, offset: int, watch=()
+    a: Adfsa, X: np.ndarray, lengths: np.ndarray, watch=()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch walk: the outputs as walk_from_state gives them, and for each
-    watched state the bit position at which each walk sits on it, -1 where
-    it never does, shape (len(watch), m) int32. Moves point to lower
-    indices, so a walk sits on a state at most once and one walk serves
-    every watched state."""
+    """Batch walk from the start: 1/0 for walks that reach a terminal and -1
+    where the string runs out first, and for each watched state the bit
+    position at which each walk sits on it, -1 where it never does, shape
+    (len(watch), m) int32. Moves point to lower indices, so a walk sits on a
+    state at most once and one walk serves every watched state."""
     X, lengths = as_string_batch(X, lengths)
     on0, on1, branch, accept = _adfsa_tables(a)
     # unwatched states file their arrivals in one extra row, dropped at the end
     slot = np.full(a.size, len(watch), dtype=np.int64)
     slot[list(watch)] = np.arange(len(watch))
     m = X.shape[0]
-    cur = np.full(m, state, dtype=np.int64)
+    cur = np.full(m, a.start, dtype=np.int64)
     arrived = np.full((len(watch) + 1, m), -1, dtype=np.int32)
     # the walks that have just reached the state they sit on
     rows = np.arange(m)
-    pos = offset
+    pos = 0
     while True:
         arrived[slot[cur[rows]], rows] = pos
         active = branch[cur] & (pos < lengths)
@@ -520,20 +517,9 @@ def _walk(
     return out, arrived[:-1]
 
 
-def walk_from_state(
-    a: Adfsa, X: np.ndarray, lengths: np.ndarray, state: int, offset: int
-) -> np.ndarray:
-    """Batch walk starting at `state`, consuming bits from `offset` on.
-
-    Returns 1/0 for walks that reach a terminal and -1 where the string is
-    exhausted first (including strings shorter than the offset itself).
-    """
-    return _walk(a, X, lengths, state, offset)[0]
-
-
 def adfsa_labels(a: Adfsa, X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Classify a batch of strings; exhaustion anywhere is an error."""
-    out = _walk(a, X, lengths, a.start, 0)[0]
+    out = _walk(a, X, lengths)[0]
     if (out < 0).any():
         count = int((out < 0).sum())
         raise MalformedAutomatonError(
@@ -571,8 +557,9 @@ def select_outputs(
 def state_outputs(a: Adfsa, X: np.ndarray, lengths: np.ndarray, states: list[int]):
     """Outputs of `states` when their walks start at each offset, one offset
     at a time: yields (o, out) for o from a.n - 1 down to 0, where row k of
-    out, shape (len(states), m), equals walk_from_state(a, X, lengths,
-    states[k], o). X has at most a.n columns.
+    out, shape (len(states), m), holds the walks from states[k] that read
+    each string from offset o on: 1/0 at a terminal, -1 where the string
+    (shorter than o, too) runs out first. X has at most a.n columns.
 
     One pass over the states reachable from `states` that holds their
     outputs at one offset only: a branch state's outputs at offset o select

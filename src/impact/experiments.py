@@ -23,7 +23,7 @@ from .concepts import build_parity, json_int
 from .errors import ConfigError
 from .generate import random_parity_subset
 from .sampling import Distribution, accuracy, derive_seed, draw_sample
-from .session import run_teaching_session
+from .session import TEST_STREAM, TRAIN_STREAM, run_teaching_session
 
 IMPACT_MODES = {"impact": "best-fit", "impact-reliable": "reliable"}
 BASELINE_FITTERS = {"tree": fit_tree, "stumps": fit_stumps, "majority": fit_majority}
@@ -189,8 +189,8 @@ def run_one_trial(cfg: SweepConfig, value: int, learner: str, trial: int) -> Res
         acc = report.test_accuracy
         dk = report.test_dont_know_rate
     else:
-        train = draw_sample(d, concept, m, stream="train")
-        test = draw_sample(d, concept, cfg.test_size, stream="test")
+        train = draw_sample(d, concept, m, stream=TRAIN_STREAM)
+        test = draw_sample(d, concept, cfg.test_size, stream=TEST_STREAM)
         model = BASELINE_FITTERS[learner](train)
         acc = accuracy(model, test)
         dk = 0.0

@@ -23,16 +23,16 @@ from .errors import InvalidParameterError
 from .sampling import rng_from
 
 
-def random_dag(n: int, size: int, seed: int, *, p_not: float = 0.2) -> ConceptDag:
-    """Literals for every bit, then random internal nodes; the last node is
-    the root."""
+def random_dag(n: int, size: int, seed: int) -> ConceptDag:
+    """Literals for every bit, then random internal nodes, each a negation
+    with probability 0.2; the last node is the root."""
     if size < n + 1:
         raise InvalidParameterError("size must exceed the bit count")
     rng = rng_from(seed, "generate", "dag")
     nodes: list = [Literal(bit=i) for i in range(n)]
     while len(nodes) < size:
         top = len(nodes)
-        if rng.random() < p_not:
+        if rng.random() < 0.2:
             nodes.append(Not(child=int(rng.integers(0, top))))
         else:
             left = int(rng.integers(0, top))

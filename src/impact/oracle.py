@@ -200,10 +200,9 @@ def reference_perceptron(V, y, max_epochs: int) -> PerceptronHypothesis:
 
     Weights start at zero and each mistake adds or subtracts its row and
     one unit of threshold; the best end-of-epoch weights by training
-    accuracy are kept, and a mistake-free epoch stops early.
+    accuracy are kept, and a mistake-free epoch stops early. An empty
+    sample makes no mistake, so it keeps the starting point.
     """
-    if V.shape[1] == 0:
-        raise UndefinedMetricError("cannot learn from an empty sample")
     X = V.T.astype(np.float64)
     y = y.astype(np.int8)
     m, A = X.shape
@@ -211,7 +210,8 @@ def reference_perceptron(V, y, max_epochs: int) -> PerceptronHypothesis:
     theta = 0.0
 
     def acc(wv, tv):
-        return float(np.mean(((X @ wv >= tv)) == (y == 1)))
+        # rows labelled correctly, which orders weights as accuracy does
+        return int(np.count_nonzero((X @ wv >= tv) == (y == 1)))
 
     pocket_w, pocket_theta, pocket_acc = w.copy(), theta, acc(w, theta)
     for _ in range(max_epochs):
@@ -417,12 +417,12 @@ def exhaustive_string_equivalence(
 # ---------------------------------------------------------------------------
 
 
-def sampled_disagreement(f, g, d: Distribution, m: int, *, stream: int = 0) -> float:
+def sampled_disagreement(f, g, d: Distribution, m: int) -> float:
     """Fraction of freshly drawn inputs on which two predictors differ.
     Draws its own inputs rather than trusting the library sampler."""
     if m < 1:
         raise InvalidParameterError("m must be >= 1")
-    rng = rng_from(d.seed, "oracle-disagreement", stream)
+    rng = rng_from(d.seed, "oracle-disagreement", 0)
     n = d.n
     if d.kind == "strings":
         lengths = rng.integers(d.length_low, n + 1, size=m)

@@ -14,7 +14,7 @@ from .concepts import (
     ThresholdCircuit,
     reachable_indices,
 )
-from .errors import InvalidConceptError
+from .errors import InvalidConceptError, InvalidParameterError
 
 
 class ModerationRule(enum.Enum):
@@ -24,12 +24,17 @@ class ModerationRule(enum.Enum):
     the target node. LARGER_PARTITION splits by agreement between the node
     value and the label and keeps the bigger half. OFFSET_PARTITION is the
     string-concept rule: bucket by arrival offset and agreement, keep the
-    largest bucket.
+    largest bucket. ModerationRule(value) gives the member of a value, and
+    raises InvalidParameterError for any other.
     """
 
     RELEVANT_FILTER = "relevant"
     LARGER_PARTITION = "partition"
     OFFSET_PARTITION = "offset"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidParameterError(f"unknown moderation rule {value!r}")
 
 
 @dataclass(frozen=True)

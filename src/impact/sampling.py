@@ -113,10 +113,6 @@ class Sample:
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
-    @property
-    def n(self) -> int:
-        return int(self.bits.shape[1])
-
 
 def draw_inputs(d: Distribution, m: int, *, stream=0) -> tuple[np.ndarray, np.ndarray]:
     """Draw m unlabelled inputs: bits (m, n), zero past each string's length,

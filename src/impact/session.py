@@ -432,7 +432,7 @@ def run_teaching_session(
     d: Distribution,
     m: int,
     mode: str = "best-fit",
-    moderation: ModerationRule | None = None,
+    moderation: ModerationRule | str | None = None,
     *,
     test_size: int = 1000,
     enforce_budget: bool = False,
@@ -453,7 +453,7 @@ def run_teaching_session(
         raise InvalidParameterError("reliable mode applies to formula concepts")
 
     taught = push_negations_to_leaves(concept) if isinstance(concept, ConceptDag) else concept
-    rule = moderation if moderation is not None else default_rule(taught)
+    rule = ModerationRule(moderation) if moderation is not None else default_rule(taught)
     plan = postfix_order(taught)
     # a total error of 0.05 split evenly over the rounds, at confidence 0.95
     required = sample_budget(0.05 / len(plan), 0.05)

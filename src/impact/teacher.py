@@ -35,7 +35,7 @@ class Teacher:
         self.concept = concept
         self.sample = s
         if isinstance(concept, Adfsa):
-            out, arrivals = _walk(concept, s.bits, s.lengths, concept.start, 0, nodes)
+            out, arrivals = _walk(concept, s.bits, s.lengths, nodes)
         else:
             self.values = node_values(concept, s.bits)
             out = self.values[:, concept.root]
@@ -55,9 +55,10 @@ class Teacher:
             self._relevant = (node, mask)
         return self._relevant[1]
 
-    def mask(self, node: int, rule: ModerationRule) -> tuple[np.ndarray, int | None]:
+    def mask(self, node: int, rule: ModerationRule | str) -> tuple[np.ndarray, int | None]:
         """One round's membership over the sample under the rule (see
-        ModerationRule), possibly empty, and the offset of an automaton round.
+        ModerationRule), a member or its value, possibly empty, and the
+        offset of an automaton round.
 
         Every string that walks through an automaton round's state lands in
         the bucket of its arrival offset. Strings that never touch the state
@@ -67,7 +68,7 @@ class Teacher:
         and, within an offset, to the agreeing bucket. The Teacher settled
         every automaton round when it was built, so here it only looks it up.
         """
-        s = self.sample
+        s, rule = self.sample, ModerationRule(rule)
         if isinstance(self.concept, Adfsa) != (rule is ModerationRule.OFFSET_PARTITION):
             raise InvalidParameterError(f"rule {rule.value} does not apply to this concept")
         if rule is ModerationRule.RELEVANT_FILTER:
@@ -119,7 +120,7 @@ def _offset_buckets(
 
 
 def moderate(
-    concept: Teacher | Concept, node: int, s: Sample, rule: ModerationRule
+    concept: Teacher | Concept, node: int, s: Sample, rule: ModerationRule | str
 ) -> tuple[np.ndarray, int | None]:
     """Select one round's training subset of `s` (see Teacher.mask). Returns
     the ascending indices of its rows in `s` and the offset of an automaton
@@ -138,14 +139,15 @@ def moderate(
 
 
 def export_privileged_view(
-    plan: RoundPlan, s: Sample, concept: Concept, rule: ModerationRule
+    plan: RoundPlan, s: Sample, concept: Concept, rule: ModerationRule | str
 ) -> np.ndarray:
     """Every round's moderation under the rule over the full sample, through
     one Teacher: the (m, R) uint8 matrix whose entry (i, r) is 1 iff example
     i is in round r's moderated subset.
 
-    Rounds that would select nothing produce an all-zero column here instead
-    of aborting; the abort semantics belong to the session driver.
+    A round that selects nothing has an all-zero column, as the session
+    learns that round on no rows; only under enforce_budget does the
+    session abort there.
     """
     teacher = Teacher(concept, s, [rnd.node for rnd in plan.rounds])
     membership = np.zeros((len(s), len(plan)), dtype=np.uint8)

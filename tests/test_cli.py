@@ -14,7 +14,7 @@ from helpers import chain_automaton, vote_circuit
 import impact.cli
 import impact.concepts
 import impact.session
-from impact import build_parity, save_concept
+from impact import InvalidConceptError, build_parity, concept_from_dict, save_concept
 from impact.cli import main
 from impact.generate import random_dag
 
@@ -124,6 +124,17 @@ def test_teach_missing_concept_file(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("rule", ["relevant", "partition", "offset"])
+def test_teach_passes_the_moderation_rule_by_name(parity_file, capsys, rule):
+    """--moderation names any rule; one that does not fit a formula exits 2."""
+    argv = ["teach", "--concept", str(parity_file), "--m", "80", "--seed", "3"]
+    code, out, err = run_main(capsys, argv + ["--moderation", rule])
+    if rule == "offset":
+        assert code == 2 and "rule offset does not apply" in err
+    else:
+        assert code == 0 and json.loads(out)["moderation"] == rule
 
 
 def test_teach_library_error_exits_two(parity_file, capsys, monkeypatch):
@@ -323,14 +334,15 @@ def test_verify_single_automaton(automaton_file, capsys):
 @pytest.mark.parametrize("exhaustive", [[], ["--exhaustive"]], ids=["sampled", "exhaustive"])
 def test_verify_counts_undefined_walks(automaton_file, capsys, monkeypatch, exhaustive):
     """Both automaton checks count the walks that run out before a terminal."""
-    walk = impact.cli.walk_from_state
+    walk = impact.cli._walk
 
     def one_undefined(*args):
-        out = walk(*args).copy()
+        out, arrived = walk(*args)
+        out = out.copy()
         out[0] = -1
-        return out
+        return out, arrived
 
-    monkeypatch.setattr(impact.cli, "walk_from_state", one_undefined)
+    monkeypatch.setattr(impact.cli, "_walk", one_undefined)
     code, out, _ = run_main(capsys, ["verify", "--concept", str(automaton_file), *exhaustive])
     assert code == 1
     (check,) = json.loads(out)["checks"]
@@ -351,11 +363,83 @@ def test_verify_sampled_strings_are_unlabelled(automaton_file, capsys, monkeypat
         return out, arrived
 
     monkeypatch.setattr(impact.concepts, "_walk", one_undefined)
+    monkeypatch.setattr(impact.cli, "_walk", one_undefined)
     code, out, _ = run_main(capsys, ["verify", "--concept", str(automaton_file)])
     assert code == 1
     (check,) = json.loads(out)["checks"]
     assert check["name"] == "walks-total-on-sampled-strings"
     assert check["details"]["undefined"] >= 1
+
+
+def test_verify_evaluates_each_formula_once(parity_file, capsys, monkeypatch):
+    """The pushdown check and the taught-node check share the restructured
+    DAG's node values: one evaluation of each DAG."""
+    calls = []
+    real = impact.cli.node_values
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(impact.cli, "node_values", counting)
+    code, _, _ = run_main(capsys, ["verify", "--concept", str(parity_file), "--exhaustive"])
+    assert code == 0
+    assert len(calls) == 2
+
+
+# Concept files that each break one constructor check, and the error each raises.
+BROKEN_CONCEPT_FILES = {
+    "no-input-bits": (
+        {"type": "adfsa", "n": 0, "states": [{"kind": "reject"}, {"kind": "accept"}], "start": 0},
+        "at least one input bit",
+    ),
+    "threshold-0": (
+        {"type": "threshold", "n": 1, "gates": [{"threshold": 0, "inputs": [{"bit": 0}]}], "root": 0},
+        "threshold 0 outside 1..1",
+    ),
+    "threshold-above-fan-in": (
+        {"type": "threshold", "n": 1, "gates": [{"threshold": 2, "inputs": [{"bit": 0}]}], "root": 0},
+        "threshold 2 outside 1..1",
+    ),
+    "bit-out-of-range": (
+        {"type": "threshold", "n": 1, "gates": [{"threshold": 1, "inputs": [{"bit": 1}]}], "root": 0},
+        "reads bit 1",
+    ),
+    "too-deep": (
+        {
+            "type": "threshold",
+            "n": 1,
+            "gates": [{"threshold": 1, "inputs": [{"bit": 0}]}]
+            + [{"threshold": 1, "inputs": [{"gate": i}]} for i in range(8)],
+            "root": 8,
+        },
+        "depth 9 exceeds cap 8",
+    ),
+    "unknown-record-tag": (
+        {"type": "dag", "n": 1, "nodes": [{"op": "xor", "left": 0, "right": 0}], "root": 0},
+        "unknown record op 'xor'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CONCEPT_FILES))
+def test_verify_rejects_a_broken_concept_file(case, tmp_path, capsys):
+    data, message = BROKEN_CONCEPT_FILES[case]
+    with pytest.raises(InvalidConceptError, match=message):
+        concept_from_dict(data)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_main(capsys, ["verify", "--concept", str(path)])
+    assert code == 2
+    assert out == "" and message in err
+
+
+def test_verify_exhaustive_refuses_past_the_enumeration_cap(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    save_concept(build_parity(21, (0, 20)), path)
+    code, out, err = run_main(capsys, ["verify", "--concept", str(path), "--exhaustive"])
+    assert code == 2
+    assert out == "" and "n=21 exceeds the enumeration cap 20" in err
 
 
 def test_verify_equivalent_pair(parity_file, tmp_path, capsys):
@@ -545,6 +629,7 @@ def run_fuzzed(argv, files):
                 ["--mode", "reliable"],
                 ["--moderation", "relevant"],
                 ["--moderation", "partition"],
+                ["--moderation", "offset"],
                 ["--test-size", "16"],
                 ["--test-size", "0"],
                 ["--enforce-budget"],

@@ -50,7 +50,7 @@ from impact import (
     relevance_mask,
     save_concept,
 )
-from impact.concepts import _walk, state_outputs, walk_from_state
+from impact.concepts import _walk, state_outputs
 from impact.generate import random_automaton, random_circuit, random_dag
 from impact.oracle import (
     reference_evaluate,
@@ -100,6 +100,33 @@ def test_automaton_depth_cannot_exceed_n():
         states.append(BranchState(on0=len(states) - 1, on1=len(states) - 1))
     with pytest.raises(InvalidConceptError):
         Adfsa(states=tuple(states), start=4, n=2)
+
+
+def gate_chain(depth: int) -> ThresholdCircuit:
+    """A circuit of `depth` one-input gates, each reading the one before."""
+    gates = [Gate(1, (Wire("bit", 0),))] + [Gate(1, (Wire("gate", i),)) for i in range(depth - 1)]
+    return ThresholdCircuit(gates=tuple(gates), root=depth - 1, n=1)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: ThresholdCircuit((Gate(1, (Wire("node", 0),)),), 0, 1), "wire source"),
+        (lambda: gate_chain(9), "depth 9 exceeds cap 8"),
+        (lambda: build_parity(4, ()), "at least one bit"),
+        (lambda: build_parity(4, (1, 1)), "repeated"),
+        (lambda: build_parity(4, (4,)), "out of range"),
+    ],
+    ids=["unknown-wire-source", "too-deep", "parity-empty", "parity-repeated", "parity-out-of-range"],
+)
+def test_invalid_concepts_raise(build, message):
+    """Faults no concept file can carry; test_cli checks those one can."""
+    with pytest.raises(InvalidConceptError, match=message):
+        build()
+
+
+def test_circuit_at_the_depth_cap_is_valid():
+    assert gate_chain(8).depth == 8
 
 
 # Each builder gives a concept whose node, gate or state 1 reads the index it is passed.
@@ -162,6 +189,15 @@ def test_node_values_all_nodes_match_oracle():
             assert vals[i, node] == reference_node_value(g, node, X[i])
 
 
+def test_circuit_node_values_all_gates_match_oracle():
+    for c in (random_circuit(7, 4, seed=2), layered_circuit(), vote_circuit()):
+        X = all_inputs(c.n)
+        vals = node_values(c, X)
+        for gate in range(c.size):
+            for i in range(0, len(X), 5):
+                assert vals[i, gate] == reference_node_value(c, gate, X[i])
+
+
 def test_circuit_values_match_oracle():
     for seed in range(5):
         c = random_circuit(7, 4, seed)
@@ -218,13 +254,13 @@ def test_random_automaton_matches_walk_oracle():
             assert labels[i] == run_automaton(a, X[i, :length])
 
 
-def test_walk_from_state_undefined_when_short():
+def test_walk_undefined_when_short():
     a = chain_automaton()
     X = np.array([[1, 0]], dtype=np.uint8)
-    assert walk_from_state(a, X, np.array([1]), a.start, 0)[0] == -1
-    assert walk_from_state(a, X, np.array([2]), a.start, 0)[0] == 0
+    assert _walk(a, X, np.array([1]))[0][0] == -1
+    assert _walk(a, X, np.array([2]))[0][0] == 0
     # the inner branch state read at offset 1 sees bit 0 there
-    assert walk_from_state(a, X, np.array([2]), 2, 1)[0] == 0
+    assert dict(state_outputs(a, X, np.array([2]), [2]))[1].tolist() == [[0]]
 
 
 @given(
@@ -245,8 +281,7 @@ def test_walk_from_state_undefined_when_short():
 def test_state_outputs_match_walks(automaton, m, narrower, seed):
     """The descending-offset table of every state, terminals included, equals
     one walk per offset, on strings of lengths 1 to their width, which may be
-    less than n. walk_from_state shares its walker with the fast paths, so
-    every output is also checked against the oracle's walk, string by string."""
+    less than n, checked against the oracle's walk string by string."""
     width = max(1, automaton.n - narrower)
     X, lengths = random_strings(np.random.default_rng(seed), m, width)
     states = list(range(automaton.size))
@@ -256,7 +291,6 @@ def test_state_outputs_match_walks(automaton, m, narrower, seed):
         offsets.append(o)
         assert out.shape == (automaton.size, m)
         for state in states:
-            assert np.array_equal(out[state], walk_from_state(automaton, X, lengths, state, o))
             for i in range(m):
                 assert out[state, i] == run_automaton(from_state[state], X[i, o : lengths[i]])
     assert offsets == list(range(automaton.n - 1, -1, -1))
@@ -267,10 +301,10 @@ def test_arrival_offsets_chain():
     X = np.array([[1, 1], [1, 0], [0, 1], [0, 0]], dtype=np.uint8)
     lengths = np.full(4, 2)
     # inner branch state 2 is reached only after a leading 1
-    offsets = _walk(a, X, lengths, a.start, 0, (2,))[1][0]
+    offsets = _walk(a, X, lengths, (2,))[1][0]
     assert offsets.tolist() == [1, 1, -1, -1]
     # the start state is everyone's offset 0
-    assert _walk(a, X, lengths, a.start, 0, (a.start,))[1][0].tolist() == [0, 0, 0, 0]
+    assert _walk(a, X, lengths, (a.start,))[1][0].tolist() == [0, 0, 0, 0]
 
 
 def test_max_path_depth():
@@ -409,6 +443,14 @@ def test_relevance_rejects_mismatched_node_values():
     X = all_inputs(3)
     with pytest.raises(InputShapeError):
         relevance_mask(g, 0, X, values=node_values(g, X[:4]))
+
+
+@pytest.mark.parametrize("node", [-1, 7])
+def test_relevance_rejects_a_node_out_of_range(node):
+    g = mixed_relevance_dag()
+    assert g.size == 7
+    with pytest.raises(InvalidConceptError, match="out of range"):
+        relevance_mask(g, node, all_inputs(3))
 
 
 @pytest.mark.parametrize(

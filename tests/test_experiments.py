@@ -92,6 +92,11 @@ def test_bad_m_configs_rejected(overrides):
         small_m_config(**overrides)
 
 
+def test_zero_width_config_rejected():
+    with pytest.raises(ConfigError, match="n must be >= 1"):
+        small_m_config(n=0)
+
+
 def test_empty_parity_subset_rejected_at_load():
     with pytest.raises(ConfigError):
         small_m_config(subset=())

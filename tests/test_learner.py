@@ -713,11 +713,11 @@ def test_perceptron_returns_its_starting_point_on_an_empty_sample():
 @st.composite
 def perceptron_problems(draw):
     """Attribute rows, labels and an epoch cap for the perceptron. Sizes run
-    from below one 128-row scan window to several, with a partial last
-    window and the window edges themselves; labels come from a random
+    from the empty sample through one 128-row scan window to several, with
+    a partial last window and the window edges themselves; labels come from a random
     integer gate, the same gate with a tenth of them flipped, or one class."""
     A = draw(st.integers(min_value=1, max_value=12))
-    m = draw(st.one_of(st.integers(1, 700), st.sampled_from([127, 128, 129, 256, 257])))
+    m = draw(st.one_of(st.integers(0, 700), st.sampled_from([127, 128, 129, 256, 257])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     V = rng.integers(0, 2, size=(A, m)).astype(np.uint8)
     labels = draw(st.sampled_from(["separable", "noisy", "constant"]))

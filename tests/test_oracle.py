@@ -14,10 +14,14 @@ from helpers import (
     vote_circuit,
 )
 from impact import (
+    And,
     AttributeSpace,
+    ConceptDag,
     Distribution,
     EnumerationCapError,
     ImpactError,
+    Literal,
+    Not,
     PairHypothesis,
     build_parity,
 )
@@ -27,6 +31,7 @@ from impact.oracle import (
     exhaustive_string_equivalence,
     reference_evaluate,
     reference_node_value,
+    reference_perceptron,
     relevance_by_substitution,
     run_automaton,
     sampled_disagreement,
@@ -204,3 +209,23 @@ def test_sampled_disagreement_identity_and_complement():
     assert sampled_disagreement(g, g, d, 2000) == 0.0
     frac = sampled_disagreement(g, lambda bits: 1 - reference_evaluate(g, bits), d, 2000)
     assert frac == 1.0
+
+
+def test_sampled_disagreement_draws_product_bits():
+    """x0 and not x1 differs from x0 only where both bits are 1: never when
+    bit 1 is always 0, on a quarter of uniform inputs."""
+    x0 = ConceptDag(nodes=(Literal(bit=0),), root=0, n=2)
+    x0_not_x1 = ConceptDag(
+        nodes=(Literal(bit=0), Literal(bit=1), Not(child=1), And(left=0, right=2)), root=3, n=2
+    )
+    assert sampled_disagreement(x0, x0_not_x1, Distribution.product((1.0, 0.0), 0), 1000) == 0.0
+    frac = sampled_disagreement(x0, x0_not_x1, Distribution.uniform(2, 0), 4000)
+    assert frac == pytest.approx(0.25, abs=0.03)
+
+
+def test_reference_perceptron_keeps_its_starting_point_on_an_empty_sample():
+    """As learn_threshold_node does: zero float64 weights and threshold 0.0."""
+    for A in (1, 4):
+        h = reference_perceptron(np.zeros((A, 0), dtype=np.uint8), np.zeros(0, dtype=np.uint8), 10)
+        assert h.weights.dtype == np.float64 and h.weights.tolist() == [0.0] * A
+        assert type(h.threshold) is float and h.threshold == 0.0

@@ -160,6 +160,22 @@ def test_distribution_validation():
         draw_sample(Distribution.uniform(3, 0), build_parity(4, (0,)), 5)
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Distribution(kind="gaussian", n=2, seed=0), "unknown distribution kind"),
+        (lambda: Distribution(kind="product", n=2, seed=0), "needs n probabilities"),
+        (lambda: Distribution(kind="product", n=2, seed=0, probabilities=(0.5,)), "needs n"),
+        (lambda: Distribution.strings(4, 0, length_low=0), "1 <= 0 <= n"),
+        (lambda: Distribution.strings(4, 0, length_low=5), "1 <= 5 <= n"),
+    ],
+    ids=["unknown-kind", "product-without-rates", "product-short", "length-0", "length-above-n"],
+)
+def test_invalid_distributions_raise(build, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        build()
+
+
 def test_strings_distribution_requires_automaton():
     d = Distribution.strings(4, 0)
     with pytest.raises(InvalidParameterError):

@@ -17,6 +17,7 @@ from impact import (
     AdfsaNodeHypothesis,
     And,
     AttributeSpace,
+    AutomatonClassifier,
     BranchState,
     ConceptDag,
     DagClassifier,
@@ -26,6 +27,7 @@ from impact import (
     InsufficientDataError,
     InvalidParameterError,
     Literal,
+    ModerationRule,
     PairHypothesis,
     RejectState,
     ReliablePairSet,
@@ -85,6 +87,25 @@ def test_json_report_shape():
     assert len(payload["rounds"]) == len(report.rounds)
     for entry in payload["rounds"]:
         assert {"index", "node", "rule", "subset_size", "training_error"} <= set(entry)
+
+
+@pytest.mark.parametrize("rule", list(ModerationRule), ids=lambda rule: rule.value)
+def test_session_takes_a_rule_or_its_value(rule):
+    """A rule named by its value gives the member's report."""
+    if rule is ModerationRule.OFFSET_PARTITION:
+        concept = random_automaton(8, 6, seed=1)
+        d = Distribution.strings_for(concept, 2)
+    else:
+        concept, d = build_parity(6, (0, 2, 5)), Distribution.uniform(6, 7)
+    report = run_teaching_session(concept, d, 200, moderation=rule).to_json_dict()
+    assert run_teaching_session(concept, d, 200, moderation=rule.value).to_json_dict() == report
+
+
+@pytest.mark.parametrize("value", ["bogus", "offset"])
+def test_session_rejects_a_rule_value_that_does_not_fit(value):
+    g, d = build_parity(4, (0, 1)), Distribution.uniform(4, 0)
+    with pytest.raises(InvalidParameterError, match=value):
+        run_teaching_session(g, d, 50, moderation=value)
 
 
 def test_full_error_never_exceeds_relevant_error():
@@ -234,6 +255,22 @@ def test_automaton_expansion_agrees_with_classifier_wherever_it_answers(n, branc
     for bits, p in zip(strings, predicted):
         if p >= 0:
             assert run_automaton(expanded, bits) == p
+
+
+def test_automaton_expansion_replays_a_late_final_offset():
+    """A final step learned at offset 2 expands behind a leading chain of
+    two branches that ignore their bit; the expansion walks every string of
+    lengths 1 to 4 to the classifier's answer, -1 included."""
+    step = AdfsaNodeHypothesis(offset=0, on0=1, on1=0)
+    space = augment(AttributeSpace.terminals(), step)
+    clf = AutomatonClassifier(space=space, final=AdfsaNodeHypothesis(offset=2, on0=2, on1=0), n=4)
+    strings = [bits for k in range(1, 5) for bits in itertools.product((0, 1), repeat=k)]
+    X = np.array([bits + (0,) * (4 - len(bits)) for bits in strings], dtype=np.uint8)
+    lengths = [len(bits) for bits in strings]
+    predicted = clf.predict_sample(make_sample(X, np.zeros(len(X)), lengths))
+    expanded = clf.to_concept()
+    assert [run_automaton(expanded, bits) for bits in strings] == predicted.tolist()
+    assert set(predicted.tolist()) == {-1, 0, 1}
 
 
 def test_abstaining_classifier_reports_why_it_has_no_model():
@@ -465,21 +502,21 @@ def test_parity_session_evaluates_the_concept_once(monkeypatch):
 def test_automaton_session_walks_from_the_start_a_fixed_number_of_times(monkeypatch):
     """The two draws and the teacher walk the sample from the start state,
     three walks whatever the session's round count."""
-    starts = []
+    walks = []
     real = impact.concepts._walk
 
-    def counting(a, X, lengths, state, *args):
-        starts.append(state == a.start)
-        return real(a, X, lengths, state, *args)
+    def counting(*args):
+        walks.append(args)
+        return real(*args)
 
     monkeypatch.setattr(impact.concepts, "_walk", counting)
     monkeypatch.setattr(impact.teacher, "_walk", counting)
     round_counts = set()
     for a in (chain_automaton(), random_automaton(8, 6, seed=1)):
-        starts.clear()
+        walks.clear()
         report = run_teaching_session(a, Distribution.strings_for(a, 2), 100, test_size=20)
         round_counts.add(len(report.rounds))
-        assert sum(starts) == 3
+        assert len(walks) == 3
     assert len(round_counts) == 2
 
 

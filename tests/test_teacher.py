@@ -1,6 +1,8 @@
 """Moderation: relevance filtering, partition fallback, offset buckets,
 privileged views. The teacher only ever removes rows."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +31,7 @@ from impact import (
     export_privileged_view,
 )
 from impact.generate import random_automaton, random_dag
-from impact.concepts import state_outputs, walk_from_state
+from impact.concepts import state_outputs
 from impact.oracle import reference_offset_selection, relevance_by_substitution, run_automaton
 from impact.plan import postfix_order
 from impact.teacher import Teacher
@@ -196,17 +198,13 @@ def test_touching_strings_agree_at_their_arrival_offset():
     a = random_automaton(6, 5, seed=77)
     d = Distribution.strings_for(a, 5)
     s = draw_sample(d, a, 300)
-    from impact.concepts import _walk, walk_from_state
+    from impact.concepts import _walk
 
     for rnd in postfix_order(a).rounds:
-        arrivals = _walk(a, s.bits, s.lengths, a.start, 0, (rnd.node,))[1][0]
-        touched = arrivals >= 0
-        if not touched.any():
-            continue
-        for i in np.flatnonzero(touched):
-            out = walk_from_state(
-                a, s.bits[i : i + 1], s.lengths[i : i + 1], rnd.node, int(arrivals[i])
-            )[0]
+        arrivals = _walk(a, s.bits, s.lengths, (rnd.node,))[1][0]
+        from_state = replace(a, start=rnd.node)
+        for i in np.flatnonzero(arrivals >= 0):
+            out = run_automaton(from_state, s.bits[i, arrivals[i] : s.lengths[i]])
             assert out == s.labels[i]
 
 
@@ -320,23 +318,42 @@ def test_privileged_view_matches_moderation_replay_for_automata(seed):
     assert_view_replays_moderation(a, s, ModerationRule.OFFSET_PARTITION, starved_ok=True)
 
 
+def test_moderate_and_the_view_take_a_rule_or_its_value():
+    g = build_parity(6, (0, 2, 5))
+    s = draw_sample(Distribution.uniform(6, 7), g, 200)
+    plan = postfix_order(g)
+    for rule in (ModerationRule.RELEVANT_FILTER, ModerationRule.LARGER_PARTITION):
+        for rnd in plan.rounds:
+            kept, offset = moderate(g, rnd.node, s, rule.value)
+            expected, expected_offset = moderate(g, rnd.node, s, rule)
+            assert np.array_equal(kept, expected) and offset is expected_offset is None
+        view = export_privileged_view(plan, s, g, rule.value)
+        assert np.array_equal(view, export_privileged_view(plan, s, g, rule))
+    for value, message in (("bogus", "unknown moderation rule 'bogus'"), ("offset", "offset")):
+        with pytest.raises(InvalidParameterError, match=message):
+            moderate(g, plan.rounds[0].node, s, value)
+        with pytest.raises(InvalidParameterError, match=message):
+            export_privileged_view(plan, s, g, value)
+
+
 def test_offset_moderation_makes_no_walk_per_offset(monkeypatch):
     """Offset moderation reads every offset from one descending pass of
-    state_outputs instead of walking from the state once per offset."""
-    import impact.concepts
+    state_outputs: the Teacher that each call builds walks the sample once,
+    from the start, instead of once per offset."""
     import impact.teacher
 
     calls = []
+    real = impact.teacher._walk
 
     def counting(*args):
         calls.append(args)
-        return walk_from_state(*args)
+        return real(*args)
 
-    monkeypatch.setattr(impact.concepts, "walk_from_state", counting)
-    monkeypatch.setattr(impact.teacher, "walk_from_state", counting, raising=False)
+    monkeypatch.setattr(impact.teacher, "_walk", counting)
     a = random_automaton(8, 6, seed=1)
     s = draw_sample(Distribution.strings_for(a, 1), a, 100)
-    for rnd in postfix_order(a).rounds:
+    rounds = postfix_order(a).rounds
+    for rnd in rounds:
         moderate(a, rnd.node, s, ModerationRule.OFFSET_PARTITION)
-    assert calls == []
+    assert len(calls) == len(rounds)
 
