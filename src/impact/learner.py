@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .concepts import as_bit_matrix, as_string_batch, select_outputs, string_rows
+from .concepts import as_bit_matrix, as_string_batch, string_rows
 from .errors import InvalidParameterError
 
 AND = "and"
@@ -166,19 +166,18 @@ class AttributeSpace:
     def eval_table(self, bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """String-mode value cube (A, n+1, m): entry (j, o, i) is attribute j's
         output on string i when read from offset o, and -1 where the walk from
-        that offset runs off the end of the string. Each round's two rows are
-        filled at every offset at once from the rows below (see
-        fill_step_rows)."""
+        that offset runs off the end of the string. It decodes the packed
+        planes of step_planes, where each round's two rows are filled at every
+        offset at once from the rows below (see fill_step_planes)."""
         if self.mode != "strings":
             raise InvalidParameterError("eval_table applies to string attribute spaces")
         X, lengths = as_string_batch(bits, lengths)
         m, width = X.shape
-        string_bits, inside = string_rows(X, lengths)
-        table = np.empty((len(self), width + 1, m), dtype=np.int8)
-        table[0], table[1] = 1, 0
+        ok, val = step_planes(len(self), width, np.ones(m, dtype=bool))
+        strings = packed_words(np.stack(string_rows(X, lengths)) == 1)
         for r, h in enumerate(self.hypotheses):
-            fill_step_rows(table, self.base_count + 2 * r, h, string_bits, inside)
-        return table
+            fill_step_planes(ok, val, self.base_count + 2 * r, h, strings)
+        return decode_planes(ok, val, m)
 
 
 def fill_bit_rows(rows: np.ndarray, j: int, h: PairHypothesis | PerceptronHypothesis) -> None:
@@ -188,18 +187,47 @@ def fill_bit_rows(rows: np.ndarray, j: int, h: PairHypothesis | PerceptronHypoth
     np.subtract(1, rows[j], out=rows[j + 1])
 
 
-def fill_step_rows(
-    table: np.ndarray, j: int, h: AdfsaNodeHypothesis, bits: np.ndarray, inside: np.ndarray
+def step_planes(A: int, width: int, accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed packed planes `ok` and `val` (A, width + 1, W) of A string-mode
+    rows over M strings in packed_words' layout: a row is val's bit where ok's
+    is set and -1 elsewhere (see decode_planes). Rows 0 and 1, the terminals,
+    are defined everywhere, with val bits the mask `accept` (M,) and its
+    negation: values for accept all ones, label agreement for labels == 1."""
+    full, yes, no = packed_words(np.stack([np.ones_like(accept), accept, ~accept]))
+    ok = np.zeros((A, width + 1, len(full)), dtype=full.dtype)
+    val = np.zeros_like(ok)
+    ok[:2] = full
+    val[0], val[1] = yes, no
+    return ok, val
+
+
+def fill_step_planes(
+    ok: np.ndarray, val: np.ndarray, j: int, h: AdfsaNodeHypothesis, strings: np.ndarray
 ) -> None:
-    """Fill rows j and j + 1 of an eval_table cube with decision step h's
-    outputs and their complement at every offset, read from its on0 and on1
-    rows one offset later; `bits` and `inside` are string_rows of the cube's
-    strings. Rows on0 and on1 must already be filled."""
-    table[j, :-1] = select_outputs(table[h.on0, 1:], table[h.on1, 1:], bits, inside)
-    table[j, -1] = -1
-    # the complement: x ^ 1 swaps 1 and 0 and turns -1 into -2, which the maximum restores
-    np.bitwise_xor(table[j], 1, out=table[j + 1])
-    np.maximum(table[j + 1], -1, out=table[j + 1])
+    """Fill rows j and j + 1 of step_planes `ok` and `val` with decision step
+    h and its complement at every offset, from its on0 and on1 rows (filled
+    already) one offset later; `strings` (2, n, W) is packed_words of the
+    strings' string_rows. The step is defined inside the string where the
+    child its bit picks is, with that child's val bit, be it a value or an
+    agreement; offset n stays zero, undefined. The complement has the same
+    ok and the other val bit. Padding bits stay zero."""
+    bits, inside = strings
+    ok0, ok1 = ok[h.on0, 1:], ok[h.on1, 1:]
+    val0, val1 = val[h.on0, 1:], val[h.on1, 1:]
+    ok[j, :-1] = inside & (ok0 ^ (bits & (ok0 ^ ok1)))
+    val[j, :-1] = ok[j, :-1] & (val0 ^ (bits & (val0 ^ val1)))
+    ok[j + 1] = ok[j]
+    np.bitwise_and(ok[j], ~val[j], out=val[j + 1])
+
+
+def decode_planes(ok: np.ndarray, val: np.ndarray, M: int) -> np.ndarray:
+    """The int8 values of packed planes over M strings: val's bit where ok's
+    is set, else -1. val is added by leading rows: no second full-size array."""
+    table = np.unpackbits(ok.view(np.uint8), axis=-1, count=M, bitorder="little").view(np.int8)
+    table -= 1
+    for t, v in zip(np.atleast_2d(table), np.atleast_2d(val)):
+        t += np.unpackbits(v.view(np.uint8), axis=-1, count=M, bitorder="little").view(np.int8)
+    return table
 
 
 def augment(z: AttributeSpace, h: RoundHypothesis) -> AttributeSpace:
@@ -452,7 +480,7 @@ def learn_threshold_node(
 _CHUNK_BYTES = 2**19  # bound on learn_adfsa_node's per-chunk AND temporary
 
 
-def _packed_words(mask: np.ndarray) -> np.ndarray:
+def packed_words(mask: np.ndarray) -> np.ndarray:
     """A boolean array packed along its last axis of M into ceil(M / 64)
     little-endian 64-bit words: bit c of word c // 64 is mask[..., c], and the
     bits past M are zero."""
@@ -462,36 +490,28 @@ def _packed_words(mask: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
-def agreement_bits(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Packed label agreement of string-mode value rows (..., n+1, M), such
-    as rows of an eval_table cube: bit c of word (..., o, c // 64) is set
-    where rows[..., o, c] == y[c]. A -1 cell never agrees with a label, and
-    the padding bits past M are zero."""
-    # y in the rows' int8: uint8 labels would widen the comparison to int16
-    return _packed_words(rows == y.astype(rows.dtype))
-
-
 def learn_adfsa_node(
     agree: np.ndarray, bits: np.ndarray, inside: np.ndarray, columns: np.ndarray
 ) -> AdfsaNodeHypothesis:
     """Pick the (offset, on0, on1) step that best matches the aligned data.
 
-    `agree` is the agreement_bits (A, n+1, W) of an eval_table cube of M
-    strings against their labels, `bits` and `inside` are the string_rows of
-    those strings, and the round's strings are the distinct columns
-    `columns`. The strings in the round that read bit 0, and those that read
-    bit 1, at each offset are packed the same way once per round, so child a
-    on side b at offset o agrees with popcount(agree[a, o + 1] & side[b, o])
-    labels: every (attribute, side, offset) count at once, in chunks of
-    attributes, and nothing outside the round counts. Because agreement
-    splits over the examined bit, the two children are chosen independently,
-    and ties resolve to the lower offset then lower attribute indices. With
-    no columns every count is 0, so the step is (offset 0, on0 0, on1 0).
+    `agree` (A, n+1, W) is the val of step_planes with accept labels == 1:
+    packed_words of where each attribute, read from each offset, is defined
+    on M strings and equals their labels. `bits` and `inside` are the
+    string_rows of those strings, and the round's strings are the distinct
+    columns `columns`. The round's strings that read bit 0, and those that
+    read bit 1, at each offset are packed once per round, so child a on side
+    b at offset o agrees with popcount(agree[a, o + 1] & side[b, o]) labels:
+    every (attribute, side, offset) count at once, in chunks of attributes,
+    and nothing outside the round counts. Because agreement splits over the
+    examined bit, the two children are chosen independently, and ties
+    resolve to the lower offset then lower attribute indices. With no
+    columns every count is 0, so the step is (offset 0, on0 0, on1 0).
     """
     A, width = agree.shape[0], bits.shape[0]
     live = np.zeros(bits.shape, dtype=bool)
     live[:, columns] = inside[:, columns] == 1
-    sides = _packed_words(np.stack([live & (bits == 0), live & (bits == 1)]))
+    sides = packed_words(np.stack([live & (bits == 0), live & (bits == 1)]))
     counts = np.empty((A, 2, width), dtype=np.int64)
     # a cube of no strings packs into no words
     chunk = max(1, _CHUNK_BYTES // max(1, sides.nbytes))

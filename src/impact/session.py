@@ -40,15 +40,17 @@ from .learner import (
     PerceptronHypothesis,
     ReliablePairSet,
     adfsa_candidate_count,
-    agreement_bits,
     augment,
+    decode_planes,
     fill_bit_rows,
-    fill_step_rows,
+    fill_step_planes,
     learn_adfsa_node,
     learn_pair_node,
     learn_threshold_node,
+    packed_words,
     pair_space_size,
     sample_budget,
+    step_planes,
 )
 from .plan import ModerationRule, RoundPlan, default_rule, postfix_order
 from .sampling import Distribution, Sample, draw_sample
@@ -384,24 +386,21 @@ class _ThresholdRounds(_BitRounds):
 
 
 class _AutomatonRounds:
-    """Rounds over bit strings. The training value cube (see
-    AttributeSpace.eval_table) holds the two terminals, accept then reject,
-    then two rows per round, each filled from the rows before it. `agree`
-    holds each filled row's agreement_bits against the labels, which the
-    learner scores: a row never changes once filled, so its bits are packed
-    once."""
+    """Rounds over bit strings. The training values are packed step_planes
+    over the sample: the two terminals, accept then reject, then two rows per
+    round, each filled from the rows before it. `ok` marks where a row is
+    defined and `agree` where it is also equal to the label, which the
+    learner scores; a row's value is ok & ~(agree ^ y). No int8 cube is
+    held: a round's row is decoded at its offset only."""
 
     def __init__(self, teacher: Teacher, plan: RoundPlan, mode: str, diagnostics: bool):
         n, s = teacher.concept.n, teacher.sample
-        self.n = n
+        self.n, self.m = n, len(s)
         self.space = AttributeSpace.terminals()
-        self.T = np.empty((2 + 2 * len(plan), n + 1, len(s)), dtype=np.int8)
-        self.T[0], self.T[1] = 1, 0
-        self.labels = s.labels
-        terminals = agreement_bits(self.T[:2], self.labels)
-        self.agree = np.empty((len(self.T),) + terminals.shape[1:], dtype=terminals.dtype)
-        self.agree[:2] = terminals
+        # accept agrees with label 1 and reject with label 0, so val is agreement
+        self.ok, self.agree = step_planes(2 + 2 * len(plan), n, s.labels == 1)
         self.string_bits, self.inside = string_rows(s.bits, s.lengths)
+        self.string_words = packed_words(np.stack([self.string_bits, self.inside]) == 1)
 
     def candidates(self, z: AttributeSpace) -> int:
         return adfsa_candidate_count(z, self.n)
@@ -411,9 +410,10 @@ class _AutomatonRounds:
 
     def fill(self, A: int, h: AdfsaNodeHypothesis) -> np.ndarray:
         """Fill rows A and A + 1 with the step and its complement; return row A at its offset."""
-        fill_step_rows(self.T, A, h, self.string_bits, self.inside)
-        self.agree[A : A + 2] = agreement_bits(self.T[A : A + 2], self.labels)
-        return self.T[A, h.offset]
+        fill_step_planes(self.ok, self.agree, A, h, self.string_words)
+        ok, agree = self.ok[A, h.offset], self.agree[A, h.offset]
+        # the accept terminal's agreement is the packed labels
+        return decode_planes(ok, ok & ~(agree ^ self.agree[0, 0]), self.m)
 
     def diagnose(self, node: int, A: int, h) -> dict:
         return {}
@@ -510,7 +510,7 @@ def run_teaching_session(
 
     # the plan is never empty: h and space are the last round's
     classifier = rounds.classifier(space=space, final=h)
-    # free the training matrix or cube (row is a view of it) before predicting
+    # free the training matrix or planes (a bit round's row is a view of V) before predicting
     del rounds, teacher, row
     preds = classifier.predict_sample(test)
     test_accuracy = float(np.mean(preds == test.labels))

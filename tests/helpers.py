@@ -19,6 +19,7 @@ from impact import (
     ThresholdCircuit,
     Wire,
 )
+from impact.learner import packed_words
 
 
 def all_inputs(n: int) -> np.ndarray:
@@ -123,3 +124,11 @@ def make_sample(bits, labels, lengths=None) -> Sample:
     else:
         lengths = np.asarray(lengths, dtype=np.int64)
     return Sample(bits=bits, labels=labels, lengths=lengths)
+
+
+def agreement_bits(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """learn_adfsa_node's `agree` for any string-mode value rows (..., n+1, M),
+    such as an eval_table cube: packed_words of rows == y, so a -1 cell never
+    agrees with a label and the padding bits past M are zero."""
+    # y in the rows' int8: uint8 labels would widen the comparison to int16
+    return packed_words(rows == y.astype(rows.dtype))

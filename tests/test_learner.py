@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import all_inputs, make_sample, random_strings
+from helpers import agreement_bits, all_inputs, make_sample, random_strings
 from impact import (
     AdfsaNodeHypothesis,
     AttributeSpace,
@@ -30,8 +30,11 @@ from impact.learner import (
     _and_planes,
     _canonical_hypotheses,
     adfsa_candidate_count,
-    agreement_bits,
+    decode_planes,
     exact_float_dtype,
+    fill_step_planes,
+    packed_words,
+    step_planes,
 )
 from impact.oracle import (
     reference_adfsa_node,
@@ -925,6 +928,43 @@ def test_eval_table_matches_the_reference(problem):
     z, s, _ = problem
     table = z.eval_table(s.bits, s.lengths)
     assert np.array_equal(table, reference_eval_table(z, s.bits, s.lengths))
+
+
+@given(
+    M=st.sampled_from([1, 63, 65, 100, 129]),
+    width=st.integers(1, 5),
+    steps=st.lists(st.tuples(*[st.integers(0, 99)] * 3), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_step_planes_pad_with_zeros_and_decode_to_the_reference(M, width, steps, seed):
+    """At column counts that are not a multiple of 64, the packed planes of
+    any space of steps, filled as values (accept all ones) or as agreement
+    with the labels (accept the labels equal to 1), keep every padding bit
+    zero and val inside ok; the value planes decode to the reference cube,
+    and the agreement planes are that cube's agreement_bits."""
+    z = AttributeSpace.terminals()
+    for offset, on0, on1 in steps:
+        z = augment(z, AdfsaNodeHypothesis(offset % width, on0 % len(z), on1 % len(z)))
+    rng = np.random.default_rng(seed)
+    bits, lengths = random_strings(rng, M, width)
+    y = rng.integers(0, 2, size=M).astype(np.uint8)
+    reference = reference_eval_table(z, bits, lengths)
+    strings = packed_words(np.stack(string_rows(bits, lengths)) == 1)
+    planes = []
+    for accept in (np.ones(M, dtype=bool), y == 1):
+        ok, val = step_planes(len(z), width, accept)
+        for r, h in enumerate(z.hypotheses):
+            fill_step_planes(ok, val, 2 + 2 * r, h, strings)
+        for words in (ok, val):
+            unpacked = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+            assert not unpacked[..., M:].any()
+        assert not (val & ~ok).any()
+        planes.append((ok, val))
+    (ok, val), (agree_ok, agree) = planes
+    assert np.array_equal(decode_planes(ok, val, M), reference)
+    assert np.array_equal(agree_ok, ok)
+    assert np.array_equal(agree, agreement_bits(reference, y))
 
 
 @given(string_problems())

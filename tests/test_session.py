@@ -10,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import all_inputs, and_dag, chain_automaton, layered_circuit, make_sample, vote_circuit
+from helpers import (
+    agreement_bits,
+    all_inputs,
+    and_dag,
+    chain_automaton,
+    layered_circuit,
+    make_sample,
+    vote_circuit,
+)
 from impact import (
     AcceptState,
     Adfsa,
@@ -55,7 +63,7 @@ from impact.oracle import (
     reference_eval_table,
     run_automaton,
 )
-from impact.learner import agreement_bits
+from impact.learner import decode_planes
 from impact.plan import default_rule, postfix_order
 from impact.session import true_attribute_matrix
 
@@ -337,12 +345,12 @@ def test_automaton_round_without_data_degenerates_and_continues():
 @example(n=2, branches=2, seed=0, m=1, chain=True)
 @settings(max_examples=40, deadline=None)
 def test_session_value_cube_matches_the_reference(n, branches, seed, m, chain):
-    """The cube the session fills two rows per round equals the reference
-    eval_table of the round's space over the whole sample (complement rows
-    and -1 cells included), the learner reads that cube's agreement_bits
-    against the labels and the sample's string_rows, each round's training
-    error is read off its step's row, and the final space's eval_table
-    matches the reference."""
+    """The packed planes the session fills two rows per round decode to the
+    reference eval_table of the round's space over the whole sample
+    (complement rows and -1 cells included), the learner reads that cube's
+    agreement_bits against the labels and the sample's string_rows, each
+    round's training error is read off its step's row, and the final space's
+    eval_table matches the reference."""
     a = chain_automaton() if chain else random_automaton(n, min(branches, n), seed)
     d = Distribution.strings_for(a, seed)
     cubes, calls = [], []
@@ -350,7 +358,9 @@ def test_session_value_cube_matches_the_reference(n, branches, seed, m, chain):
     real_learner = impact.session.learn_adfsa_node
 
     def recording_learn(rounds, A, kept, y):
-        cubes.append(rounds.T[:A].copy())
+        ok, agree = rounds.ok[:A], rounds.agree[:A]
+        # a row's value is ok & ~(agree ^ y), and row 0's agreement is the packed labels
+        cubes.append(decode_planes(ok, ok & ~(agree ^ rounds.agree[0, 0]), rounds.m))
         return real_learn(rounds, A, kept, y)
 
     def recording_learner(agree, bits, inside, columns):
@@ -388,6 +398,44 @@ def test_enforce_budget_aborts_small_samples():
     rounds = len(postfix_order(push_negations_to_leaves(g)))
     assert err.required == sample_budget(0.05 / rounds, 0.05)
     assert err.subset_size <= 10
+
+
+def test_enforce_budget_admits_a_round_at_exactly_the_budget():
+    """and_dag has one round, its root, and every row is relevant to the
+    root: a sample of exactly the budget's size runs, one row fewer aborts."""
+    g = and_dag()
+    required = sample_budget(0.05 / len(postfix_order(g)), 0.05)
+    report = run_teaching_session(g, Distribution.uniform(2, 1), required, enforce_budget=True)
+    assert [r.subset_size for r in report.rounds] == [required]
+    with pytest.raises(InsufficientDataError) as info:
+        run_teaching_session(g, Distribution.uniform(2, 1), required - 1, enforce_budget=True)
+    assert (info.value.subset_size, info.value.required) == (required - 1, required)
+
+
+def test_automaton_session_holds_packed_planes_not_an_int8_cube(monkeypatch):
+    """The automaton rounds hold no (rows, n+1, m) int8 cube: their arrays
+    are the two packed planes, ok and agree, of 2 + 2R rows at n + 1 offsets
+    in ceil(m / 64) words, plus the sample's int8 string_rows and their
+    packed words. An int8 cube alone would hold about four times the
+    planes here."""
+    held = []
+    real_fill = impact.session._AutomatonRounds.fill
+
+    def recording_fill(rounds, A, h):
+        held.append(rounds)
+        return real_fill(rounds, A, h)
+
+    monkeypatch.setattr(impact.session._AutomatonRounds, "fill", recording_fill)
+    a, m = random_automaton(12, 12, seed=4), 1000
+    report = run_teaching_session(a, Distribution.strings_for(a, 3), m, test_size=20)
+    n, R, words = a.n, len(report.rounds), -(-m // 64)
+    assert R >= 4
+    arrays = [x for x in vars(held[-1]).values() if isinstance(x, np.ndarray)]
+    assert [x.shape for x in arrays if x.dtype == np.int8 and x.ndim == 3] == []
+    planes = 2 * (2 + 2 * R) * (n + 1) * 8 * words
+    string_rows_bytes = 2 * n * m + 2 * n * 8 * words
+    assert sum(x.nbytes for x in arrays) <= planes + string_rows_bytes
+    assert (2 + 2 * R) * (n + 1) * m > 3 * planes
 
 
 def starving_concept():
@@ -522,12 +570,18 @@ def test_automaton_session_walks_from_the_start_a_fixed_number_of_times(monkeypa
 
 @pytest.mark.parametrize(
     "corrupt,case",
-    [(lambda kept: kept[::-1], "reversed"), (lambda kept: kept + 10**6, "outside")],
+    [
+        (lambda kept: kept[::-1], "reversed"),
+        (lambda kept: kept + 10**6, "outside"),
+        (lambda kept: np.r_[kept[:1], kept], "repeated"),
+        # parity_session draws 80 rows, so index 80 is one past the last
+        (lambda kept: np.r_[kept, 80], "one-past-the-end"),
+    ],
 )
 def test_moderation_that_changes_rows_is_an_error(monkeypatch, corrupt, case):
     """A round whose row indices are not ascending rows of the sample, here
-    reordered or outside it, stops the session with an explicit error, also
-    under python -O."""
+    reordered, repeated or outside it, stops the session with an explicit
+    error, also under python -O."""
     real = impact.session.moderate
 
     def corrupted(*args):

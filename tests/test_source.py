@@ -48,10 +48,11 @@ def test_oracle_imports_only_concept_classes_and_never_reads_children():
     """The references in oracle.py walk each concept with traversals of their
     own, so they must not share the children table the fast paths read. The
     reference cube restates the attribute layout and the step recurrence, so
-    it must not share AttributeSpace.learned or the row fillers either. The
+    it must not share AttributeSpace.learned, the row fillers or the packed
+    step planes (their builder, filler, decoder and word packing) either. The
     reference perceptron counts in float64, so it must not share
     exact_float_dtype, the precision rule it checks. The reference automaton
-    step scores string by string, so it must not share agreement_bits or
+    step scores string by string, so it must not share packed words or
     count packed bits with bitwise_count. The reference pair counts score
     every pair, so they must not share the learner's pruning to the rows
     that can join a zero-error pair, or its label split."""
@@ -69,10 +70,12 @@ def test_oracle_imports_only_concept_classes_and_never_reads_children():
     assert [name for name in names if not isinstance(getattr(impact.concepts, name), kinds)] == []
     shared = {
         "fill_bit_rows",
-        "fill_step_rows",
+        "step_planes",
+        "fill_step_planes",
+        "decode_planes",
+        "packed_words",
         "select_outputs",
         "exact_float_dtype",
-        "agreement_bits",
         "bitwise_count",
         "_zero_error_rows",
         "_label_split",

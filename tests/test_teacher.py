@@ -94,6 +94,15 @@ def test_partition_rule_keeps_at_least_half():
             assert len(kept) >= (len(s) + 1) // 2
 
 
+def test_partition_tie_keeps_the_agreeing_half():
+    """Bit 0 of and_dag agrees with the labels on exactly half of this
+    sample, rows 1 and 2, so the larger partition is a tie and keeps them."""
+    g = and_dag()
+    s = make_sample([[1, 0], [0, 0], [1, 1], [1, 0]], [0, 0, 1, 0])
+    kept, offset = moderate(g, 0, s, ModerationRule.LARGER_PARTITION)
+    assert kept.tolist() == [1, 2] and offset is None
+
+
 def test_tampered_labels_rejected():
     g = and_dag()
     X = all_inputs(2)
