@@ -528,42 +528,48 @@ def adfsa_labels(a: Adfsa, X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out.astype(np.uint8)
 
 
-def string_rows(X: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offset-major int8 arrays of a batch of strings, both of shape (n, m):
-    the bit at each offset, and 1 where the offset lies inside the string."""
-    bits = np.ascontiguousarray(X.T, dtype=np.int8)
-    inside = (np.arange(X.shape[1])[:, None] < lengths[None, :]).astype(np.int8)
-    return bits, inside
+def packed_words(mask: np.ndarray) -> np.ndarray:
+    """A boolean array packed along its last axis of M into ceil(M / 64)
+    little-endian 64-bit words: bit c of word c // 64 is mask[..., c], and the
+    bits past M are zero."""
+    M = mask.shape[-1]
+    packed = np.zeros(mask.shape[:-1] + (8 * -(-M // 64),), dtype=np.uint8)
+    packed[..., : -(-M // 8)] = np.packbits(mask, axis=-1, bitorder="little")
+    return packed.view("<u8")
 
 
-def select_outputs(
-    p0: np.ndarray, p1: np.ndarray, bits: np.ndarray, inside: np.ndarray
-) -> np.ndarray:
-    """Outputs of decision steps (branch states or learned steps) that read
-    `bits` at some offsets, given their two children's outputs p0 and p1 at
-    the offsets after those: p0 + bit * (p1 - p0), then -1 wherever the
-    offset is past the string's end. Every array is int8 over {-1, 0, 1}
-    (bits and inside over {0, 1}) and broadcasts against the others."""
-    out = p1 - p0
-    out *= bits
-    out += p0
-    # inside 1 keeps the selection, inside 0 turns it into -1
-    out *= inside
-    out += inside
-    out -= 1
-    return out
+def string_words(X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Offset-major packed_words (2, n, W) of a batch of m strings: the bit
+    at each offset, and where the offset lies inside the string."""
+    inside = np.arange(X.shape[1])[:, None] < lengths[None, :]
+    return packed_words(np.stack([X.T == 1, inside]))
+
+
+def select_step(
+    strings: np.ndarray, ok0: np.ndarray, ok1: np.ndarray, val0: np.ndarray, val1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed planes (ok, val) of decision steps (branch states or learned
+    steps) that read `strings`, string_words at some offsets, given their
+    two children's planes at the offsets after those: a step is defined (ok)
+    inside the string where the child its bit picks is, and takes that
+    child's val bit, be it a value or an agreement. Every array broadcasts
+    against the others; bits past the strings stay zero."""
+    bits, inside = strings
+    ok = inside & (ok0 ^ (bits & (ok0 ^ ok1)))
+    return ok, ok & (val0 ^ (bits & (val0 ^ val1)))
 
 
 def state_outputs(a: Adfsa, X: np.ndarray, lengths: np.ndarray, states: list[int]):
     """Outputs of `states` when their walks start at each offset, one offset
-    at a time: yields (o, out) for o from a.n - 1 down to 0, where row k of
-    out, shape (len(states), m), holds the walks from states[k] that read
-    each string from offset o on: 1/0 at a terminal, -1 where the string
-    (shorter than o, too) runs out first. X has at most a.n columns.
+    at a time: yields (o, ok, val) for o from a.n - 1 down to 0, where row k
+    of ok and val, packed_words (len(states), W) of the m strings, holds the
+    walks from states[k] that read each string from offset o on: ok where
+    they reach a terminal before the string (shorter than o, too) runs out,
+    val where that terminal accepts. X has at most a.n columns.
 
     One pass over the states reachable from `states` that holds their
-    outputs at one offset only: a branch state's outputs at offset o select
-    between its children's outputs at o + 1.
+    planes at one offset only: a branch state's planes at offset o select
+    between its children's at o + 1 (select_step).
     """
     on0, on1, branch, accept = _adfsa_tables(a)
     reach = sorted(set().union(*(reachable_indices(a, state) for state in states)))
@@ -575,15 +581,18 @@ def state_outputs(a: Adfsa, X: np.ndarray, lengths: np.ndarray, states: list[int
     branches = np.flatnonzero(branch[reach])
     kids0 = local[on0[reach[branches]]]
     kids1 = local[on1[reach[branches]]]
-    # outputs of every reachable state at the offset after the current one;
+    # planes of every reachable state at the offset after the current one;
     # from X's width on, a walk still on a branch state has run out
-    nxt = np.empty((len(reach), X.shape[0]), dtype=np.int8)
-    nxt[:] = np.where(branch[reach], -1, accept[reach])[:, None]
-    bits, inside = string_rows(X, lengths)
+    shape = (len(reach), X.shape[0])
+    ok = packed_words(np.broadcast_to(~branch[reach, None], shape))
+    val = packed_words(np.broadcast_to(accept[reach, None], shape))
+    strings = string_words(X, lengths)
     for o in range(a.n - 1, -1, -1):
         if o < X.shape[1]:
-            nxt[branches] = select_outputs(nxt[kids0], nxt[kids1], bits[o], inside[o])
-        yield o, nxt[rows]
+            ok[branches], val[branches] = select_step(
+                strings[:, o], ok[kids0], ok[kids1], val[kids0], val[kids1]
+            )
+        yield o, ok[rows], val[rows]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import os
 import platform
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -256,6 +255,8 @@ def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
     ]
     workers = _worker_count(cfg)
     if workers > 1:
+        # imported here: its module would cost every import of the package
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_task, [(cfg, *t) for t in tasks]))
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .concepts import as_bit_matrix, as_string_batch, string_rows
+from .concepts import as_bit_matrix, as_string_batch, packed_words, select_step, string_words
 from .errors import InvalidParameterError
 
 AND = "and"
@@ -174,7 +174,7 @@ class AttributeSpace:
         X, lengths = as_string_batch(bits, lengths)
         m, width = X.shape
         ok, val = step_planes(len(self), width, np.ones(m, dtype=bool))
-        strings = packed_words(np.stack(string_rows(X, lengths)) == 1)
+        strings = string_words(X, lengths)
         for r, h in enumerate(self.hypotheses):
             fill_step_planes(ok, val, self.base_count + 2 * r, h, strings)
         return decode_planes(ok, val, m)
@@ -206,16 +206,12 @@ def fill_step_planes(
 ) -> None:
     """Fill rows j and j + 1 of step_planes `ok` and `val` with decision step
     h and its complement at every offset, from its on0 and on1 rows (filled
-    already) one offset later; `strings` (2, n, W) is packed_words of the
-    strings' string_rows. The step is defined inside the string where the
-    child its bit picks is, with that child's val bit, be it a value or an
-    agreement; offset n stays zero, undefined. The complement has the same
-    ok and the other val bit. Padding bits stay zero."""
-    bits, inside = strings
-    ok0, ok1 = ok[h.on0, 1:], ok[h.on1, 1:]
-    val0, val1 = val[h.on0, 1:], val[h.on1, 1:]
-    ok[j, :-1] = inside & (ok0 ^ (bits & (ok0 ^ ok1)))
-    val[j, :-1] = ok[j, :-1] & (val0 ^ (bits & (val0 ^ val1)))
+    already) one offset later, by select_step; `strings` (2, n, W) is the
+    strings' string_words. Offset n stays zero, undefined. The complement
+    has the same ok and the other val bit. Padding bits stay zero."""
+    ok[j, :-1], val[j, :-1] = select_step(
+        strings, ok[h.on0, 1:], ok[h.on1, 1:], val[h.on0, 1:], val[h.on1, 1:]
+    )
     ok[j + 1] = ok[j]
     np.bitwise_and(ok[j], ~val[j], out=val[j + 1])
 
@@ -480,39 +476,30 @@ def learn_threshold_node(
 _CHUNK_BYTES = 2**19  # bound on learn_adfsa_node's per-chunk AND temporary
 
 
-def packed_words(mask: np.ndarray) -> np.ndarray:
-    """A boolean array packed along its last axis of M into ceil(M / 64)
-    little-endian 64-bit words: bit c of word c // 64 is mask[..., c], and the
-    bits past M are zero."""
-    M = mask.shape[-1]
-    packed = np.zeros(mask.shape[:-1] + (8 * -(-M // 64),), dtype=np.uint8)
-    packed[..., : -(-M // 8)] = np.packbits(mask, axis=-1, bitorder="little")
-    return packed.view("<u8")
-
-
 def learn_adfsa_node(
-    agree: np.ndarray, bits: np.ndarray, inside: np.ndarray, columns: np.ndarray
+    agree: np.ndarray, strings: np.ndarray, columns: np.ndarray
 ) -> AdfsaNodeHypothesis:
     """Pick the (offset, on0, on1) step that best matches the aligned data.
 
     `agree` (A, n+1, W) is the val of step_planes with accept labels == 1:
     packed_words of where each attribute, read from each offset, is defined
-    on M strings and equals their labels. `bits` and `inside` are the
-    string_rows of those strings, and the round's strings are the distinct
-    columns `columns`. The round's strings that read bit 0, and those that
-    read bit 1, at each offset are packed once per round, so child a on side
-    b at offset o agrees with popcount(agree[a, o + 1] & side[b, o]) labels:
-    every (attribute, side, offset) count at once, in chunks of attributes,
-    and nothing outside the round counts. Because agreement splits over the
-    examined bit, the two children are chosen independently, and ties
-    resolve to the lower offset then lower attribute indices. With no
-    columns every count is 0, so the step is (offset 0, on0 0, on1 0).
+    on M strings and equals their labels. `strings` is their string_words,
+    and the round's strings are the distinct columns `columns`. Masked by
+    the packed columns once per round, the strings that read bit 0, and
+    those that read bit 1, at each offset are the two sides, so child a on
+    side b at offset o agrees with popcount(agree[a, o + 1] & side[b, o])
+    labels: every (attribute, side, offset) count at once, in chunks of
+    attributes, and nothing outside the round counts. Because agreement
+    splits over the examined bit, the two children are chosen independently,
+    and ties resolve to the lower offset then lower attribute indices. With
+    no columns every count is 0, so the step is (offset 0, on0 0, on1 0).
     """
-    A, width = agree.shape[0], bits.shape[0]
-    live = np.zeros(bits.shape, dtype=bool)
-    live[:, columns] = inside[:, columns] == 1
-    sides = packed_words(np.stack([live & (bits == 0), live & (bits == 1)]))
-    counts = np.empty((A, 2, width), dtype=np.int64)
+    A, (bits, inside) = len(agree), strings
+    chosen = np.zeros(64 * strings.shape[-1], dtype=bool)
+    chosen[columns] = True
+    live = inside & packed_words(chosen)
+    sides = np.stack([live & ~bits, live & bits])
+    counts = np.empty((A, 2, len(bits)), dtype=np.int64)
     # a cube of no strings packs into no words
     chunk = max(1, _CHUNK_BYTES // max(1, sides.nbytes))
     for start in range(0, A, chunk):

@@ -25,7 +25,7 @@ from .concepts import (
     node_values,  # noqa: F401 (perfbench/spans.py traces the Teacher's calls here too)
     push_negations_to_leaves,
     relevance_mask,  # noqa: F401 (likewise)
-    string_rows,
+    string_words,
 )
 from .errors import (
     ImpactError,
@@ -47,7 +47,6 @@ from .learner import (
     learn_adfsa_node,
     learn_pair_node,
     learn_threshold_node,
-    packed_words,
     pair_space_size,
     sample_budget,
     step_planes,
@@ -399,14 +398,13 @@ class _AutomatonRounds:
         self.space = AttributeSpace.terminals()
         # accept agrees with label 1 and reject with label 0, so val is agreement
         self.ok, self.agree = step_planes(2 + 2 * len(plan), n, s.labels == 1)
-        self.string_bits, self.inside = string_rows(s.bits, s.lengths)
-        self.string_words = packed_words(np.stack([self.string_bits, self.inside]) == 1)
+        self.string_words = string_words(s.bits, s.lengths)
 
     def candidates(self, z: AttributeSpace) -> int:
         return adfsa_candidate_count(z, self.n)
 
     def learn(self, A: int, kept: np.ndarray, y: np.ndarray):
-        return learn_adfsa_node(self.agree[:A], self.string_bits, self.inside, kept)
+        return learn_adfsa_node(self.agree[:A], self.string_words, kept)
 
     def fill(self, A: int, h: AdfsaNodeHypothesis) -> np.ndarray:
         """Fill rows A and A + 1 with the step and its complement; return row A at its offset."""

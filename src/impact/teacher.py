@@ -17,6 +17,7 @@ from .concepts import (
     Concept,
     _walk,
     node_values,
+    packed_words,
     relevance_mask,
     state_outputs,
 )
@@ -87,25 +88,28 @@ def _offset_buckets(
 ) -> dict[int, tuple[np.ndarray, int]]:
     """Each state's bucket and offset (see Teacher.mask) from one pass of
     state_outputs over every offset; `arrivals` holds the bit position at
-    which each string's walk sits on each state, -1 where it never does."""
-    labels = s.labels.astype(np.int8)
-    untouched = arrivals < 0
-    # an untouched string's label and its flip; elsewhere -2, which no output equals
-    agreeing = np.where(untouched, labels, -2)
-    disagreeing = np.where(untouched, 1 - labels, -2)
+    which each string's walk sits on each state, -1 where it never does.
+    Strings are counted, and each state's winner kept, as packed_words."""
+    untouched = packed_words(arrivals < 0)
+    labels = packed_words(s.labels == 1)
     # a string that sits on the state at offset o agrees with its label
     # there, because the walk from there is the label's own walk
-    ks, cols = np.nonzero(~untouched)
+    ks, cols = np.nonzero(arrivals >= 0)
     arrived = np.bincount(ks * a.n + arrivals[ks, cols], minlength=len(nodes) * a.n)
     arrived = arrived.reshape(len(nodes), a.n)
     best = np.full(len(nodes), -1)
     offsets = np.zeros(len(nodes), dtype=np.int64)
     flips = np.zeros(len(nodes), dtype=bool)
     # every state wins the first offset, so every row is filled
-    outs = np.empty(arrivals.shape, dtype=np.int8)
-    for o, out in state_outputs(a, s.bits, s.lengths, nodes):
-        n_agree = arrived[:, o] + np.count_nonzero(out == agreeing, axis=1)
-        n_disagree = np.count_nonzero(out == disagreeing, axis=1)
+    won_words = np.empty_like(untouched)
+    for o, ok, val in state_outputs(a, s.bits, s.lengths, nodes):
+        # the untouched strings whose walk from the state ends at a terminal,
+        # split by whether it outputs their label
+        counted = untouched & ok
+        disagreeing = counted & (val ^ labels)
+        agreeing = counted ^ disagreeing
+        n_agree = arrived[:, o] + np.bitwise_count(agreeing).sum(axis=1, dtype=np.int64)
+        n_disagree = np.bitwise_count(disagreeing).sum(axis=1, dtype=np.int64)
         # offsets descend, so an equal size found now wins the tie; within
         # an offset the agreeing bucket does
         size = np.maximum(n_agree, n_disagree)
@@ -113,9 +117,9 @@ def _offset_buckets(
         best[won] = size[won]
         offsets[won] = o
         flips[won] = (n_disagree > n_agree)[won]
-        outs[won] = out[won]
-    masks = outs == np.where(flips[:, None], disagreeing, agreeing)
-    masks |= ~flips[:, None] & (arrivals == offsets[:, None])
+        won_words[won] = np.where(flips[won, None], disagreeing[won], agreeing[won])
+    masks = np.unpackbits(won_words.view(np.uint8), axis=-1, count=len(s), bitorder="little")
+    masks = masks.astype(bool) | (~flips[:, None] & (arrivals == offsets[:, None]))
     return {node: (masks[k], int(offsets[k])) for k, node in enumerate(nodes)}
 
 

@@ -19,7 +19,7 @@ from impact import (
     ThresholdCircuit,
     Wire,
 )
-from impact.learner import packed_words
+from impact.concepts import packed_words
 
 
 def all_inputs(n: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -52,6 +52,7 @@ from impact import (
 )
 from impact.concepts import _walk, state_outputs
 from impact.generate import random_automaton, random_circuit, random_dag
+from impact.learner import decode_planes
 from impact.oracle import (
     reference_evaluate,
     reference_node_value,
@@ -260,7 +261,8 @@ def test_walk_undefined_when_short():
     assert _walk(a, X, np.array([1]))[0][0] == -1
     assert _walk(a, X, np.array([2]))[0][0] == 0
     # the inner branch state read at offset 1 sees bit 0 there
-    assert dict(state_outputs(a, X, np.array([2]), [2]))[1].tolist() == [[0]]
+    planes = {o: (ok, val) for o, ok, val in state_outputs(a, X, np.array([2]), [2])}
+    assert decode_planes(*planes[1], 1).tolist() == [[0]]
 
 
 @given(
@@ -278,17 +280,26 @@ def test_walk_undefined_when_short():
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
+# strings over three packed words, the last one partly padding
+@example(automaton=random_automaton(5, 4, 7), m=129, narrower=1, seed=7)
 def test_state_outputs_match_walks(automaton, m, narrower, seed):
-    """The descending-offset table of every state, terminals included, equals
-    one walk per offset, on strings of lengths 1 to their width, which may be
-    less than n, checked against the oracle's walk string by string."""
+    """The descending-offset planes of every state, terminals included,
+    decode to one walk per offset, on strings of lengths 1 to their width,
+    which may be less than n, checked against the oracle's walk string by
+    string; every bit past the m strings is zero, and val lies inside ok."""
     width = max(1, automaton.n - narrower)
     X, lengths = random_strings(np.random.default_rng(seed), m, width)
     states = list(range(automaton.size))
     from_state = [replace(automaton, start=state) for state in states]
     offsets = []
-    for o, out in state_outputs(automaton, X, lengths, states):
+    for o, ok, val in state_outputs(automaton, X, lengths, states):
         offsets.append(o)
+        for words in (ok, val):
+            assert words.shape == (automaton.size, -(-m // 64))
+            unpacked = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+            assert not unpacked[:, m:].any()
+        assert not (val & ~ok).any()
+        out = decode_planes(ok, val, m)
         assert out.shape == (automaton.size, m)
         for state in states:
             for i in range(m):

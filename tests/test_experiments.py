@@ -1,5 +1,6 @@
 """Sweep harness: config validation, CSV schema, summary rows, seeds, SVG."""
 
+import concurrent.futures
 import json
 import os
 import platform
@@ -288,7 +289,7 @@ class RecordingPool:
 )
 def test_worker_count_is_bounded(monkeypatch, cfg, cores, expected):
     sizes = []
-    monkeypatch.setattr(impact.experiments, "ProcessPoolExecutor", RecordingPool(sizes))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool(sizes))
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     rows = run_sweep(replace(cfg, workers=10**6))
     assert sizes == expected

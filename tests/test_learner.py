@@ -25,7 +25,7 @@ from impact import (
     sample_budget,
 )
 import impact.learner
-from impact.concepts import string_rows
+from impact.concepts import string_words
 from impact.learner import (
     _and_planes,
     _canonical_hypotheses,
@@ -33,7 +33,6 @@ from impact.learner import (
     decode_planes,
     exact_float_dtype,
     fill_step_planes,
-    packed_words,
     step_planes,
 )
 from impact.oracle import (
@@ -782,9 +781,9 @@ def test_perceptron_stays_exact_across_its_precision_switch(monkeypatch):
 def cube_of(z, s):
     """learn_adfsa_node's view of the sample s under space z: the
     agreement_bits of its eval_table cube against its labels, and its
-    strings' string_rows."""
+    strings' string_words."""
     table = z.eval_table(s.bits, s.lengths)
-    return (agreement_bits(table, s.labels), *string_rows(s.bits, s.lengths))
+    return agreement_bits(table, s.labels), string_words(s.bits, s.lengths)
 
 
 @pytest.mark.parametrize("M", [1, 63, 64, 65, 128, 129])
@@ -950,7 +949,7 @@ def test_step_planes_pad_with_zeros_and_decode_to_the_reference(M, width, steps,
     bits, lengths = random_strings(rng, M, width)
     y = rng.integers(0, 2, size=M).astype(np.uint8)
     reference = reference_eval_table(z, bits, lengths)
-    strings = packed_words(np.stack(string_rows(bits, lengths)) == 1)
+    strings = string_words(bits, lengths)
     planes = []
     for accept in (np.ones(M, dtype=bool), y == 1):
         ok, val = step_planes(len(z), width, accept)
@@ -1012,6 +1011,6 @@ def test_adfsa_learner_matches_the_reference_across_word_edges(
     agree = agreement_bits(table, s.labels)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("impact.learner._CHUNK_BYTES", chunk_bytes)
-        h = learn_adfsa_node(agree, *string_rows(bits, lengths), kept)
+        h = learn_adfsa_node(agree, string_words(bits, lengths), kept)
     alone = make_sample(bits[kept], s.labels[kept], lengths[kept])
     assert h == reference_adfsa_node(table[:, :, kept], alone)

@@ -55,7 +55,7 @@ from impact import (
 import impact.concepts
 import impact.session
 import impact.teacher
-from impact.concepts import string_rows
+from impact.concepts import string_words
 from impact.generate import random_automaton, random_circuit, random_dag
 from impact.oracle import (
     exhaustive_equivalence,
@@ -348,12 +348,12 @@ def test_session_value_cube_matches_the_reference(n, branches, seed, m, chain):
     """The packed planes the session fills two rows per round decode to the
     reference eval_table of the round's space over the whole sample
     (complement rows and -1 cells included), the learner reads that cube's
-    agreement_bits against the labels and the sample's string_rows, each
-    round's training error is read off its step's row, and the final space's
-    eval_table matches the reference."""
+    agreement_bits against the labels and the session's own string_words of
+    the sample, each round's training error is read off its step's row, and
+    the final space's eval_table matches the reference."""
     a = chain_automaton() if chain else random_automaton(n, min(branches, n), seed)
     d = Distribution.strings_for(a, seed)
-    cubes, calls = [], []
+    cubes, calls, held = [], [], []
     real_learn = impact.session._AutomatonRounds.learn
     real_learner = impact.session.learn_adfsa_node
 
@@ -361,11 +361,12 @@ def test_session_value_cube_matches_the_reference(n, branches, seed, m, chain):
         ok, agree = rounds.ok[:A], rounds.agree[:A]
         # a row's value is ok & ~(agree ^ y), and row 0's agreement is the packed labels
         cubes.append(decode_planes(ok, ok & ~(agree ^ rounds.agree[0, 0]), rounds.m))
+        held.append(rounds.string_words)
         return real_learn(rounds, A, kept, y)
 
-    def recording_learner(agree, bits, inside, columns):
-        calls.append((agree.copy(), bits.copy(), inside.copy(), columns.copy()))
-        return real_learner(agree, bits, inside, columns)
+    def recording_learner(agree, strings, columns):
+        calls.append((agree.copy(), strings, columns.copy()))
+        return real_learner(agree, strings, columns)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(impact.session._AutomatonRounds, "learn", recording_learn)
@@ -375,13 +376,13 @@ def test_session_value_cube_matches_the_reference(n, branches, seed, m, chain):
     z = augment(report.classifier.space, report.classifier.final)
     whole = reference_eval_table(z, s.bits, s.lengths)
     assert np.array_equal(z.eval_table(s.bits, s.lengths), whole)
-    string_bits, inside = string_rows(s.bits, s.lengths)
+    words = string_words(s.bits, s.lengths)
     rows = [(r, 2 + 2 * r.index) for r in report.rounds]
-    assert len(rows) == len(cubes) == len(calls)
-    for (record, row), table, (agree, bits, ins, columns) in zip(rows, cubes, calls):
+    assert len(rows) == len(cubes) == len(calls) == len(held)
+    for (record, row), table, own, (agree, strings, columns) in zip(rows, cubes, held, calls):
         assert np.array_equal(table, whole[: len(table)])
         assert np.array_equal(agree, agreement_bits(whole[: len(table)], s.labels))
-        assert np.array_equal(bits, string_bits) and np.array_equal(ins, inside)
+        assert strings is own and np.array_equal(strings, words)
         step, _ = z.learned(row)
         wrong = whole[row, step.offset, columns] != s.labels[columns]
         assert record.training_error == (float(np.mean(wrong)) if len(columns) else 0.0)
@@ -413,11 +414,11 @@ def test_enforce_budget_admits_a_round_at_exactly_the_budget():
 
 
 def test_automaton_session_holds_packed_planes_not_an_int8_cube(monkeypatch):
-    """The automaton rounds hold no (rows, n+1, m) int8 cube: their arrays
-    are the two packed planes, ok and agree, of 2 + 2R rows at n + 1 offsets
-    in ceil(m / 64) words, plus the sample's int8 string_rows and their
-    packed words. An int8 cube alone would hold about four times the
-    planes here."""
+    """The automaton rounds hold no int8 array at all: their arrays are the
+    two packed planes, ok and agree, of 2 + 2R rows at n + 1 offsets in
+    ceil(m / 64) words, plus the sample's string_words, its two packed rows
+    per offset. An int8 cube alone would hold about four times the planes
+    here."""
     held = []
     real_fill = impact.session._AutomatonRounds.fill
 
@@ -431,10 +432,9 @@ def test_automaton_session_holds_packed_planes_not_an_int8_cube(monkeypatch):
     n, R, words = a.n, len(report.rounds), -(-m // 64)
     assert R >= 4
     arrays = [x for x in vars(held[-1]).values() if isinstance(x, np.ndarray)]
-    assert [x.shape for x in arrays if x.dtype == np.int8 and x.ndim == 3] == []
+    assert [x.shape for x in arrays if x.dtype == np.int8] == []
     planes = 2 * (2 + 2 * R) * (n + 1) * 8 * words
-    string_rows_bytes = 2 * n * m + 2 * n * 8 * words
-    assert sum(x.nbytes for x in arrays) <= planes + string_rows_bytes
+    assert sum(x.nbytes for x in arrays) <= planes + 2 * n * 8 * words
     assert (2 + 2 * R) * (n + 1) * m > 3 * planes
 
 

@@ -49,13 +49,14 @@ def test_oracle_imports_only_concept_classes_and_never_reads_children():
     own, so they must not share the children table the fast paths read. The
     reference cube restates the attribute layout and the step recurrence, so
     it must not share AttributeSpace.learned, the row fillers or the packed
-    step planes (their builder, filler, decoder and word packing) either. The
-    reference perceptron counts in float64, so it must not share
-    exact_float_dtype, the precision rule it checks. The reference automaton
-    step scores string by string, so it must not share packed words or
-    count packed bits with bitwise_count. The reference pair counts score
-    every pair, so they must not share the learner's pruning to the rows
-    that can join a zero-error pair, or its label split."""
+    step planes (their builder, filler, step select, decoder, string words
+    and word packing) either. The reference perceptron counts in float64, so
+    it must not share exact_float_dtype, the precision rule it checks. The
+    reference automaton step and offset selection score string by string, so
+    they must not share packed words or count packed bits with
+    bitwise_count. The reference pair counts score every pair, so they must
+    not share the learner's pruning to the rows that can join a zero-error
+    pair, or its label split."""
     path = Path(impact.__file__).parent / "oracle.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     names, modules = [], []
@@ -74,7 +75,8 @@ def test_oracle_imports_only_concept_classes_and_never_reads_children():
         "fill_step_planes",
         "decode_planes",
         "packed_words",
-        "select_outputs",
+        "string_words",
+        "select_step",
         "exact_float_dtype",
         "bitwise_count",
         "_zero_error_rows",

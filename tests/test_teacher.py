@@ -31,7 +31,7 @@ from impact import (
     export_privileged_view,
 )
 from impact.generate import random_automaton, random_dag
-from impact.concepts import state_outputs
+from impact.concepts import _walk, state_outputs
 from impact.oracle import reference_offset_selection, relevance_by_substitution, run_automaton
 from impact.plan import postfix_order
 from impact.teacher import Teacher
@@ -253,6 +253,69 @@ def test_offset_moderation_matches_the_reference(automaton, m, narrower, seed):
         expected, expected_offset = reference_offset_selection(automaton, s, rnd.node)
         assert np.array_equal(mask, expected)
         assert offset == expected_offset
+
+
+def labelled_strings(a, m, seed):
+    """The first m of 4m random strings, of lengths 1 to n, that the
+    automaton classifies, as a sample."""
+    X, lengths = random_strings(np.random.default_rng(seed), 4 * m, a.n)
+    labels = np.array([run_automaton(a, X[i, : lengths[i]]) for i in range(len(X))])
+    keep = np.flatnonzero(labels >= 0)[:m]
+    assert len(keep) == m
+    return make_sample(X[keep], labels[keep], lengths[keep])
+
+
+def bucket_sizes(a, s, state):
+    """The (n, 2) sizes of the agreeing and disagreeing buckets at each
+    offset of the state's round, string by string."""
+    arrivals = _walk(a, s.bits, s.lengths, [state])[1][0]
+    from_state = replace(a, start=state)
+    sizes = np.zeros((a.n, 2), dtype=np.int64)
+    for o in range(a.n):
+        for i in np.flatnonzero(np.isin(arrivals, (-1, o))):
+            out = run_automaton(from_state, s.bits[i, o : s.lengths[i]])
+            if out >= 0:
+                sizes[o, int(out != s.labels[i])] += 1
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "m,automaton,seed,tie",
+    [
+        (1, (3, 2, 5), 0, "across"),
+        (63, (3, 2, 5), 25, "across"),
+        (63, (3, 3, 158), 17, "within"),
+        (64, (3, 2, 5), 27, "across"),
+        (64, (3, 3, 158), 23, "within"),
+        (65, (3, 2, 5), 12, "across"),
+        (65, (3, 3, 158), 62, "within"),
+        (129, (3, 2, 5), 2, "across"),
+        (129, (3, 3, 158), 66, "within"),
+    ],
+)
+def test_packed_offset_pass_matches_the_reference_at_word_edges(m, automaton, seed, tie):
+    """At sample sizes on and around 64-string word edges, every round's
+    selection and offset equal the reference's, and some round holds the
+    named tie: the largest buckets of two offsets are equal, so the lower
+    offset wins (across), or the winning offset's two buckets are equal, so
+    the agreeing one wins (within)."""
+    a = random_automaton(*automaton)
+    s = labelled_strings(a, m, seed)
+    plan = postfix_order(a)
+    teacher = Teacher(a, s, [rnd.node for rnd in plan.rounds])
+    ties = set()
+    for rnd in plan.rounds:
+        mask, offset = teacher.mask(rnd.node, ModerationRule.OFFSET_PARTITION)
+        expected, expected_offset = reference_offset_selection(a, s, rnd.node)
+        assert np.array_equal(mask, expected)
+        assert offset == expected_offset
+        sizes = bucket_sizes(a, s, rnd.node)
+        largest = sizes.max(axis=1)
+        if np.count_nonzero(largest == largest.max()) > 1:
+            ties.add("across")
+        if sizes[offset, 0] == sizes[offset, 1] > 0:
+            ties.add("within")
+    assert tie in ties
 
 
 def test_automaton_teacher_makes_one_descending_pass(monkeypatch):
