@@ -94,9 +94,9 @@ def _check_taught_nodes(concept, X, vals) -> dict:
     plan = postfix_order(concept)
     root = vals[:, concept.root]
     bad = 0
-    for rnd in plan.rounds:
-        rel = relevance_mask(concept, rnd.node, X, values=vals)
-        bad += int(np.sum(rel & (vals[:, rnd.node] != root)))
+    for node in plan:
+        rel = relevance_mask(concept, node, X, values=vals)
+        bad += int(np.sum(rel & (vals[:, node] != root)))
     return {
         "name": "relevant-implies-correlated",
         "passed": bad == 0,

@@ -88,26 +88,17 @@ DagNode = Literal | Not | And | Or
 
 @dataclass(frozen=True)
 class ConceptDag:
-    """Boolean formula DAG over n input bits.
-
-    size_bound caps the node count; None means the default cubic bound in n.
-    """
+    """Boolean formula DAG over n input bits."""
 
     kind: ClassVar[str] = "dag"
 
     nodes: tuple[DagNode, ...]
     root: int
     n: int
-    size_bound: int | None = None
     children: Children = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        if len(self.nodes) > self.effective_size_bound:
-            raise InvalidConceptError(
-                f"{len(self.nodes)} nodes exceeds the size bound "
-                f"{self.effective_size_bound} for n={self.n}"
-            )
         children = []
         for i, node in enumerate(self.nodes):
             if isinstance(node, Literal):
@@ -121,20 +112,8 @@ class ConceptDag:
         _set_children(self, children, self.root, "node")
 
     @property
-    def effective_size_bound(self) -> int:
-        if self.size_bound is not None:
-            return self.size_bound
-        return self.n**3
-
-    @property
     def size(self) -> int:
         return len(self.nodes)
-
-
-def dag_size_bound(n: int, size: int) -> int:
-    """The size bound of a built or read DAG of `size` nodes: the default
-    n**3, or its own size where that is larger."""
-    return max(n**3, size)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +300,8 @@ def _fill_rows(
 ) -> None:
     """Evaluate the given nodes (or gates), in increasing order, into their
     rows of the (size, m) array `rows`, in place. Every other row is read as
-    it stands; raw bits are read from X."""
+    it stands; raw bits are read from X. A row may also be a stack of planes
+    (size, ..., m): each plane is evaluated on its own, the raw bits shared."""
     if isinstance(concept, ConceptDag):
         for i in indices:
             node = concept.nodes[i]
@@ -334,7 +314,7 @@ def _fill_rows(
             else:
                 np.bitwise_or(rows[node.left], rows[node.right], out=rows[i])
         return
-    total = np.empty(X.shape[0], dtype=np.int32)
+    total = np.empty(rows.shape[1:], dtype=np.int32)
     for i in indices:
         gate = concept.gates[i]
         total[:] = 0
@@ -368,10 +348,14 @@ def relevance_mask(
 
     Edges point to lower indices, so a clamp changes only nodes above it:
     the concept is evaluated once (not at all when `values`, its
-    node_values on X, is given), and each clamp re-evaluates just the nodes
-    that read a changed one. Only the unchanged rows those nodes read are
-    copied out of the node values; the clamps write every other row they
-    read.
+    node_values on X, is given), and both clamps re-evaluate, in one pass
+    over a (size, 2, m) buffer, just the nodes that read a changed one:
+    plane 0 holds the node clamped to 0 and plane 1 the node clamped to 1.
+    Only the unchanged rows those nodes read are copied out of the node
+    values; the pass writes every other row it reads. When the root is not
+    among the changed nodes, because no path leads down from it to the
+    node, the root row is copied from the node values too, so both planes
+    hold it and the mask is all False.
     """
     X = as_bit_matrix(X, concept.n)
     if not (0 <= node < concept.size):
@@ -388,15 +372,12 @@ def relevance_mask(
         raise InputShapeError(
             f"expected node values of shape {(X.shape[0], concept.size)}, got {values.shape}"
         )
-    rows = np.empty((concept.size, X.shape[0]), dtype=values.dtype)
-    for k in read - changed:
+    rows = np.empty((concept.size, 2, X.shape[0]), dtype=values.dtype)
+    for k in (read | {concept.root}) - changed:
         rows[k] = values[:, k]
-    rows[node] = 0
+    rows[node] = [[0], [1]]
     _fill_rows(concept, X, rows, above)
-    low = rows[concept.root].copy()
-    rows[node] = 1
-    _fill_rows(concept, X, rows, above)
-    return low != rows[concept.root]
+    return rows[concept.root, 0] != rows[concept.root, 1]
 
 
 def reachable_indices(concept: Concept, top: int | None = None) -> set[int]:
@@ -422,7 +403,7 @@ def push_negations_to_leaves(g: ConceptDag) -> ConceptDag:
 
     Builds positive and negated variants of the reachable nodes on demand,
     applying the usual and/or duality, so the output has at most twice as
-    many nodes as the input. The output size bound is doubled to match.
+    many nodes as the input.
     """
     out_nodes: list[DagNode] = []
     memo: dict[tuple[int, bool], int] = {}
@@ -464,10 +445,7 @@ def push_negations_to_leaves(g: ConceptDag) -> ConceptDag:
         want_and = isinstance(node, And) != neg
         memo[(idx, neg)] = emit(And(left, right) if want_and else Or(left, right))
 
-    bound = max(2 * g.effective_size_bound, len(out_nodes))
-    return ConceptDag(
-        nodes=tuple(out_nodes), root=memo[(g.root, False)], n=g.n, size_bound=bound
-    )
+    return ConceptDag(nodes=tuple(out_nodes), root=memo[(g.root, False)], n=g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +537,7 @@ def select_step(
     return ok, ok & (val0 ^ (bits & (val0 ^ val1)))
 
 
-def state_outputs(a: Adfsa, X: np.ndarray, lengths: np.ndarray, states: list[int]):
+def state_outputs(a: Adfsa, X: np.ndarray, lengths: np.ndarray, states: tuple[int, ...]):
     """Outputs of `states` when their walks start at each offset, one offset
     at a time: yields (o, ok, val) for o from a.n - 1 down to 0, where row k
     of ok and val, packed_words (len(states), W) of the m strings, holds the
@@ -577,7 +555,7 @@ def state_outputs(a: Adfsa, X: np.ndarray, lengths: np.ndarray, states: list[int
     # each reachable state's row among them
     local = np.empty(a.size, dtype=np.int64)
     local[reach] = np.arange(len(reach))
-    rows = local[states]
+    rows = local[list(states)]
     branches = np.flatnonzero(branch[reach])
     kids0 = local[on0[reach[branches]]]
     kids1 = local[on1[reach[branches]]]
@@ -630,7 +608,7 @@ def build_parity(n: int, subset) -> ConceptDag:
         return emit(Or(only_a, only_b))
 
     root = xor_tree(subset)
-    return ConceptDag(nodes=tuple(nodes), root=root, n=n, size_bound=dag_size_bound(n, len(nodes)))
+    return ConceptDag(nodes=tuple(nodes), root=root, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -723,10 +701,7 @@ def concept_from_dict(data: dict) -> Concept:
     try:
         n = json_int(data["n"])
         records = tuple(_record_from_dict(entry, tag_key) for entry in data[items])
-        args = {items: records, top: json_int(data[top]), "n": n}
-        if cls is ConceptDag:
-            args["size_bound"] = dag_size_bound(n, len(records))
-        return cls(**args)
+        return cls(**{items: records, top: json_int(data[top]), "n": n})
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConceptError(f"malformed concept file: {exc!r}") from exc
 

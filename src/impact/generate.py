@@ -17,7 +17,6 @@ from .concepts import (
     RejectState,
     ThresholdCircuit,
     Wire,
-    dag_size_bound,
 )
 from .errors import InvalidParameterError
 from .sampling import rng_from
@@ -39,7 +38,7 @@ def random_dag(n: int, size: int, seed: int) -> ConceptDag:
             right = int(rng.integers(0, top))
             cls = And if rng.random() < 0.5 else Or
             nodes.append(cls(left=left, right=right))
-    return ConceptDag(nodes=tuple(nodes), root=size - 1, n=n, size_bound=dag_size_bound(n, size))
+    return ConceptDag(nodes=tuple(nodes), root=size - 1, n=n)
 
 
 def random_circuit(

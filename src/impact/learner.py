@@ -450,7 +450,7 @@ def learn_threshold_node(
         i, epoch_start = 0, t
         while i < m:
             end = i + _SCAN_WINDOW
-            wrong = np.dot(Z[i:end], u) < off[i:end]
+            wrong = Z[i:end].dot(u) < off[i:end]
             j = int(wrong.argmax())
             if not wrong[j]:
                 i = end
@@ -458,7 +458,7 @@ def learn_threshold_node(
             u += Z[i + j]
             t += 1
             i += j + 1
-        hits = int(np.count_nonzero(np.dot(Z, u) >= off))
+        hits = int(np.count_nonzero(Z.dot(u) >= off))
         if hits > pocket_hits:
             pocket_u, pocket_hits = u.copy(), hits
         if t == epoch_start:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .concepts import (
     Adfsa,
@@ -37,27 +36,14 @@ class ModerationRule(enum.Enum):
         raise InvalidParameterError(f"unknown moderation rule {value!r}")
 
 
-@dataclass(frozen=True)
-class Round:
-    node: int
-
-
-@dataclass(frozen=True)
-class RoundPlan:
-    rounds: tuple[Round, ...]
-
-    def __len__(self) -> int:
-        return len(self.rounds)
-
-
 def default_rule(concept: Concept) -> ModerationRule:
     if isinstance(concept, Adfsa):
         return ModerationRule.OFFSET_PARTITION
     return ModerationRule.RELEVANT_FILTER
 
 
-def postfix_order(concept: Concept) -> RoundPlan:
-    """One round per teachable node, children always scheduled before parents.
+def postfix_order(concept: Concept) -> tuple[int, ...]:
+    """The nodes to teach, one round each, children always before parents.
 
     Edges point to strictly lower indices, so ascending index order over the
     reachable teachable nodes is a valid postfix order with the root last.
@@ -65,20 +51,13 @@ def postfix_order(concept: Concept) -> RoundPlan:
     raw attributes and negations ride along as negated references. A DAG
     whose root is a bare literal or a negated literal still gets one round.
     """
-    reach = reachable_indices(concept)
+    reach = sorted(reachable_indices(concept))
     if isinstance(concept, ConceptDag):
-        order = [
-            i
-            for i in sorted(reach)
-            if isinstance(concept.nodes[i], (And, Or))
-        ]
-        if not order:
-            order = [concept.root]
-    elif isinstance(concept, ThresholdCircuit):
-        order = sorted(reach)
-    else:
-        order = [i for i in sorted(reach) if concept.children[i]]
-        if not order:
-            raise InvalidConceptError("automaton has no branch states to teach")
-    return RoundPlan(rounds=tuple(Round(i) for i in order))
-
+        order = tuple(i for i in reach if isinstance(concept.nodes[i], (And, Or)))
+        return order or (concept.root,)
+    if isinstance(concept, ThresholdCircuit):
+        return tuple(reach)
+    order = tuple(i for i in reach if concept.children[i])
+    if not order:
+        raise InvalidConceptError("automaton has no branch states to teach")
+    return order

@@ -21,7 +21,6 @@ from .concepts import (
     RejectState,
     ThresholdCircuit,
     concept_to_dict,
-    dag_size_bound,
     node_values,  # noqa: F401 (perfbench/spans.py traces the Teacher's calls here too)
     push_negations_to_leaves,
     relevance_mask,  # noqa: F401 (likewise)
@@ -51,7 +50,7 @@ from .learner import (
     sample_budget,
     step_planes,
 )
-from .plan import ModerationRule, RoundPlan, default_rule, postfix_order
+from .plan import ModerationRule, default_rule, postfix_order
 from .sampling import Distribution, Sample, draw_sample
 from .teacher import Teacher, moderate
 
@@ -132,9 +131,7 @@ class DagClassifier(_ConceptExport):
             return negated(base) if neg else base
 
         root = hyp_node(final)
-        n = space.base_count
-        bound = dag_size_bound(n, len(nodes))
-        return ConceptDag(nodes=tuple(nodes), root=root, n=n, size_bound=bound)
+        return ConceptDag(nodes=tuple(nodes), root=root, n=space.base_count)
 
 
 @dataclass(eq=False)
@@ -270,13 +267,13 @@ class SessionReport:
         }
 
 
-def true_attribute_matrix(values: np.ndarray, plan: RoundPlan, X: np.ndarray) -> np.ndarray:
-    """Ground-truth attribute values: raw bits, then each round's true node
+def true_attribute_matrix(values: np.ndarray, plan: tuple[int, ...], X: np.ndarray) -> np.ndarray:
+    """Ground-truth attribute values: raw bits, then each planned node's true
     output and its complement, read from `values`, the concept's node_values
     on X. This is teacher-side bookkeeping; the learner never sees it."""
     rows = [X.T.astype(np.uint8)]
-    for rnd in plan.rounds:
-        col = values[:, rnd.node][None, :]
+    for node in plan:
+        col = values[:, node][None, :]
         rows.append(col)
         rows.append(1 - col)
     return np.vstack(rows)
@@ -295,7 +292,7 @@ class _BitRounds:
 
     rows_per_round = 2
 
-    def __init__(self, teacher: Teacher, plan: RoundPlan, mode: str, diagnostics: bool):
+    def __init__(self, teacher: Teacher, plan: tuple[int, ...], mode: str, diagnostics: bool):
         n, s = teacher.concept.n, teacher.sample
         self.teacher = teacher
         self.mode = mode
@@ -392,7 +389,7 @@ class _AutomatonRounds:
     learner scores; a row's value is ok & ~(agree ^ y). No int8 cube is
     held: a round's row is decoded at its offset only."""
 
-    def __init__(self, teacher: Teacher, plan: RoundPlan, mode: str, diagnostics: bool):
+    def __init__(self, teacher: Teacher, plan: tuple[int, ...], mode: str, diagnostics: bool):
         n, s = teacher.concept.n, teacher.sample
         self.n, self.m = n, len(s)
         self.space = AttributeSpace.terminals()
@@ -458,16 +455,16 @@ def run_teaching_session(
 
     s = draw_sample(d, concept, m, stream=TRAIN_STREAM)
     test = draw_sample(d, concept, test_size, stream=TEST_STREAM)
-    teacher = Teacher(taught, s, [rnd.node for rnd in plan.rounds])
+    teacher = Teacher(taught, s, plan)
     rounds = _ROUNDS[type(taught)](teacher, plan, mode, diagnostics)
 
     records: list[RoundRecord] = []
     z = rounds.space
 
-    for r, rnd in enumerate(plan.rounds):
+    for r, node in enumerate(plan):
         A = len(z)
         try:
-            kept, offset = moderate(teacher, rnd.node, s, rule)
+            kept, offset = moderate(teacher, node, s, rule)
         except InsufficientDataError:
             # no admissible data: unless the budget is enforced, the round
             # learns on no rows, where every candidate fits equally well
@@ -477,7 +474,7 @@ def run_teaching_session(
             raise InsufficientDataError(
                 f"round {r} starved: its moderated subset has {size} examples, "
                 f"needs {required}",
-                node=rnd.node,
+                node=node,
                 round_index=r,
                 subset_size=size,
                 required=required,
@@ -495,14 +492,14 @@ def run_teaching_session(
         records.append(
             RoundRecord(
                 index=r,
-                node=rnd.node,
+                node=node,
                 rule=rule.value,
                 subset_size=size,
                 training_error=training_error,
                 candidate_count=rounds.candidates(space),
                 offset=offset,
                 dont_know=isinstance(h, ReliablePairSet) and h.abstains,
-                **rounds.diagnose(rnd.node, A, z.hypotheses[-1]),
+                **rounds.diagnose(node, A, z.hypotheses[-1]),
             )
         )
 

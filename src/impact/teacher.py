@@ -22,7 +22,7 @@ from .concepts import (
     state_outputs,
 )
 from .errors import InsufficientDataError, InvalidParameterError
-from .plan import ModerationRule, RoundPlan
+from .plan import ModerationRule
 from .sampling import Sample
 
 
@@ -32,7 +32,7 @@ class Teacher:
     or the bucket of each of an automaton's `nodes` (distinct branch
     states), settled from one walk and one descending-offset pass."""
 
-    def __init__(self, concept: Concept, s: Sample, nodes: list[int]):
+    def __init__(self, concept: Concept, s: Sample, nodes: tuple[int, ...]):
         self.concept = concept
         self.sample = s
         if isinstance(concept, Adfsa):
@@ -84,7 +84,7 @@ class Teacher:
 
 
 def _offset_buckets(
-    a: Adfsa, s: Sample, nodes: list[int], arrivals: np.ndarray
+    a: Adfsa, s: Sample, nodes: tuple[int, ...], arrivals: np.ndarray
 ) -> dict[int, tuple[np.ndarray, int]]:
     """Each state's bucket and offset (see Teacher.mask) from one pass of
     state_outputs over every offset; `arrivals` holds the bit position at
@@ -130,7 +130,7 @@ def moderate(
     the ascending indices of its rows in `s` and the offset of an automaton
     round, else None. `concept` is the session's Teacher of `s`, or a concept
     to build one from. An empty selection raises InsufficientDataError."""
-    teacher = concept if isinstance(concept, Teacher) else Teacher(concept, s, [node])
+    teacher = concept if isinstance(concept, Teacher) else Teacher(concept, s, (node,))
     if s is not teacher.sample:
         raise InvalidParameterError("the Teacher moderates another sample")
     mask, offset = teacher.mask(node, rule)
@@ -143,18 +143,18 @@ def moderate(
 
 
 def export_privileged_view(
-    plan: RoundPlan, s: Sample, concept: Concept, rule: ModerationRule | str
+    plan: tuple[int, ...], s: Sample, concept: Concept, rule: ModerationRule | str
 ) -> np.ndarray:
     """Every round's moderation under the rule over the full sample, through
     one Teacher: the (m, R) uint8 matrix whose entry (i, r) is 1 iff example
-    i is in round r's moderated subset.
+    i is in the moderated subset of round r, which teaches plan[r].
 
     A round that selects nothing has an all-zero column, as the session
     learns that round on no rows; only under enforce_budget does the
     session abort there.
     """
-    teacher = Teacher(concept, s, [rnd.node for rnd in plan.rounds])
+    teacher = Teacher(concept, s, plan)
     membership = np.zeros((len(s), len(plan)), dtype=np.uint8)
-    for r, rnd in enumerate(plan.rounds):
-        membership[:, r] = teacher.mask(rnd.node, rule)[0]
+    for r, node in enumerate(plan):
+        membership[:, r] = teacher.mask(node, rule)[0]
     return membership

@@ -163,9 +163,9 @@ def test_05_taught_nodes_relevant_implies_correlated():
         X = all_inputs(n)
         vals = node_values(g, X)
         root = vals[:, g.root]
-        for rnd in postfix_order(g).rounds:
-            rel = relevance_mask(g, rnd.node, X)
-            violations += int(np.sum(rel & (vals[:, rnd.node] != root)))
+        for node in postfix_order(g):
+            rel = relevance_mask(g, node, X)
+            violations += int(np.sum(rel & (vals[:, node] != root)))
             nodes_checked += 1
     ok = violations == 0
     announce(5, ok, f"100 restructured DAGs, {nodes_checked} taught nodes, {violations} violations")

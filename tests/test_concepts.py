@@ -50,6 +50,7 @@ from impact import (
     relevance_mask,
     save_concept,
 )
+import impact.concepts
 from impact.concepts import _walk, state_outputs
 from impact.generate import random_automaton, random_circuit, random_dag
 from impact.learner import decode_planes
@@ -77,10 +78,19 @@ def test_dag_rejects_out_of_range_literal():
         ConceptDag(nodes=(Literal(bit=3),), root=0, n=2)
 
 
-def test_dag_rejects_size_over_bound():
-    nodes = [Literal(bit=0)] + [Not(child=i) for i in range(9)]
-    with pytest.raises(InvalidConceptError):
-        ConceptDag(nodes=tuple(nodes), root=9, n=2, size_bound=4)
+def test_dag_has_no_size_cap():
+    """A DAG holds any number of nodes: a 10-node Not chain at n=2, past
+    n**3 = 8 nodes, builds, evaluates as the reference does, and round-trips
+    through its concept file form unchanged."""
+    nodes = (Literal(bit=0),) + tuple(Not(child=i) for i in range(9))
+    g = ConceptDag(nodes=nodes, root=9, n=2)
+    assert g.size > g.n**3
+    X = all_inputs(2)
+    vals = node_values(g, X)
+    for i, bits in enumerate(X):
+        assert vals[i, g.root] == reference_evaluate(g, bits)
+        assert vals[i].tolist() == [reference_node_value(g, k, bits) for k in range(g.size)]
+    assert concept_from_dict(concept_to_dict(g)) == g
 
 
 def test_circuit_rejects_forward_gate_wire():
@@ -449,6 +459,66 @@ def test_circuit_relevance_matches_oracle():
         assert_relevance_matches_oracle(mixed_wire_circuit(seed), X)
 
 
+def test_relevance_clamps_both_ways_in_one_pass(monkeypatch):
+    """One _fill_rows pass over a (size, 2, m) buffer evaluates both clamps;
+    without node values, one more pass evaluates the concept first."""
+    fill_rows, shapes = impact.concepts._fill_rows, []
+
+    def spy(concept, X, rows, indices):
+        shapes.append(rows.shape)
+        fill_rows(concept, X, rows, indices)
+
+    monkeypatch.setattr(impact.concepts, "_fill_rows", spy)
+    for concept in (mixed_relevance_dag(), layered_circuit()):
+        X = all_inputs(concept.n)
+        vals = node_values(concept, X)
+        for node in range(concept.size):
+            shapes.clear()
+            relevance_mask(concept, node, X, values=vals)
+            assert shapes == [(concept.size, 2, len(X))]
+            shapes.clear()
+            relevance_mask(concept, node, X)
+            assert shapes == [(concept.size, len(X)), (concept.size, 2, len(X))]
+
+
+@pytest.mark.parametrize(
+    "concept, node",
+    [
+        # node 2 sits below the root but no path leads from the root to it
+        (ConceptDag(nodes=(Literal(0), Literal(1), Not(0), And(0, 1)), root=3, n=2), 2),
+        # node 3 sits above the root
+        (ConceptDag(nodes=(Literal(0), Literal(1), And(0, 1), Or(0, 1)), root=2, n=2), 3),
+        (
+            ThresholdCircuit(
+                gates=(
+                    Gate(2, (Wire("bit", 0), Wire("bit", 1))),
+                    Gate(1, (Wire("bit", 2),)),
+                    Gate(1, (Wire("gate", 0), Wire("bit", 2))),
+                ),
+                root=2,
+                n=3,
+            ),
+            1,
+        ),
+        (
+            ThresholdCircuit(
+                gates=(Gate(1, (Wire("bit", 0),)), Gate(1, (Wire("gate", 0), Wire("bit", 1)))),
+                root=0,
+                n=2,
+            ),
+            1,
+        ),
+    ],
+    ids=["dag-off-path", "dag-above-root", "circuit-off-path", "circuit-above-root"],
+)
+def test_a_clamp_that_never_reaches_the_root_is_never_relevant(concept, node):
+    """Both planes then hold the root row copied from the node values."""
+    X = all_inputs(concept.n)
+    assert not relevance_mask(concept, node, X).any()
+    assert not relevance_mask(concept, node, X, values=node_values(concept, X)).any()
+    assert not any(relevance_by_substitution(concept, node, bits) for bits in X)
+
+
 def test_relevance_rejects_mismatched_node_values():
     g = mixed_relevance_dag()
     X = all_inputs(3)
@@ -486,9 +556,9 @@ def test_taught_nodes_relevant_implies_correlated():
         X = all_inputs(8)
         vals = node_values(g, X)
         root = vals[:, g.root]
-        for rnd in postfix_order(g).rounds:
-            rel = relevance_mask(g, rnd.node, X)
-            assert not np.any(rel & (vals[:, rnd.node] != root))
+        for node in postfix_order(g):
+            rel = relevance_mask(g, node, X)
+            assert not np.any(rel & (vals[:, node] != root))
 
 
 def test_shared_literal_breaks_the_rule_outside_taught_nodes():
@@ -507,9 +577,9 @@ def test_irrelevant_examples_mix_correlations():
         X = all_inputs(6)
         vals = node_values(g, X)
         root = vals[:, g.root]
-        for rnd in postfix_order(g).rounds:
-            irrelevant = ~relevance_mask(g, rnd.node, X)
-            same = vals[irrelevant, rnd.node] == root[irrelevant]
+        for node in postfix_order(g):
+            irrelevant = ~relevance_mask(g, node, X)
+            same = vals[irrelevant, node] == root[irrelevant]
             if same.any() and (~same).any():
                 found_mixed = True
                 break

@@ -27,7 +27,6 @@ def _starving_dag():
         nodes=(Literal(0), Literal(1), And(0, 1), Literal(2), And(2, 3)),
         root=4,
         n=3,
-        size_bound=27,
     )
     return g, Distribution.product([0.5, 0.5, 1e-12], seed=21)
 

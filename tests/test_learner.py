@@ -2,6 +2,7 @@
 the attribute space that grows between rounds."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -750,10 +751,15 @@ def test_perceptron_stays_exact_across_its_precision_switch(monkeypatch):
     exact_float_dtype each epoch. Modelled at half precision, exact for
     integers up to 2**11, each problem starts in half precision, crosses
     the bound as mistakes accumulate, finishes in float64, and still keeps
-    the reference's weights and threshold."""
-    chosen = []
+    the reference's weights and threshold. A run's values stay near its
+    starting bound, and numpy sums float16 dot products in float32, so a run
+    that never left float16 would keep them too: the model also records the
+    dtype of the learner's Z each time it is asked, and every epoch must
+    hold what the call before it chose."""
+    chosen, held = [], []
 
     def half_up_to_2_11(bound):
+        held.append(getattr(sys._getframe(1).f_locals.get("Z"), "dtype", None))
         chosen.append(np.float16 if bound <= 2**11 else np.float64)
         return chosen[-1]
 
@@ -766,9 +772,11 @@ def test_perceptron_stays_exact_across_its_precision_switch(monkeypatch):
         y = (rng.integers(-3, 4, size=A) @ V >= rng.integers(-2, 4)).astype(np.uint8)
         y ^= (rng.random(m) < 0.1).astype(np.uint8)
         chosen.clear()
+        held.clear()
         h = learn_threshold_node(V, y, max_epochs=40)
         reference = reference_perceptron(V, y, 40)
         assert chosen[0] is np.float16 and chosen[-1] is np.float64
+        assert held[0] is None and held[1:] == chosen[:-1]
         assert h.weights.tobytes() == reference.weights.tobytes()
         assert repr(h.threshold) == repr(reference.threshold)
 

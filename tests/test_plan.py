@@ -24,8 +24,7 @@ from impact.plan import default_rule
 def test_single_literal_is_one_round():
     g = ConceptDag(nodes=(Literal(bit=0),), root=0, n=1)
     plan = postfix_order(g)
-    assert len(plan) == 1
-    assert plan.rounds[0].node == g.root
+    assert plan == (g.root,)
 
 
 def test_and_over_or_orders_child_first():
@@ -41,14 +40,14 @@ def test_and_over_or_orders_child_first():
         n=3,
     )
     plan = postfix_order(g)
-    assert [r.node for r in plan.rounds] == [3, 4]
+    assert plan == (3, 4)
 
 
 def test_children_always_precede_parents():
     for seed in range(20):
         g = push_negations_to_leaves(random_dag(6, 12, seed=seed))
         plan = postfix_order(g)
-        position = {r.node: i for i, r in enumerate(plan.rounds)}
+        position = {node: i for i, node in enumerate(plan)}
         for node_idx, node in enumerate(g.nodes):
             if node_idx not in position or not isinstance(node, (And, Or)):
                 continue
@@ -59,14 +58,14 @@ def test_children_always_precede_parents():
 
 def test_plan_contains_only_gate_nodes():
     g = push_negations_to_leaves(build_parity(8, (0, 3, 5, 7)))
-    for rnd in postfix_order(g).rounds:
-        assert isinstance(g.nodes[rnd.node], (And, Or))
+    for node in postfix_order(g):
+        assert isinstance(g.nodes[node], (And, Or))
 
 
 def test_not_root_plans_the_root_itself():
     g = ConceptDag(nodes=(Literal(bit=0), Not(child=0)), root=1, n=2)
     plan = postfix_order(g)
-    assert [r.node for r in plan.rounds] == [1]
+    assert plan == (1,)
 
 
 def test_default_rules_by_kind():
@@ -92,5 +91,5 @@ def test_offset_rule_rejected_for_boolean():
 def test_circuit_plan_covers_reachable_gates():
     c = layered_circuit()
     plan = postfix_order(c)
-    assert [r.node for r in plan.rounds] == [0, 1, 2]
-    assert plan.rounds[-1].node == c.root
+    assert plan == (0, 1, 2)
+    assert plan[-1] == c.root

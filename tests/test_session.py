@@ -162,7 +162,7 @@ def test_reliable_session_is_never_wrong():
 
 
 def test_single_literal_concept_one_round():
-    g = ConceptDag(nodes=(Literal(1),), root=0, n=2, size_bound=8)
+    g = ConceptDag(nodes=(Literal(1),), root=0, n=2)
     d = Distribution.uniform(2, 5)
     report = run_teaching_session(g, d, 40)
     assert len(report.rounds) == 1
@@ -445,14 +445,13 @@ def starving_concept():
         nodes=(Literal(0), Literal(1), And(0, 1), Literal(2), And(2, 3)),
         root=4,
         n=3,
-        size_bound=27,
     )
     return g, Distribution.product([0.5, 0.5, 1e-12], seed=21)
 
 
 def test_enforced_starvation_reports_which_node():
     g, d = starving_concept()
-    first_taught = postfix_order(push_negations_to_leaves(g)).rounds[0].node
+    first_taught = postfix_order(push_negations_to_leaves(g))[0]
     with pytest.raises(InsufficientDataError) as info:
         run_teaching_session(g, d, 40, enforce_budget=True)
     assert info.value.round_index == 0
@@ -522,7 +521,7 @@ def test_pair_rounds_refuse_to_read_a_complement():
     g = push_negations_to_leaves(build_parity(4, (0, 1, 3)))
     s = draw_sample(Distribution.uniform(4, 0), g, 40)
     plan = postfix_order(g)
-    teacher = impact.teacher.Teacher(g, s, [rnd.node for rnd in plan.rounds])
+    teacher = impact.teacher.Teacher(g, s, plan)
     rounds = impact.session._PairRounds(teacher, plan, "best-fit", diagnostics=False)
     assert np.array_equal(rounds[3], s.bits[:, 3])
     assert np.shares_memory(rounds[4], rounds.V)  # round 0's hypothesis row

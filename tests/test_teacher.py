@@ -62,15 +62,15 @@ def test_relevant_filter_matches_flip_oracle():
     for seed in range(8):
         g = push_negations_to_leaves(random_dag(6, 12, seed=seed))
         s = full_sample(g, 6)
-        for rnd in postfix_order(g).rounds:
+        for node in postfix_order(g):
             expected = [
-                i for i in range(len(s)) if relevance_by_substitution(g, rnd.node, s.bits[i])
+                i for i in range(len(s)) if relevance_by_substitution(g, node, s.bits[i])
             ]
             if not expected:
                 with pytest.raises(InsufficientDataError):
-                    moderate(g, rnd.node, s, ModerationRule.RELEVANT_FILTER)
+                    moderate(g, node, s, ModerationRule.RELEVANT_FILTER)
                 continue
-            kept = moderate(g, rnd.node, s, ModerationRule.RELEVANT_FILTER)[0]
+            kept = moderate(g, node, s, ModerationRule.RELEVANT_FILTER)[0]
             assert kept.tolist() == expected
 
 
@@ -78,8 +78,8 @@ def test_moderation_never_relabels_or_reorders():
     g = push_negations_to_leaves(build_parity(8, (1, 3, 6)))
     d = Distribution.uniform(8, 99)
     s = draw_sample(d, g, 300)
-    for rnd in postfix_order(g).rounds:
-        kept, offset = moderate(g, rnd.node, s, ModerationRule.RELEVANT_FILTER)
+    for node in postfix_order(g):
+        kept, offset = moderate(g, node, s, ModerationRule.RELEVANT_FILTER)
         assert offset is None
         assert 0 <= kept[0] and kept[-1] < len(s)
         assert np.all(np.diff(kept) > 0)
@@ -89,8 +89,8 @@ def test_partition_rule_keeps_at_least_half():
     for seed in range(8):
         g = push_negations_to_leaves(random_dag(6, 12, seed=40 + seed))
         s = full_sample(g, 6)
-        for rnd in postfix_order(g).rounds:
-            kept, _ = moderate(g, rnd.node, s, ModerationRule.LARGER_PARTITION)
+        for node in postfix_order(g):
+            kept, _ = moderate(g, node, s, ModerationRule.LARGER_PARTITION)
             assert len(kept) >= (len(s) + 1) // 2
 
 
@@ -197,8 +197,8 @@ def test_bucket_guarantee_over_random_automata():
         a = random_automaton(6, 4, seed=seed)
         d = Distribution.strings_for(a, seed)
         s = draw_sample(d, a, 240)
-        for rnd in postfix_order(a).rounds:
-            kept, offset = moderate(a, rnd.node, s, ModerationRule.OFFSET_PARTITION)
+        for node in postfix_order(a):
+            kept, offset = moderate(a, node, s, ModerationRule.OFFSET_PARTITION)
             assert len(kept) >= len(s) / (2 * a.n)
             assert 0 <= offset < a.n
 
@@ -209,9 +209,9 @@ def test_touching_strings_agree_at_their_arrival_offset():
     s = draw_sample(d, a, 300)
     from impact.concepts import _walk
 
-    for rnd in postfix_order(a).rounds:
-        arrivals = _walk(a, s.bits, s.lengths, (rnd.node,))[1][0]
-        from_state = replace(a, start=rnd.node)
+    for node in postfix_order(a):
+        arrivals = _walk(a, s.bits, s.lengths, (node,))[1][0]
+        from_state = replace(a, start=node)
         for i in np.flatnonzero(arrivals >= 0):
             out = run_automaton(from_state, s.bits[i, arrivals[i] : s.lengths[i]])
             assert out == s.labels[i]
@@ -247,10 +247,10 @@ def test_offset_moderation_matches_the_reference(automaton, m, narrower, seed):
     keep = labels >= 0
     s = make_sample(X[keep], labels[keep], lengths[keep])
     plan = postfix_order(automaton)
-    teacher = Teacher(automaton, s, [rnd.node for rnd in plan.rounds])
-    for rnd in plan.rounds:
-        mask, offset = teacher.mask(rnd.node, ModerationRule.OFFSET_PARTITION)
-        expected, expected_offset = reference_offset_selection(automaton, s, rnd.node)
+    teacher = Teacher(automaton, s, plan)
+    for node in plan:
+        mask, offset = teacher.mask(node, ModerationRule.OFFSET_PARTITION)
+        expected, expected_offset = reference_offset_selection(automaton, s, node)
         assert np.array_equal(mask, expected)
         assert offset == expected_offset
 
@@ -302,14 +302,14 @@ def test_packed_offset_pass_matches_the_reference_at_word_edges(m, automaton, se
     a = random_automaton(*automaton)
     s = labelled_strings(a, m, seed)
     plan = postfix_order(a)
-    teacher = Teacher(a, s, [rnd.node for rnd in plan.rounds])
+    teacher = Teacher(a, s, plan)
     ties = set()
-    for rnd in plan.rounds:
-        mask, offset = teacher.mask(rnd.node, ModerationRule.OFFSET_PARTITION)
-        expected, expected_offset = reference_offset_selection(a, s, rnd.node)
+    for node in plan:
+        mask, offset = teacher.mask(node, ModerationRule.OFFSET_PARTITION)
+        expected, expected_offset = reference_offset_selection(a, s, node)
         assert np.array_equal(mask, expected)
         assert offset == expected_offset
-        sizes = bucket_sizes(a, s, rnd.node)
+        sizes = bucket_sizes(a, s, node)
         largest = sizes.max(axis=1)
         if np.count_nonzero(largest == largest.max()) > 1:
             ties.add("across")
@@ -335,9 +335,9 @@ def test_automaton_teacher_makes_one_descending_pass(monkeypatch):
         calls.clear()
         s = draw_sample(Distribution.strings_for(a, 1), a, 100)
         plan = postfix_order(a)
-        teacher = Teacher(a, s, [rnd.node for rnd in plan.rounds])
-        for rnd in plan.rounds:
-            teacher.mask(rnd.node, ModerationRule.OFFSET_PARTITION)
+        teacher = Teacher(a, s, plan)
+        for node in plan:
+            teacher.mask(node, ModerationRule.OFFSET_PARTITION)
         round_counts.add(len(plan))
         assert len(calls) == 1
     assert len(round_counts) == 2
@@ -364,10 +364,10 @@ def assert_view_replays_moderation(concept, s, rule, starved_ok=False):
     plan = postfix_order(concept)
     view = export_privileged_view(plan, s, concept, rule)
     assert view.shape == (len(s), len(plan))
-    for r, rnd in enumerate(plan.rounds):
+    for r, node in enumerate(plan):
         column = np.zeros(len(s), dtype=np.uint8)
         try:
-            kept, _ = moderate(concept, rnd.node, s, rule)
+            kept, _ = moderate(concept, node, s, rule)
             column[kept] = 1
         except InsufficientDataError:
             if not starved_ok:
@@ -395,15 +395,15 @@ def test_moderate_and_the_view_take_a_rule_or_its_value():
     s = draw_sample(Distribution.uniform(6, 7), g, 200)
     plan = postfix_order(g)
     for rule in (ModerationRule.RELEVANT_FILTER, ModerationRule.LARGER_PARTITION):
-        for rnd in plan.rounds:
-            kept, offset = moderate(g, rnd.node, s, rule.value)
-            expected, expected_offset = moderate(g, rnd.node, s, rule)
+        for node in plan:
+            kept, offset = moderate(g, node, s, rule.value)
+            expected, expected_offset = moderate(g, node, s, rule)
             assert np.array_equal(kept, expected) and offset is expected_offset is None
         view = export_privileged_view(plan, s, g, rule.value)
         assert np.array_equal(view, export_privileged_view(plan, s, g, rule))
     for value, message in (("bogus", "unknown moderation rule 'bogus'"), ("offset", "offset")):
         with pytest.raises(InvalidParameterError, match=message):
-            moderate(g, plan.rounds[0].node, s, value)
+            moderate(g, plan[0], s, value)
         with pytest.raises(InvalidParameterError, match=message):
             export_privileged_view(plan, s, g, value)
 
@@ -424,8 +424,8 @@ def test_offset_moderation_makes_no_walk_per_offset(monkeypatch):
     monkeypatch.setattr(impact.teacher, "_walk", counting)
     a = random_automaton(8, 6, seed=1)
     s = draw_sample(Distribution.strings_for(a, 1), a, 100)
-    rounds = postfix_order(a).rounds
-    for rnd in rounds:
-        moderate(a, rnd.node, s, ModerationRule.OFFSET_PARTITION)
+    rounds = postfix_order(a)
+    for node in rounds:
+        moderate(a, node, s, ModerationRule.OFFSET_PARTITION)
     assert len(calls) == len(rounds)
 
