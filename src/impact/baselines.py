@@ -70,57 +70,75 @@ class GreedyTreeClassifier:
         return out
 
 
-def _entropy(labels: np.ndarray) -> float:
-    m = len(labels)
-    if m == 0:
-        return 0.0
-    p = labels.sum() / m
-    if p in (0.0, 1.0):
-        return 0.0
-    return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
-
-
-def _grow_tree(bits: np.ndarray, labels: np.ndarray, used: frozenset[int]) -> TreeLeaf | TreeSplit:
-    majority = _majority_label(labels)
-    if len(used) == bits.shape[1]:
-        return TreeLeaf(majority)
-    if labels.min() == labels.max():
-        return TreeLeaf(int(labels[0]))
-
-    base = _entropy(labels)
-    best_bit = -1
-    best_gain = -1.0
-    m = len(labels)
-    for bit in range(bits.shape[1]):
-        if bit in used:
-            continue
-        high = bits[:, bit] == 1
-        h = int(high.sum())
-        gain = base - (
-            h / m * _entropy(labels[high]) + (m - h) / m * _entropy(labels[~high])
-        )
-        if gain > best_gain + 1e-12:
-            best_gain = gain
-            best_bit = bit
-    # every bit gains more than the starting -1, so some bit wins
-    high = bits[:, best_bit] == 1
-    child_used = used | {best_bit}
-
-    def side(rows: np.ndarray) -> TreeLeaf | TreeSplit:
-        # an empty side is a leaf of this node's majority
-        if not rows.any():
-            return TreeLeaf(majority)
-        return _grow_tree(bits[rows], labels[rows], child_used)
-
-    return TreeSplit(bit=best_bit, low=side(~high), high=side(high))
+def _entropies(ones: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Binary label entropy of sides with `ones` label-1 rows of `sizes`,
+    elementwise; 0 for a pure or an empty side."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = ones / sizes
+        h = -p * np.log2(p) - (1 - p) * np.log2(1 - p)
+    return np.where((ones > 0) & (ones < sizes), h, 0.0)
 
 
 def fit_tree(s: Sample) -> GreedyTreeClassifier:
     """Greedy entropy-split tree. Zero-gain splits are still taken (lowest
-    bit first) until purity or every bit is used, so it will happily memorize."""
+    bit first) until purity or every bit is used, so it will happily memorize.
+
+    The tree grows level by level. One product of a one-hot (nodes, rows)
+    matrix with the bits, and with the bits times the labels, counts every
+    node's rows and label-1 rows on each side of each bit; an empty side
+    becomes a leaf of its parent's majority."""
     if len(s) == 0:
         raise UndefinedMetricError("cannot fit on an empty sample")
-    return GreedyTreeClassifier(root=_grow_tree(s.bits, s.labels.astype(np.int8), frozenset()))
+    m, n = s.bits.shape
+    # column 0 counts a node's rows and column 1 + b those with bit b set; the
+    # next n + 1 columns count their label-1 rows. An integer product is exact
+    # and, unlike a float one, loads no BLAS kernel the sessions do not use.
+    X = np.hstack([np.ones((m, 1), dtype=np.intp), s.bits])
+    X = np.hstack([X, X * s.labels[:, None]])
+    # a TreeLeaf, or (bit, low, high) with its children's indices in `made`
+    made: list = [None]
+    level = [(0, frozenset())]  # (index in `made`, bits used above)
+    rows, at = np.arange(m), np.zeros(m, dtype=np.intp)
+    while level:
+        onehot = (at == np.arange(len(level))[:, None]).astype(np.intp)
+        c = (onehot @ X[rows]).astype(np.float64)
+        sizes, ones = c[:, : n + 1], c[:, n + 1 :]
+        size, high = sizes[:, :1], sizes[:, 1:]
+        low = size - high
+        H = _entropies(ones, sizes)
+        H_low = _entropies(ones[:, :1] - ones[:, 1:], low)
+        gains = H[:, :1] - (high / size * H[:, 1:] + low / size * H_low)
+        split = np.zeros(len(level), dtype=np.intp)
+        child = np.full((len(level), 2), -1)
+        below = []
+        for i, ((j, used), counts, one, gain) in enumerate(
+            zip(level, sizes.tolist(), ones[:, 0].tolist(), gains.tolist())
+        ):
+            majority = 1 if one > counts[0] - one else 0
+            # every bit used, or a pure node: a leaf, whose label is the majority
+            if len(used) == n or one in (0.0, counts[0]):
+                made[j] = TreeLeaf(majority)
+                continue
+            bit, best = -1, -1.0
+            for b, g in enumerate(gain):
+                if b not in used and g > best + 1e-12:
+                    bit, best = b, g
+            split[i] = bit
+            made[j] = (bit, len(made), len(made) + 1)
+            for side, count in enumerate((counts[0] - counts[1 + bit], counts[1 + bit])):
+                if count:
+                    child[i, side] = len(below)
+                    below.append((len(made), used | {bit}))
+                made.append(None if count else TreeLeaf(majority))
+        at = child[at, s.bits[rows, split[at]]]
+        rows, at = rows[at >= 0], at[at >= 0]
+        level = below
+    # children come after their parents, so a backward pass builds them first
+    for j in reversed(range(len(made))):
+        if isinstance(made[j], tuple):
+            bit, low, high = made[j]
+            made[j] = TreeSplit(bit=bit, low=made[low], high=made[high])
+    return GreedyTreeClassifier(root=made[0])
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +187,12 @@ def fit_stumps(s: Sample) -> BoostedStumpsClassifier:
     stumps: list[Stump] = []
     alphas: list[float] = []
     signed_bits = s.bits.astype(np.float64) * 2.0 - 1.0
+    agree_pos = (signed_bits * y[:, None] > 0).astype(np.float64)
+    disagree_pos = 1.0 - agree_pos
     for _ in range(50):
         # weighted error of every (bit, polarity) pair in one pass
-        agree_pos = (signed_bits * y[:, None] > 0).astype(np.float64)
-        err_pos = w @ (1.0 - agree_pos)
-        err_neg = w @ agree_pos
+        err_pos = (w @ disagree_pos).tolist()
+        err_neg = (w @ agree_pos).tolist()
         best = None
         for bit in range(n):
             for polarity, err in ((1, err_pos[bit]), (-1, err_neg[bit])):

@@ -355,9 +355,10 @@ def relevance_mask(
     values; the pass writes every other row it reads. When the root is not
     among the changed nodes, because no path leads down from it to the
     node, the root row is copied from the node values too, so both planes
-    hold it and the mask is all False.
+    hold it and the mask is all False. Given `values`, X's shape is checked
+    but its bits are not scanned again: they were checked when `values` was
+    computed, and only a circuit's gates read them here.
     """
-    X = as_bit_matrix(X, concept.n)
     if not (0 <= node < concept.size):
         raise InvalidConceptError(f"node {node} out of range")
     changed, above, read = {node}, [], set()
@@ -367,11 +368,15 @@ def relevance_mask(
             changed.add(i)
             above.append(i)
     if values is None:
+        X = as_bit_matrix(X, concept.n)
         values = node_values(concept, X)
-    elif values.shape != (X.shape[0], concept.size):
-        raise InputShapeError(
-            f"expected node values of shape {(X.shape[0], concept.size)}, got {values.shape}"
-        )
+    else:
+        X = np.asarray(X)
+        if X.ndim != 2 or X.shape[1] != concept.n or values.shape != (len(X), concept.size):
+            raise InputShapeError(
+                f"expected inputs of {concept.n} bits and node values of shape "
+                f"{(len(X), concept.size)}, got shapes {X.shape} and {values.shape}"
+            )
     rows = np.empty((concept.size, 2, X.shape[0]), dtype=values.dtype)
     for k in (read | {concept.root}) - changed:
         rows[k] = values[:, k]

@@ -359,10 +359,14 @@ class _PairRounds(_BitRounds):
 
     def learn(self, A: int, kept: np.ndarray, y: np.ndarray):
         n = self.space.base_count
+        k = (n + A) // 2
+        # a reliable set's attribute is its primary, the best-fit pair, and
+        # only the last round's members reach the classifier: earlier rounds
+        # learn best-fit, and the session reads their abstention off its error
+        mode = self.mode if k == len(self.V) - 1 else "best-fit"
         # negative rows first: the learner's label split is then two views
         order = np.argsort(y, kind="stable")
-        rows = self.V[: (n + A) // 2, kept[order]]
-        return learn_pair_node(rows, y[order], self.mode, base_count=n)
+        return learn_pair_node(self.V[:k, kept[order]], y[order], mode, base_count=n)
 
     def fill(self, A: int, h: PairHypothesis) -> np.ndarray:
         """Fill the row of attribute A, a hypothesis, with h; return it."""
@@ -498,7 +502,9 @@ def run_teaching_session(
                 training_error=training_error,
                 candidate_count=rounds.candidates(space),
                 offset=offset,
-                dont_know=isinstance(h, ReliablePairSet) and h.abstains,
+                # a reliable set abstains when no pair fits every row: when
+                # the best-fit pair, whose row is filled, errs or has no rows
+                dont_know=mode == "reliable" and bool(size == 0 or training_error > 0),
                 **rounds.diagnose(node, A, z.hypotheses[-1]),
             )
         )

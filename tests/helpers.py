@@ -19,6 +19,13 @@ from impact import (
     ThresholdCircuit,
     Wire,
 )
+from impact.baselines import (
+    BoostedStumpsClassifier,
+    GreedyTreeClassifier,
+    Stump,
+    TreeLeaf,
+    TreeSplit,
+)
 from impact.concepts import packed_words
 
 
@@ -132,3 +139,85 @@ def agreement_bits(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
     agrees with a label and the padding bits past M are zero."""
     # y in the rows' int8: uint8 labels would widen the comparison to int16
     return packed_words(rows == y.astype(rows.dtype))
+
+
+# ---------------------------------------------------------------------------
+# Slow references for the baselines
+# ---------------------------------------------------------------------------
+
+
+def _reference_entropy(labels: np.ndarray) -> float:
+    m = len(labels)
+    if m == 0:
+        return 0.0
+    p = labels.sum() / m
+    if p in (0.0, 1.0):
+        return 0.0
+    return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
+
+
+def _reference_grow(bits: np.ndarray, labels: np.ndarray, used: frozenset):
+    majority = 1 if 2 * int(labels.sum()) > len(labels) else 0
+    if len(used) == bits.shape[1] or labels.min() == labels.max():
+        return TreeLeaf(majority)
+    base = _reference_entropy(labels)
+    best_bit, best_gain = -1, -1.0
+    m = len(labels)
+    for bit in range(bits.shape[1]):
+        if bit in used:
+            continue
+        high = bits[:, bit] == 1
+        h = int(high.sum())
+        gain = base - (
+            h / m * _reference_entropy(labels[high])
+            + (m - h) / m * _reference_entropy(labels[~high])
+        )
+        if gain > best_gain + 1e-12:
+            best_gain, best_bit = gain, bit
+    high = bits[:, best_bit] == 1
+
+    def side(rows):
+        if not rows.any():
+            return TreeLeaf(majority)
+        return _reference_grow(bits[rows], labels[rows], used | {best_bit})
+
+    return TreeSplit(bit=best_bit, low=side(~high), high=side(high))
+
+
+def reference_tree(s: Sample) -> GreedyTreeClassifier:
+    """fit_tree, one node at a time: a recursive split that scores each
+    unused bit with its own two boolean gathers and scalar entropies."""
+    return GreedyTreeClassifier(root=_reference_grow(s.bits, s.labels.astype(np.int8), frozenset()))
+
+
+def reference_stumps(s: Sample) -> BoostedStumpsClassifier:
+    """fit_stumps with every round's agreement matrix rebuilt and its errors
+    read one numpy scalar at a time."""
+    m, n = s.bits.shape
+    y = s.labels.astype(np.float64) * 2.0 - 1.0
+    w = np.full(m, 1.0 / m)
+    stumps, alphas = [], []
+    signed_bits = s.bits.astype(np.float64) * 2.0 - 1.0
+    for _ in range(50):
+        agree_pos = (signed_bits * y[:, None] > 0).astype(np.float64)
+        err_pos, err_neg = w @ (1.0 - agree_pos), w @ agree_pos
+        best = None
+        for bit in range(n):
+            for polarity, err in ((1, err_pos[bit]), (-1, err_neg[bit])):
+                if best is None or err < best[0] - 1e-12:
+                    best = (err, bit, polarity)
+        err, bit, polarity = best
+        if err >= 0.5 - 1e-9:
+            break
+        err = min(max(err, 1e-10), 1 - 1e-10)
+        alpha = 0.5 * np.log((1 - err) / err)
+        stump = Stump(bit=bit, polarity=polarity)
+        margin = stump.signed(s.bits) * y
+        w = w * np.exp(-alpha * margin)
+        w /= w.sum()
+        stumps.append(stump)
+        alphas.append(float(alpha))
+        if err <= 1e-10:
+            break
+    fallback = 1 if 2 * int(s.labels.sum()) > m else 0
+    return BoostedStumpsClassifier(stumps=tuple(stumps), alphas=tuple(alphas), fallback=fallback)

@@ -3,8 +3,10 @@ information-gain tree, boosted stumps."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import all_inputs, make_sample
+from helpers import all_inputs, make_sample, reference_stumps, reference_tree
 from impact import (
     Distribution,
     UndefinedMetricError,
@@ -82,6 +84,58 @@ def test_tree_is_deterministic():
     g = build_parity(5, (0, 2))
     s = draw_sample(d, g, 60, stream="train")
     assert fit_tree(s) == fit_tree(s)
+
+
+def test_tree_takes_an_empty_side_as_a_leaf_of_the_parent_majority():
+    """Bit 0 is constant and every bit gains nothing on the full parity
+    table, so the root splits on bit 0 and its high side holds no row."""
+    X = all_inputs(3)
+    X[:, 0] = 0
+    labels = (X[:, 1] ^ X[:, 2]).astype(np.uint8)
+    s = make_sample(X, labels)
+    clf = fit_tree(s)
+    assert clf == reference_tree(s)
+    assert clf.root.bit == 0 and clf.root.high == TreeLeaf(0)
+    assert accuracy(clf, s) == 1.0
+
+
+@st.composite
+def baseline_samples(draw):
+    """Samples with the shapes that stress a split or a boosting round:
+    duplicate columns, which tie every gain and error exactly; constant
+    columns, whose splits leave one side empty; single-label samples; and
+    labels that are a parity of the bits, where every split gains nothing."""
+    m = draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.integers(min_value=1, max_value=7))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    bits = (rng.random((m, n)) < draw(st.sampled_from([0.2, 0.5, 0.8]))).astype(np.uint8)
+    copy = draw(st.integers(min_value=-1, max_value=n - 1))
+    if copy >= 0:
+        bits[:, copy] = bits[:, rng.integers(n)]
+    constant = draw(st.integers(min_value=-1, max_value=n - 1))
+    if constant >= 0:
+        bits[:, constant] = draw(st.integers(min_value=0, max_value=1))
+    kind = draw(st.sampled_from(["random", "parity", "single", "bit"]))
+    if kind == "random":
+        labels = rng.integers(0, 2, size=m)
+    elif kind == "parity":
+        labels = bits.sum(axis=1) % 2
+    elif kind == "single":
+        labels = np.full(m, draw(st.integers(min_value=0, max_value=1)))
+    else:
+        labels = bits[:, rng.integers(n)]
+    return make_sample(bits, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(baseline_samples())
+@example(make_sample([[1, 0]], [1]))
+@example(make_sample([[0, 0, 1], [0, 0, 1]], [0, 1]))
+def test_tree_and_stumps_equal_their_slow_references(s):
+    """fit_tree's level-by-level counts and fit_stumps' one agreement matrix
+    give exactly the recursive per-bit tree and the per-round stump loop."""
+    assert fit_tree(s) == reference_tree(s)
+    assert fit_stumps(s) == reference_stumps(s)
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,22 @@ def test_relevance_rejects_mismatched_node_values():
         relevance_mask(g, 0, X, values=node_values(g, X[:4]))
 
 
+def test_relevance_with_node_values_scans_no_bits(monkeypatch):
+    """Given node values, relevance_mask checks the inputs' shape only: the
+    values were computed from checked bits, so no bit is scanned again."""
+    cases = [(mixed_relevance_dag(), all_inputs(3)), (layered_circuit(), all_inputs(4))]
+    expected = [
+        [relevance_mask(c, node, X) for node in range(c.size)] for c, X in cases
+    ]
+    values = [node_values(c, X) for c, X in cases]
+    scans = []
+    monkeypatch.setattr(impact.concepts, "_bit_array", lambda bits: scans.append(bits))
+    for (c, X), vals, masks in zip(cases, values, expected):
+        for node in range(c.size):
+            assert np.array_equal(relevance_mask(c, node, X, values=vals), masks[node])
+    assert scans == []
+
+
 @pytest.mark.parametrize("node", [-1, 7])
 def test_relevance_rejects_a_node_out_of_range(node):
     g = mixed_relevance_dag()

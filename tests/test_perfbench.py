@@ -27,6 +27,15 @@ UNIT = Path(__file__).resolve().parent.parent / "perfbench" / "unit.py"
             "circuit-teach",
             {"teacher.moderate", "learner.learn_threshold_node", "learner.AttributeSpace.values"},
         ),
+        (
+            "parity-sweep",
+            {
+                "learner.learn_pair_node",
+                "baselines.fit_tree",
+                "baselines.fit_stumps",
+                "experiments.run_sweep",
+            },
+        ),
     ],
 )
 def test_traced_smoke_unit_runs(workload, layers):

@@ -656,6 +656,42 @@ def test_pair_rounds_learn_on_base_and_hypothesis_rows(monkeypatch, mode):
         ]
 
 
+def test_reliable_rounds_are_best_fit_rounds_that_abstain_by_their_error(monkeypatch):
+    """A reliable session's attribute in every round is its best-fit pair,
+    and only the last round builds a version space: its rounds equal a
+    best-fit session's, and each round's dont_know is exactly whether the
+    reliable set learned on that round's rows abstains. Those sets read no
+    complement attribute. Seeds 0-39 abstain only in starved rounds, or in
+    the last; seeds 64 and 152 each have an intermediate round that abstains
+    with 37 and 29 rows."""
+    calls = []
+    learn = impact.session.learn_pair_node
+
+    def recording(V, y, mode, **kwargs):
+        calls.append((V, y, mode))
+        return learn(V, y, mode, **kwargs)
+
+    def summary(report):
+        return [(r.node, r.subset_size, r.training_error) for r in report.rounds]
+
+    monkeypatch.setattr(impact.session, "learn_pair_node", recording)
+    n, fed_abstentions = 8, 0
+    for seed in [*range(40), 64, 152]:
+        g, d = random_dag(n, 30, seed), Distribution.uniform(n, seed)
+        best = run_teaching_session(g, d, 60)
+        calls.clear()
+        report = run_teaching_session(g, d, 60, mode="reliable")
+        assert [mode for *_, mode in calls].count("reliable") == 1 and calls[-1][2] == "reliable"
+        assert summary(report) == summary(best) and not any(r.dont_know for r in best.rounds)
+        assert report.classifier.space == best.classifier.space
+        for r, (V, y, _) in zip(report.rounds, calls, strict=True):
+            h = learn(V, y, "reliable", base_count=n)
+            assert h.abstains == r.dont_know
+            assert all(j < n or (j - n) % 2 == 0 for p in h.members for j in (p.left_attr, p.right_attr))
+            fed_abstentions += r.dont_know and r.subset_size > 0 and r.index < len(report.rounds) - 1
+    assert fed_abstentions == 2
+
+
 @pytest.mark.parametrize("mode", ["best-fit", "reliable"])
 def test_every_pair_round_calls_the_learner_once(monkeypatch, mode):
     """Every round, fed or starved, calls learn_pair_node once: a starved
