@@ -203,11 +203,10 @@ def fit_stumps(s: Sample) -> BoostedStumpsClassifier:
             break
         err = min(max(err, 1e-10), 1 - 1e-10)
         alpha = 0.5 * np.log((1 - err) / err)
-        stump = Stump(bit=bit, polarity=polarity)
-        margin = stump.signed(s.bits) * y
+        margin = signed_bits[:, bit] * polarity * y
         w = w * np.exp(-alpha * margin)
         w /= w.sum()
-        stumps.append(stump)
+        stumps.append(Stump(bit=bit, polarity=polarity))
         alphas.append(float(alpha))
         if err <= 1e-10:
             break

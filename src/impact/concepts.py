@@ -296,32 +296,33 @@ def as_string_batch(bits, lengths) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fill_rows(
-    concept: ConceptDag | ThresholdCircuit, X: np.ndarray, rows: np.ndarray, indices
+    concept: ConceptDag | ThresholdCircuit, X: np.ndarray, rows: np.ndarray | dict, indices
 ) -> None:
-    """Evaluate the given nodes (or gates), in increasing order, into their
-    rows of the (size, m) array `rows`, in place. Every other row is read as
-    it stands; raw bits are read from X. A row may also be a stack of planes
-    (size, ..., m): each plane is evaluated on its own, the raw bits shared."""
+    """Evaluate the given nodes (or gates), in increasing order, by assigning
+    each one's row: `rows[i] = ...`. `rows` is node_values' (size, m) array,
+    whose rows are written in place, or relevance_mask's dict of the rows a
+    clamp's cone reads, whose entries are rebound and never written into.
+    Every other row is read as it stands; raw bits are read from X. A row may
+    also be a stack of planes (..., m): each plane is evaluated on its own,
+    the raw bits shared."""
     if isinstance(concept, ConceptDag):
         for i in indices:
             node = concept.nodes[i]
             if isinstance(node, Literal):
                 rows[i] = X[:, node.bit]
             elif isinstance(node, Not):
-                np.subtract(1, rows[node.child], out=rows[i])
+                rows[i] = 1 - rows[node.child]
             elif isinstance(node, And):
-                np.bitwise_and(rows[node.left], rows[node.right], out=rows[i])
+                rows[i] = rows[node.left] & rows[node.right]
             else:
-                np.bitwise_or(rows[node.left], rows[node.right], out=rows[i])
+                rows[i] = rows[node.left] | rows[node.right]
         return
-    total = np.empty(rows.shape[1:], dtype=np.int32)
     for i in indices:
         gate = concept.gates[i]
-        total[:] = 0
+        total = np.int32(0)  # an int32 start: a uint8 sum would wrap past 255 inputs
         for wire in gate.inputs:
-            col = X[:, wire.index] if wire.source == "bit" else rows[wire.index]
-            np.add(total, col, out=total)
-        np.greater_equal(total, gate.threshold, out=rows[i])
+            total = total + (X[:, wire.index] if wire.source == "bit" else rows[wire.index])
+        rows[i] = total >= gate.threshold
 
 
 def node_values(concept: ConceptDag | ThresholdCircuit, X: np.ndarray) -> np.ndarray:
@@ -348,16 +349,15 @@ def relevance_mask(
 
     Edges point to lower indices, so a clamp changes only nodes above it:
     the concept is evaluated once (not at all when `values`, its
-    node_values on X, is given), and both clamps re-evaluate, in one pass
-    over a (size, 2, m) buffer, just the nodes that read a changed one:
-    plane 0 holds the node clamped to 0 and plane 1 the node clamped to 1.
-    Only the unchanged rows those nodes read are copied out of the node
-    values; the pass writes every other row it reads. When the root is not
-    among the changed nodes, because no path leads down from it to the
-    node, the root row is copied from the node values too, so both planes
-    hold it and the mask is all False. Given `values`, X's shape is checked
-    but its bits are not scanned again: they were checked when `values` was
-    computed, and only a circuit's gates read them here.
+    node_values on X, is given), and both clamps re-evaluate, in one pass,
+    just the nodes that read a changed one. The pass runs over a dict of the
+    clamp's cone: views of the unchanged node-value rows it reads, the
+    clamped node as a (2, m) stack of its 0-plane and 1-plane, and one
+    (2, m) stack for each node it evaluates. No row is copied and `values`
+    is never written. When no path leads down from the root to the node,
+    the mask is all False and nothing is evaluated. Given `values`, X's
+    shape is checked but its bits are not scanned again: they were checked
+    when `values` was computed, and only a circuit's gates read them here.
     """
     if not (0 <= node < concept.size):
         raise InvalidConceptError(f"node {node} out of range")
@@ -377,12 +377,12 @@ def relevance_mask(
                 f"expected inputs of {concept.n} bits and node values of shape "
                 f"{(len(X), concept.size)}, got shapes {X.shape} and {values.shape}"
             )
-    rows = np.empty((concept.size, 2, X.shape[0]), dtype=values.dtype)
-    for k in (read | {concept.root}) - changed:
-        rows[k] = values[:, k]
-    rows[node] = [[0], [1]]
+    if concept.root not in changed:
+        return np.zeros(len(X), dtype=bool)
+    rows = {k: values[:, k] for k in read - changed}
+    rows[node] = np.array([[0], [1]], dtype=values.dtype).repeat(len(X), axis=1)
     _fill_rows(concept, X, rows, above)
-    return rows[concept.root, 0] != rows[concept.root, 1]
+    return rows[concept.root][0] != rows[concept.root][1]
 
 
 def reachable_indices(concept: Concept, top: int | None = None) -> set[int]:

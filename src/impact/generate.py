@@ -79,9 +79,9 @@ def random_automaton(n: int, branches: int, seed: int) -> Adfsa:
     return Adfsa(states=tuple(states), start=len(states) - 1, n=n)
 
 
-def random_parity_subset(n: int, k: int, seed: int, *, trial: int = 0) -> tuple[int, ...]:
+def random_parity_subset(n: int, k: int, seed: int) -> tuple[int, ...]:
     if not (1 <= k <= n):
         raise InvalidParameterError("k must be in [1, n]")
-    rng = rng_from(seed, "generate", "parity-subset", trial)
+    rng = rng_from(seed, "generate", "parity-subset", 0)
     picked = rng.choice(n, size=k, replace=False)
     return tuple(int(b) for b in np.sort(picked))

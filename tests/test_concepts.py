@@ -3,6 +3,7 @@
 import functools
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -51,7 +52,7 @@ from impact import (
     save_concept,
 )
 import impact.concepts
-from impact.concepts import _walk, state_outputs
+from impact.concepts import _walk, reachable_indices, state_outputs
 from impact.generate import random_automaton, random_circuit, random_dag
 from impact.learner import decode_planes
 from impact.oracle import (
@@ -459,60 +460,99 @@ def test_circuit_relevance_matches_oracle():
         assert_relevance_matches_oracle(mixed_wire_circuit(seed), X)
 
 
+# Clamps no path leads up to from the root, each as (concept, node)
+UNREACHED_CLAMPS = [
+    # node 2 sits below the root but no path leads from the root to it
+    (ConceptDag(nodes=(Literal(0), Literal(1), Not(0), And(0, 1)), root=3, n=2), 2),
+    # node 3 sits above the root
+    (ConceptDag(nodes=(Literal(0), Literal(1), And(0, 1), Or(0, 1)), root=2, n=2), 3),
+    (
+        ThresholdCircuit(
+            gates=(
+                Gate(2, (Wire("bit", 0), Wire("bit", 1))),
+                Gate(1, (Wire("bit", 2),)),
+                Gate(1, (Wire("gate", 0), Wire("bit", 2))),
+            ),
+            root=2,
+            n=3,
+        ),
+        1,
+    ),
+    (
+        ThresholdCircuit(
+            gates=(Gate(1, (Wire("bit", 0),)), Gate(1, (Wire("gate", 0), Wire("bit", 1)))),
+            root=0,
+            n=2,
+        ),
+        1,
+    ),
+]
+
+
 def test_relevance_clamps_both_ways_in_one_pass(monkeypatch):
-    """One _fill_rows pass over a (size, 2, m) buffer evaluates both clamps;
-    without node values, one more pass evaluates the concept first."""
-    fill_rows, shapes = impact.concepts._fill_rows, []
+    """A clamp the root reaches takes one _fill_rows pass over exactly the
+    nodes above it, both clamps as planes, and reads every unchanged row as a
+    view of the node values, which may be read-only; a clamp the root never
+    reaches takes no pass. Without node values, one (size, m) pass evaluates
+    the concept first."""
+    fill_rows, calls = impact.concepts._fill_rows, []
 
     def spy(concept, X, rows, indices):
-        shapes.append(rows.shape)
+        calls.append((dict(rows) if isinstance(rows, dict) else rows.shape, list(indices)))
         fill_rows(concept, X, rows, indices)
 
     monkeypatch.setattr(impact.concepts, "_fill_rows", spy)
-    for concept in (mixed_relevance_dag(), layered_circuit()):
+    concepts = (mixed_relevance_dag(), layered_circuit(), mixed_wire_circuit(0))
+    cases = [(c, node) for c in concepts for node in range(c.size)] + UNREACHED_CLAMPS
+    for concept, node in cases:
         X = all_inputs(concept.n)
         vals = node_values(concept, X)
-        for node in range(concept.size):
-            shapes.clear()
-            relevance_mask(concept, node, X, values=vals)
-            assert shapes == [(concept.size, 2, len(X))]
-            shapes.clear()
-            relevance_mask(concept, node, X)
-            assert shapes == [(concept.size, len(X)), (concept.size, 2, len(X))]
+        vals.flags.writeable = False
+        reached = node in reachable_indices(concept)
+        calls.clear()
+        mask = relevance_mask(concept, node, X, values=vals)
+        assert len(calls) == reached
+        if reached:
+            [(rows, indices)] = calls
+            assert indices == [
+                i for i in range(node + 1, concept.root + 1) if node in reachable_indices(concept, i)
+            ]
+            assert rows[node].tolist() == [[0] * len(X), [1] * len(X)]
+            read = {k for i in indices for k in concept.children[i]} - set(indices) - {node}
+            assert rows.keys() - {node} == read
+            for k in read:
+                assert np.shares_memory(rows[k], vals)
+                assert np.array_equal(rows[k], vals[:, k])
+        calls.clear()
+        assert np.array_equal(relevance_mask(concept, node, X), mask)
+        assert calls[0] == ((concept.size, len(X)), list(range(concept.size)))
+        assert len(calls) == 1 + reached
+
+
+def test_a_mask_near_the_root_allocates_for_its_cone_not_the_concept():
+    """One mask next to the root of a large DAG peaks below one node-values
+    array, size * m bytes: its memory follows the clamp's cone."""
+    g = push_negations_to_leaves(build_parity(128, range(128)))
+    X = np.random.default_rng(0).integers(0, 2, size=(2000, 128), dtype=np.uint8)
+    vals = node_values(g, X)
+    node = g.children[g.root][0]
+    tracemalloc.start()
+    try:
+        mask = relevance_mask(g, node, X, values=vals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mask.shape == (len(X),)
+    assert peak < g.size * len(X)
 
 
 @pytest.mark.parametrize(
     "concept, node",
-    [
-        # node 2 sits below the root but no path leads from the root to it
-        (ConceptDag(nodes=(Literal(0), Literal(1), Not(0), And(0, 1)), root=3, n=2), 2),
-        # node 3 sits above the root
-        (ConceptDag(nodes=(Literal(0), Literal(1), And(0, 1), Or(0, 1)), root=2, n=2), 3),
-        (
-            ThresholdCircuit(
-                gates=(
-                    Gate(2, (Wire("bit", 0), Wire("bit", 1))),
-                    Gate(1, (Wire("bit", 2),)),
-                    Gate(1, (Wire("gate", 0), Wire("bit", 2))),
-                ),
-                root=2,
-                n=3,
-            ),
-            1,
-        ),
-        (
-            ThresholdCircuit(
-                gates=(Gate(1, (Wire("bit", 0),)), Gate(1, (Wire("gate", 0), Wire("bit", 1)))),
-                root=0,
-                n=2,
-            ),
-            1,
-        ),
-    ],
+    UNREACHED_CLAMPS,
     ids=["dag-off-path", "dag-above-root", "circuit-off-path", "circuit-above-root"],
 )
 def test_a_clamp_that_never_reaches_the_root_is_never_relevant(concept, node):
-    """Both planes then hold the root row copied from the node values."""
+    """The mask is then all False, with no node evaluated."""
     X = all_inputs(concept.n)
     assert not relevance_mask(concept, node, X).any()
     assert not relevance_mask(concept, node, X, values=node_values(concept, X)).any()

@@ -96,18 +96,15 @@ def test_random_automaton_branch_bounds():
 
 
 def test_parity_subsets_sorted_distinct():
-    for trial in range(5):
-        subset = random_parity_subset(10, 4, seed=6, trial=trial)
+    for seed in range(5):
+        subset = random_parity_subset(10, 4, seed=seed)
         assert list(subset) == sorted(set(subset))
         assert all(0 <= b < 10 for b in subset)
         assert len(subset) == 4
 
 
-def test_parity_subset_varies_by_trial_not_by_call():
-    a = random_parity_subset(10, 3, seed=6, trial=0)
-    b = random_parity_subset(10, 3, seed=6, trial=0)
-    assert a == b
-    spread = {random_parity_subset(10, 3, seed=6, trial=t) for t in range(6)}
-    assert len(spread) > 1
+def test_parity_subset_is_fixed_by_its_seed():
+    for seed in range(5):
+        assert random_parity_subset(10, 3, seed=seed) == random_parity_subset(10, 3, seed=seed)
     with pytest.raises(InvalidParameterError):
         random_parity_subset(10, 0, seed=6)

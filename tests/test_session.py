@@ -139,6 +139,15 @@ def test_corruption_bounded_by_child_attribute_errors():
     assert checked > 0
 
 
+def test_a_pair_of_raw_input_bits_has_no_child_error():
+    """A raw input bit is its own true value, so a round whose pair reads two
+    of them reports no child error on either side."""
+    report = run_teaching_session(build_parity(8, (1, 3, 6)), Distribution.uniform(8, 5), 200)
+    for r, h in zip(report.rounds[:2], report.classifier.space.hypotheses):
+        assert (h.left_attr, h.right_attr) == (3, 6)
+        assert r.child_error_left == r.child_error_right == 0.0
+
+
 def test_dag_expansion_agrees_with_classifier_everywhere():
     report = parity_session(m=100)
     clf = report.classifier
