@@ -88,6 +88,11 @@ def _all_inputs(n: int) -> np.ndarray:
     return ((rows[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
 
 
+def _check(name: str, passed: bool, **details) -> dict:
+    """One entry of verify's checks."""
+    return {"name": name, "passed": passed, "details": details}
+
+
 def _check_taught_nodes(concept, X, vals) -> dict:
     """Relevant inputs must agree with the root at every taught node; vals
     holds the concept's node_values on X."""
@@ -97,15 +102,16 @@ def _check_taught_nodes(concept, X, vals) -> dict:
     for node in plan:
         rel = relevance_mask(concept, node, X, values=vals)
         bad += int(np.sum(rel & (vals[:, node] != root)))
-    return {
-        "name": "relevant-implies-correlated",
-        "passed": bad == 0,
-        "details": {"nodes": len(plan), "inputs": int(X.shape[0]), "violations": bad},
-    }
+    return _check(
+        "relevant-implies-correlated",
+        bad == 0,
+        nodes=len(plan),
+        inputs=int(X.shape[0]),
+        violations=bad,
+    )
 
 
 def _verify_single(concept, args) -> list[dict]:
-    checks = []
     if isinstance(concept, Adfsa):
         depth = max_path_depth(concept)
         if args.exhaustive:
@@ -121,14 +127,9 @@ def _verify_single(concept, args) -> list[dict]:
             X, lengths = draw_inputs(_default_distribution(concept, args.seed), args.samples)
         # strings whose walk from the start runs out before a terminal
         undefined = int(np.sum(_walk(concept, X, lengths)[0] < 0))
-        checks.append(
-            {
-                "name": name,
-                "passed": undefined == 0,
-                "details": {"min_length": depth, "strings": len(lengths), "undefined": undefined},
-            }
-        )
-        return checks
+        return [
+            _check(name, undefined == 0, min_length=depth, strings=len(lengths), undefined=undefined)
+        ]
 
     if args.exhaustive:
         X = _all_inputs(concept.n)
@@ -141,23 +142,17 @@ def _verify_single(concept, args) -> list[dict]:
         b = vals[:, restructured.root]
         mismatches = int(np.sum(a != b))
         within_double = restructured.size <= 2 * concept.size
-        checks.append(
-            {
-                "name": "negation-pushdown-preserves-outputs",
-                "passed": mismatches == 0 and within_double,
-                "details": {
-                    "inputs": int(X.shape[0]),
-                    "mismatches": mismatches,
-                    "size": concept.size,
-                    "restructured_size": restructured.size,
-                    "within_double": within_double,
-                },
-            }
+        pushdown = _check(
+            "negation-pushdown-preserves-outputs",
+            mismatches == 0 and within_double,
+            inputs=int(X.shape[0]),
+            mismatches=mismatches,
+            size=concept.size,
+            restructured_size=restructured.size,
+            within_double=within_double,
         )
-        checks.append(_check_taught_nodes(restructured, X, vals))
-    else:
-        checks.append(_check_taught_nodes(concept, X, node_values(concept, X)))
-    return checks
+        return [pushdown, _check_taught_nodes(restructured, X, vals)]
+    return [_check_taught_nodes(concept, X, node_values(concept, X))]
 
 
 def _verify_pair(concept, other, args) -> list[dict]:
@@ -167,36 +162,24 @@ def _verify_pair(concept, other, args) -> list[dict]:
         raise InvalidParameterError("concepts have different input widths")
     if args.exhaustive:
         if isinstance(concept, Adfsa):
-            report = exhaustive_string_equivalence(
-                concept, other, max_len=max(concept.n, other.n), ignore_undefined=True
-            )
+            report = exhaustive_string_equivalence(concept, other, ignore_undefined=True)
         else:
             report = exhaustive_equivalence(concept, other, concept.n)
         if report is None:
-            return [{"name": "equivalent", "passed": True, "details": {}}]
+            return [_check("equivalent", True)]
+        witnesses = [{"bits": list(bits), "left": a, "right": b} for bits, a, b in report.witnesses]
         return [
-            {
-                "name": "equivalent",
-                "passed": False,
-                "details": {
-                    "checked": report.checked,
-                    "disagreements": report.disagreements,
-                    "witnesses": [
-                        {"bits": list(bits), "left": a, "right": b}
-                        for bits, a, b in report.witnesses
-                    ],
-                },
-            }
+            _check(
+                "equivalent",
+                False,
+                checked=report.checked,
+                disagreements=report.disagreements,
+                witnesses=witnesses,
+            )
         ]
     d = _default_distribution(concept, args.seed)
     frac = sampled_disagreement(concept, other, d, args.samples)
-    return [
-        {
-            "name": "sampled-agreement",
-            "passed": frac == 0.0,
-            "details": {"samples": args.samples, "disagreement": frac},
-        }
-    ]
+    return [_check("sampled-agreement", frac == 0.0, samples=args.samples, disagreement=frac)]
 
 
 def _cmd_verify(args) -> int:

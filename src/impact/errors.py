@@ -8,7 +8,7 @@ class ImpactError(Exception):
 
 
 class InvalidConceptError(ImpactError):
-    """A concept violates a structural invariant (bad edge, bad root, size bound)."""
+    """A concept or its file breaks a structural invariant (bad edge, bad root, depth cap)."""
 
 
 class InputShapeError(ImpactError):

@@ -11,7 +11,7 @@ import os
 import platform
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,6 @@ IMPACT_MODES = {"impact": "best-fit", "impact-reliable": "reliable"}
 BASELINE_FITTERS = {"tree": fit_tree, "stumps": fit_stumps, "majority": fit_majority}
 KNOWN_LEARNERS = tuple(IMPACT_MODES) + tuple(BASELINE_FITTERS)
 
-CSV_HEADER = "sweep,learner,n,k,m,trial,seed,accuracy,dont_know_rate,runtime_ms"
 MEAN_TRIAL = -1
 STDDEV_TRIAL = -2
 
@@ -134,6 +133,10 @@ def load_config(path) -> SweepConfig:
     return config_from_dict(raw)
 
 
+# the format of each float column of a ResultRow; every other column prints as is
+_CSV_PRECISION = {"accuracy": ".6f", "dont_know_rate": ".6f", "runtime_ms": ".3f"}
+
+
 @dataclass(frozen=True)
 class ResultRow:
     sweep: str
@@ -148,29 +151,24 @@ class ResultRow:
     runtime_ms: float
 
     def to_csv_line(self) -> str:
-        return (
-            f"{self.sweep},{self.learner},{self.n},{self.k},{self.m},"
-            f"{self.trial},{self.seed},{self.accuracy:.6f},"
-            f"{self.dont_know_rate:.6f},{self.runtime_ms:.3f}"
+        return ",".join(
+            format(getattr(self, f.name), _CSV_PRECISION.get(f.name, "")) for f in fields(self)
         )
 
 
-def point_subset(cfg: SweepConfig, value: int) -> tuple[int, ...]:
-    """The parity bits taught at one sweep point."""
-    if cfg.kind == "m":
-        return cfg.subset
-    return random_parity_subset(cfg.n, value, cfg.seed)
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 
 
-def _point_mk(cfg: SweepConfig, value: int) -> tuple[int, int]:
+def sweep_point(cfg: SweepConfig, value: int) -> tuple[int, int, tuple[int, ...]]:
+    """The training size m, the parity width k and the parity bits taught at
+    one sweep point."""
     if cfg.kind == "m":
-        return value, len(cfg.subset)
-    return cfg.fixed_m, value
+        return value, len(cfg.subset), cfg.subset
+    return cfg.fixed_m, value, random_parity_subset(cfg.n, value, cfg.seed)
 
 
 def run_one_trial(cfg: SweepConfig, value: int, learner: str, trial: int) -> ResultRow:
-    m, k = _point_mk(cfg, value)
-    subset = point_subset(cfg, value)
+    m, k, subset = sweep_point(cfg, value)
     concept = build_parity(cfg.n, subset)
     seed = derive_seed(cfg.seed, learner, value, trial)
     d = Distribution.uniform(cfg.n, seed)
@@ -195,18 +193,8 @@ def run_one_trial(cfg: SweepConfig, value: int, learner: str, trial: int) -> Res
         dk = 0.0
     runtime_ms = (time.perf_counter() - start) * 1000.0
 
-    return ResultRow(
-        sweep=cfg.name,
-        learner=learner,
-        n=cfg.n,
-        k=k,
-        m=m,
-        trial=trial,
-        seed=seed,
-        accuracy=acc,
-        dont_know_rate=dk,
-        runtime_ms=runtime_ms,
-    )
+    # the fields in CSV_HEADER's order
+    return ResultRow(cfg.name, learner, cfg.n, k, m, trial, seed, acc, dk, runtime_ms)
 
 
 def _task(args) -> ResultRow:
@@ -214,27 +202,20 @@ def _task(args) -> ResultRow:
 
 
 def _summarize(cfg: SweepConfig, group: list[ResultRow]) -> list[ResultRow]:
-    accs = np.array([r.accuracy for r in group])
-    dks = np.array([r.dont_know_rate for r in group])
-    rts = np.array([r.runtime_ms for r in group])
-    base = group[0]
-    mean = replace(
-        base,
-        trial=MEAN_TRIAL,
-        seed=cfg.seed,
-        accuracy=float(accs.mean()),
-        dont_know_rate=float(dks.mean()),
-        runtime_ms=float(rts.mean()),
-    )
-    spread = replace(
-        base,
-        trial=STDDEV_TRIAL,
-        seed=cfg.seed,
-        accuracy=float(accs.std()),
-        dont_know_rate=float(dks.std()),
-        runtime_ms=float(rts.std()),
-    )
-    return [mean, spread]
+    """The group's mean row and its standard-deviation row."""
+    columns = {
+        name: np.array([getattr(r, name) for r in group])
+        for name in ("accuracy", "dont_know_rate", "runtime_ms")
+    }
+    return [
+        replace(
+            group[0],
+            trial=trial,
+            seed=cfg.seed,
+            **{name: float(stat(col)) for name, col in columns.items()},
+        )
+        for trial, stat in ((MEAN_TRIAL, np.mean), (STDDEV_TRIAL, np.std))
+    ]
 
 
 def _worker_count(cfg: SweepConfig) -> int:
@@ -262,13 +243,13 @@ def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
     else:
         done = [run_one_trial(cfg, *t) for t in tasks]
 
-    by_task = dict(zip(tasks, done))
+    # done is in the tasks' (value, learner, trial) order, so each point and
+    # learner's trials are one run of cfg.trials rows
     rows: list[ResultRow] = []
-    for value in cfg.values:
-        for learner in cfg.learners:
-            group = [by_task[(value, learner, t)] for t in range(cfg.trials)]
-            rows.extend(group)
-            rows.extend(_summarize(cfg, group))
+    for start in range(0, len(done), cfg.trials):
+        group = done[start : start + cfg.trials]
+        rows.extend(group)
+        rows.extend(_summarize(cfg, group))
     return rows
 
 
@@ -281,8 +262,8 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 def manifest_dict(cfg: SweepConfig) -> dict:
     points = []
     for value in cfg.values:
-        m, k = _point_mk(cfg, value)
-        points.append({"m": m, "k": k, "subset": list(point_subset(cfg, value))})
+        m, k, subset = sweep_point(cfg, value)
+        points.append({"m": m, "k": k, "subset": list(subset)})
     return {
         "name": cfg.name,
         "kind": cfg.kind,
@@ -387,11 +368,7 @@ def plot_from_rows(cfg: SweepConfig, rows: list[ResultRow]) -> str | None:
     if not rows:
         warnings.warn("no rows to plot, skipping SVG emission", stacklevel=2)
         return None
-    means = {
-        (r.learner, r.m if cfg.kind == "m" else r.k): r.accuracy
-        for r in rows
-        if r.trial == MEAN_TRIAL
-    }
+    means = {(r.learner, getattr(r, cfg.kind)): r.accuracy for r in rows if r.trial == MEAN_TRIAL}
     x_values = list(cfg.values)
     series = [
         (learner, [means[(learner, v)] for v in x_values]) for learner in cfg.learners

@@ -236,35 +236,29 @@ _UNREPORTED = ("child_error_left", "child_error_right", "hypothesis_corruption")
 
 @dataclass(eq=False)
 class SessionReport:
+    """A session's outcome. Its JSON report holds the fields in this order,
+    with the classifier, last, as its model."""
+
     concept_kind: str
     n: int
     m: int
     mode: str
     moderation: str
     seed: int
-    rounds: tuple[RoundRecord, ...]
-    classifier: Classifier
     test_accuracy: float
     test_dont_know_rate: float
     attribute_count: int
+    rounds: tuple[RoundRecord, ...]
+    classifier: Classifier
 
     def to_json_dict(self) -> dict:
-        return {
-            "concept_kind": self.concept_kind,
-            "n": self.n,
-            "m": self.m,
-            "mode": self.mode,
-            "moderation": self.moderation,
-            "seed": self.seed,
-            "test_accuracy": self.test_accuracy,
-            "test_dont_know_rate": self.test_dont_know_rate,
-            "attribute_count": self.attribute_count,
-            "rounds": [
-                {f.name: getattr(r, f.name) for f in fields(r) if f.name not in _UNREPORTED}
-                for r in self.rounds
-            ],
-            "model": self.classifier.model_dict(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["rounds"] = [
+            {f.name: getattr(r, f.name) for f in fields(r) if f.name not in _UNREPORTED}
+            for r in self.rounds
+        ]
+        out["model"] = out.pop("classifier").model_dict()
+        return out
 
 
 def true_attribute_matrix(values: np.ndarray, plan: tuple[int, ...], X: np.ndarray) -> np.ndarray:

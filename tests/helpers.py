@@ -18,6 +18,7 @@ from impact import (
     Sample,
     ThresholdCircuit,
     Wire,
+    push_negations_to_leaves,
 )
 from impact.baselines import (
     BoostedStumpsClassifier,
@@ -27,6 +28,16 @@ from impact.baselines import (
     TreeSplit,
 )
 from impact.concepts import packed_words
+from impact.learner import AND
+from impact.oracle import (
+    reference_evaluate,
+    reference_pair_candidates,
+    reference_pair_errors,
+    relevance_by_substitution,
+)
+from impact.plan import postfix_order
+from impact.sampling import draw_inputs
+from impact.session import TEST_STREAM, TRAIN_STREAM
 
 
 def all_inputs(n: int) -> np.ndarray:
@@ -221,3 +232,60 @@ def reference_stumps(s: Sample) -> BoostedStumpsClassifier:
             break
     fallback = 1 if 2 * int(s.labels.sum()) > m else 0
     return BoostedStumpsClassifier(stumps=tuple(stumps), alphas=tuple(alphas), fallback=fallback)
+
+
+# ---------------------------------------------------------------------------
+# A slow reference session for formulas
+# ---------------------------------------------------------------------------
+
+
+def _pair_value(h, rows: list[list[int]], i: int) -> int:
+    a = rows[h.left_attr][i] ^ h.left_negated
+    b = rows[h.right_attr][i] ^ h.right_negated
+    return (a & b) if h.op == AND else (a | b)
+
+
+def reference_session(concept: ConceptDag, d, m: int, mode: str, test_size: int = 200):
+    """A formula session rebuilt from oracle.py's references, one example at
+    a time. It draws the session's training and test inputs from their named
+    streams and labels them with reference_evaluate. It teaches the nodes of
+    postfix_order on the pushed-down DAG, and keeps a round's rows by
+    relevance_by_substitution. It learns over the full attribute layout, the
+    n bits and then each round's pair and its complement, and picks the first
+    minimum of reference_pair_errors over reference_pair_candidates.
+
+    Returns the rounds as (node, subset size, training error, dont_know,
+    pair), and the final classifier's votes on the test inputs with its test
+    accuracy. In reliable mode the votes are those of the last round's
+    zero-error pairs: a label where they all agree, else -1.
+    """
+    taught = push_negations_to_leaves(concept)
+    X = draw_inputs(d, m, stream=TRAIN_STREAM)[0]
+    labels = [reference_evaluate(concept, x) for x in X]
+    T = draw_inputs(d, test_size, stream=TEST_STREAM)[0]
+    # the attribute layout over the training and the test inputs, row by row
+    train = [[int(v) for v in row] for row in X.T]
+    test = [[int(v) for v in row] for row in T.T]
+    rounds = []
+    for node in postfix_order(taught):
+        kept = [i for i in range(m) if relevance_by_substitution(taught, node, X[i])]
+        V = np.array([[row[i] for i in kept] for row in train]).reshape(len(train), len(kept))
+        errors = reference_pair_errors(V, [labels[i] for i in kept])
+        candidates = reference_pair_candidates(len(train))
+        best = min(errors)
+        pick = candidates[errors.index(best)]
+        # a reliable round abstains when no pair fits its rows, and on no
+        # rows, where every pair fits, and so does its negation
+        dont_know = mode == "reliable" and (best > 0 or not kept)
+        rounds.append((node, len(kept), best / len(kept) if kept else 0.0, dont_know, pick))
+        for rows in (train, test):
+            values = [_pair_value(pick, rows, i) for i in range(len(rows[0]))]
+            rows += [values, [1 - v for v in values]]
+    members = [h for h, e in zip(candidates, errors) if e == 0] if mode == "reliable" else [pick]
+    votes = []
+    for i in range(test_size):
+        outs = {_pair_value(h, test, i) for h in members}
+        votes.append(outs.pop() if len(outs) == 1 else -1)
+    truth = [reference_evaluate(concept, x) for x in T]
+    accuracy = sum(v == t for v, t in zip(votes, truth)) / test_size
+    return rounds, votes, accuracy

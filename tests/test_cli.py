@@ -1,20 +1,28 @@
 """Command-line behavior: the three subcommands and the exit-code contract."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chain_automaton, vote_circuit
+from helpers import chain_automaton, one_bit_acceptor, vote_circuit
 import impact.cli
 import impact.concepts
 import impact.session
-from impact import InvalidConceptError, build_parity, concept_from_dict, save_concept
+from impact import (
+    InvalidConceptError,
+    build_parity,
+    concept_from_dict,
+    push_negations_to_leaves,
+    save_concept,
+)
 from impact.cli import main
 from impact.generate import random_dag
 
@@ -521,6 +529,240 @@ def test_verify_random_dag_round_trip(tmp_path, capsys):
     code, out, _ = run_main(capsys, ["verify", "--concept", str(path), "--exhaustive"])
     assert code == 0
     assert all(c["passed"] for c in json.loads(out)["checks"])
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes
+# ---------------------------------------------------------------------------
+
+TEACH_KEYS = [
+    "concept_kind",
+    "n",
+    "m",
+    "mode",
+    "moderation",
+    "seed",
+    "test_accuracy",
+    "test_dont_know_rate",
+    "attribute_count",
+    "rounds",
+    "model",
+]
+ROUND_KEYS = [
+    "index",
+    "node",
+    "rule",
+    "subset_size",
+    "training_error",
+    "candidate_count",
+    "offset",
+    "dont_know",
+    "error_full",
+    "error_relevant",
+]
+
+
+@pytest.mark.parametrize(
+    "concept,m",
+    [(build_parity(4, (0, 2)), 80), (vote_circuit(), 200), (chain_automaton(), 400)],
+    ids=["dag", "threshold", "adfsa"],
+)
+def test_teach_report_keys_keep_their_order(tmp_path, capsys, concept, m):
+    """The stdout report only gains keys: its key order, which json.dumps
+    keeps and a sorted digest cannot see, is part of the output."""
+    path = tmp_path / "concept.json"
+    save_concept(concept, path)
+    argv = ["teach", "--concept", str(path), "--m", str(m), "--seed", "3"]
+    code, out, _ = run_main(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert list(report) == TEACH_KEYS
+    assert report["rounds"] and all(list(r) == ROUND_KEYS for r in report["rounds"])
+
+
+def all_true_relevance(concept, node, X, values=None):
+    """Every input relevant to every node: the taught-node check then fails."""
+    return np.ones(X.shape[0], dtype=bool)
+
+
+def no_pushdown(concept):
+    # a wrong restructuring of the parity file: another parity, larger
+    return push_negations_to_leaves(build_parity(4, (0, 1, 3)))
+
+
+def one_undefined_walk(*args):
+    out, arrived = impact.concepts._walk(*args)
+    out = out.copy()
+    out[0] = -1
+    return out, arrived
+
+
+# verify runs: the concept files (see VERIFY_FILES), extra arguments, and
+# the names in impact.cli to replace, which make the single checks fail
+VERIFY_CASES = {
+    "dag-exhaustive": (["parity"], ["--exhaustive"], {}),
+    "dag-sampled": (["parity"], [], {}),
+    "dag-failing": (
+        ["parity"],
+        ["--exhaustive"],
+        {"push_negations_to_leaves": no_pushdown, "relevance_mask": all_true_relevance},
+    ),
+    "threshold-exhaustive": (["vote"], ["--exhaustive"], {}),
+    "threshold-sampled": (["vote"], ["--samples", "300"], {}),
+    "adfsa-exhaustive": (["chain"], ["--exhaustive"], {}),
+    "adfsa-sampled": (["chain"], ["--samples", "300"], {}),
+    "adfsa-exhaustive-failing": (["chain"], ["--exhaustive"], {"_walk": one_undefined_walk}),
+    "adfsa-sampled-failing": (["chain"], [], {"_walk": one_undefined_walk}),
+    "pair-equivalent": (["parity", "parity"], ["--exhaustive"], {}),
+    "pair-disagreeing": (["parity", "parity01"], ["--exhaustive"], {}),
+    "pair-automata-equivalent": (["chain", "chain"], ["--exhaustive"], {}),
+    "pair-automata-disagreeing": (["chain", "bit"], ["--exhaustive"], {}),
+    "pair-sampled": (["parity", "parity"], ["--samples", "500"], {}),
+    "pair-sampled-disagreeing": (["parity", "parity01"], ["--samples", "500", "--seed", "7"], {}),
+}
+
+VERIFY_FILES = {
+    "parity": lambda: build_parity(4, (0, 2)),
+    "parity01": lambda: build_parity(4, (0, 1)),
+    "vote": vote_circuit,
+    "chain": chain_automaton,
+    "bit": lambda: one_bit_acceptor(2),
+}
+
+# sha256 of each run's stdout
+VERIFY_DIGESTS = {
+    "adfsa-exhaustive": "8ada8858934a7112b7f2653c54e41862b72b5e3e5702e727bf0e5ca6c29928bc",
+    "adfsa-exhaustive-failing": "76c8876a4b49ea7b6e41e69b093de12c6d0a138e0cbdb580c0594e84fe7aa906",
+    "adfsa-sampled": "132f587b7f01159fe6ae1dd62f415335506f58406d8eca3771753a028a2b9334",
+    "adfsa-sampled-failing": "aacb0bcc5da1ceb45c2fb462cce64577876db17f11b6b052130b11d058df8faa",
+    "dag-exhaustive": "831d1e67dd85828a966765e3e496cb6bbb1aaf857d34409b78382b1a50f1c194",
+    "dag-failing": "67679fa0b562b56830212c9eeeb80b57cb658bde49f4b7adf410e1101b2b998a",
+    "dag-sampled": "1d363201c611b0cdf6f07abc1bb776c9e45ba559e582f404296dfce721da8eaf",
+    "pair-automata-disagreeing": "88f941f8d5f3d2b52373d093c8865bad3b8b07b9f690f0b272a4fcedf0165ccf",
+    "pair-automata-equivalent": "3ae1e58c4a9450411d913a771deca828cd7fe5599900a8f9ba5e42ffb3b5b104",
+    "pair-disagreeing": "f03efba5b3905b3d7306b55c263028db0f4516fff740adf9c4f7ffda99c4f9a2",
+    "pair-equivalent": "269fcd632baa8769450f2635a1ab9b0a815445e22e3115ee65716c77b79cbcce",
+    "pair-sampled": "29156dc91a3c9b999cb3a38270795dc861d2a2f5b326c368aa7ba20adc96d833",
+    "pair-sampled-disagreeing": "1615d3f438f00705966057afc44c0721d8eeb5ded17790990182c753f79ce121",
+    "threshold-exhaustive": "7de4f3fcf541f7c8684d4b637fcdd3d313a4927c117a72cafc718d2f9b6d854f",
+    "threshold-sampled": "01e4304e71094dcf35f7a74d19934356fd6542d53358e5bcb9d8538268e0bf6d",
+}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+def test_verify_stdout_bytes_are_pinned(case, tmp_path, capsys, monkeypatch):
+    """verify's stdout, byte for byte, for every check name, passing and
+    failing. Files are named relative to the working directory, so the
+    report's concept path is the same on every run."""
+    names, extra, patches = VERIFY_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    for name in set(names):
+        save_concept(VERIFY_FILES[name](), f"{name}.json")
+    for attr, value in patches.items():
+        monkeypatch.setattr(impact.cli, attr, value)
+    argv = ["verify", "--concept", f"{names[0]}.json", *extra]
+    if len(names) > 1:
+        argv += ["--against", f"{names[1]}.json"]
+    code, out, _ = run_main(capsys, argv)
+    passed = [c["passed"] for c in json.loads(out)["checks"]]
+    assert code == (0 if all(passed) else 1)
+    assert all(passed) != case.endswith(("failing", "disagreeing"))
+    assert digest(out.encode()) == VERIFY_DIGESTS[case]
+
+
+# Each sweep point's trial and summary rows of its first learner, and the
+# sha256 of results.csv and of accuracy.svg, with the runtime column cut
+# from every CSV line
+SWEEP_PINS = {
+    "m": (
+        {"m_values": [20, 40], "subset": [0, 2]},
+        [
+            "sweep,learner,n,k,m,trial,seed,accuracy,dont_know_rate",
+            "pin-m,impact,4,2,20,0,16918168765117998411,1.000000,0.000000",
+            "pin-m,impact,4,2,20,1,18087625901571508369,1.000000,0.000000",
+            "pin-m,impact,4,2,20,-1,4,1.000000,0.000000",
+            "pin-m,impact,4,2,20,-2,4,0.000000,0.000000",
+        ],
+        "c219eda0c7a0bb155117c8e6970e4afdbf09fe3e087334165c0b64dc6513be3c",
+        "5014fb262cdb20b12a7daa6ac8872a189a3640a5eaf8c0557b5b476ed8920a4e",
+    ),
+    "k": (
+        {"n": 5, "k_values": [1, 3], "m": 30},
+        [
+            "sweep,learner,n,k,m,trial,seed,accuracy,dont_know_rate",
+            "pin-k,impact,5,1,30,0,10187145846076194356,1.000000,0.000000",
+            "pin-k,impact,5,1,30,1,16057352955203243928,1.000000,0.000000",
+            "pin-k,impact,5,1,30,-1,4,1.000000,0.000000",
+            "pin-k,impact,5,1,30,-2,4,0.000000,0.000000",
+        ],
+        "8b0e9757ef55ea43341e8e59e00af4ca5e148b7429c65c168dacfcc01c70342f",
+        "ea9a6877db8b042fa9fabaa2de5b76cb902bedd84bd8d1dd9a51d2c7915f02df",
+    ),
+}
+
+SWEEP_MANIFESTS = {
+    "m": {
+        "kind": "m",
+        "learners": ["impact", "impact-reliable", "tree", "stumps", "majority"],
+        "n": 4,
+        "name": "pin-m",
+        "points": [{"k": 2, "m": 20, "subset": [0, 2]}, {"k": 2, "m": 40, "subset": [0, 2]}],
+        "seed": 4,
+        "test_size": 50,
+        "trials": 2,
+        "workers": 1,
+    },
+    "k": {
+        "kind": "k",
+        "learners": ["impact", "impact-reliable", "tree", "stumps", "majority"],
+        "n": 5,
+        "name": "pin-k",
+        "points": [{"k": 1, "m": 30, "subset": [3]}, {"k": 3, "m": 30, "subset": [0, 1, 3]}],
+        "seed": 4,
+        "test_size": 50,
+        "trials": 2,
+        "workers": 1,
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_PINS))
+def test_sweep_outputs_are_pinned(kind, tmp_path, capsys):
+    """results.csv without its runtime column, the manifest's keys and
+    values but its version values, and the chart, byte for byte."""
+    overrides, head, csv_digest, svg_digest = SWEEP_PINS[kind]
+    cfg = sweep_config(
+        tmp_path,
+        name=f"pin-{kind}",
+        kind=kind,
+        trials=2,
+        seed=4,
+        learners=SWEEP_MANIFESTS[kind]["learners"],
+        test_size=50,
+        **overrides,
+    )
+    out = tmp_path / "out"
+    argv = ["sweep", "--mode", kind, "--config", str(cfg), "--out", str(out)]
+    code, _, _ = run_main(capsys, argv)
+    assert code == 0
+    lines = [line.rsplit(",", 1)[0] for line in (out / "results.csv").read_text().splitlines()]
+    assert lines[: len(head)] == head
+    assert digest("\n".join(lines).encode()) == csv_digest
+    text = (out / "manifest.json").read_text()
+    manifest = json.loads(text)
+    assert list(manifest) == [
+        "impact", "kind", "learners", "n", "name", "numpy", "points", "python",
+        "seed", "test_size", "trials", "workers",
+    ]
+    assert {k: v for k, v in manifest.items() if k not in ("impact", "numpy", "python")} == (
+        SWEEP_MANIFESTS[kind]
+    )
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert digest((out / "accuracy.svg").read_bytes()) == svg_digest
 
 
 # ---------------------------------------------------------------------------

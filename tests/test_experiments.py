@@ -20,8 +20,8 @@ from impact.experiments import (
     config_from_dict,
     manifest_dict,
     plot_from_rows,
-    point_subset,
     rows_to_csv,
+    sweep_point,
     write_outputs,
 )
 from impact.generate import random_parity_subset
@@ -237,7 +237,7 @@ def test_k_sweep_rows_and_manifest():
         assert tuple(point["subset"]) == expected
         assert point["k"] == value
         assert point["m"] == 40
-    assert point_subset(cfg, 2) == random_parity_subset(cfg.n, 2, cfg.seed)
+    assert sweep_point(cfg, 2) == (40, 2, random_parity_subset(cfg.n, 2, cfg.seed))
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
     assert manifest["impact"] == impact.__version__

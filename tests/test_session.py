@@ -17,6 +17,7 @@ from helpers import (
     chain_automaton,
     layered_circuit,
     make_sample,
+    reference_session,
     vote_circuit,
 )
 from impact import (
@@ -725,3 +726,43 @@ def test_every_pair_round_calls_the_learner_once(monkeypatch, mode):
         assert len(calls) == len(report.rounds)
         abstaining = [(r.index, r.subset_size) for r in report.rounds if r.dont_know]
         assert abstaining == ([(3, abstaining_size)] if mode == "reliable" else [])
+
+
+@pytest.mark.parametrize("mode", ["best-fit", "reliable"])
+def test_formula_sessions_equal_the_reference_session(mode):
+    """Round by round, a formula session equals reference_session: the node,
+    the subset size, the training error, dont_know and the picked pair; and
+    its classifier's votes on the test inputs, with its test accuracy. The
+    reliable set is compared by its votes: the reference's zero-error set
+    also holds the pairs that read a complement row, which the session's
+    set drops, as each has a twin in the set with the same values. Three
+    sessions have a starved round (the last three cases, which include a
+    product distribution), three have a fed round that abstains in
+    reliable mode (seeds 53, 64 and 152), and five reliable classifiers
+    abstain on some test inputs."""
+    cases = [(random_dag(8, 30, seed), Distribution.uniform(8, seed), 60) for seed in range(20)]
+    cases += [(random_dag(8, 30, seed), Distribution.uniform(8, seed), 60) for seed in (53, 64, 152)]
+    cases += [
+        (random_dag(10, 40, seed=18), Distribution.uniform(10, 5), 30),
+        (random_dag(10, 40, seed=18), Distribution.product([0.2, 0.8, 0.5, 0.5, 0.3] * 2, 5), 30),
+        (*starving_concept(), 40),
+    ]
+    seen = {"starved": 0, "fed abstention": 0, "abstaining vote": 0}
+    for g, d, m in cases:
+        report = run_teaching_session(g, d, m, mode=mode, test_size=200)
+        clf = report.classifier
+        picks = [*clf.space.hypotheses, getattr(clf.final, "primary", clf.final)]
+        rounds = [
+            (r.node, r.subset_size, r.training_error, r.dont_know, h)
+            for r, h in zip(report.rounds, picks, strict=True)
+        ]
+        votes = clf.predict_sample(draw_sample(d, g, 200, stream=impact.session.TEST_STREAM))
+        ref_rounds, ref_votes, ref_accuracy = reference_session(g, d, m, mode, test_size=200)
+        assert rounds == ref_rounds
+        assert votes.tolist() == ref_votes
+        assert report.test_accuracy == ref_accuracy
+        seen["starved"] += any(r.subset_size == 0 for r in report.rounds)
+        seen["fed abstention"] += any(r.dont_know and r.subset_size for r in report.rounds)
+        seen["abstaining vote"] += bool((votes == -1).any())
+    reliable = mode == "reliable"
+    assert seen == {"starved": 3, "fed abstention": 3 * reliable, "abstaining vote": 5 * reliable}
