@@ -133,8 +133,9 @@ def load_config(path) -> SweepConfig:
     return config_from_dict(raw)
 
 
-# the format of each float column of a ResultRow; every other column prints as is
-_CSV_PRECISION = {"accuracy": ".6f", "dont_know_rate": ".6f", "runtime_ms": ".3f"}
+# a ResultRow's measured columns, which the summary rows aggregate, and their
+# CSV formats; every other column prints as is
+_MEASURED = {"accuracy": ".6f", "dont_know_rate": ".6f", "runtime_ms": ".3f"}
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ class ResultRow:
 
     def to_csv_line(self) -> str:
         return ",".join(
-            format(getattr(self, f.name), _CSV_PRECISION.get(f.name, "")) for f in fields(self)
+            format(getattr(self, f.name), _MEASURED.get(f.name, "")) for f in fields(self)
         )
 
 
@@ -203,10 +204,7 @@ def _task(args) -> ResultRow:
 
 def _summarize(cfg: SweepConfig, group: list[ResultRow]) -> list[ResultRow]:
     """The group's mean row and its standard-deviation row."""
-    columns = {
-        name: np.array([getattr(r, name) for r in group])
-        for name in ("accuracy", "dont_know_rate", "runtime_ms")
-    }
+    columns = {name: np.array([getattr(r, name) for r in group]) for name in _MEASURED}
     return [
         replace(
             group[0],
