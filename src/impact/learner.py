@@ -310,23 +310,14 @@ def _zero_error_rows(V: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _canonical_hypotheses(op, ln, rn, left, right) -> list[PairHypothesis]:
-    """The canonical entries of (op, ln, rn, left, right) index arrays, in canonical order."""
-    keep = (left < right) | ((left == right) & (ln <= rn))
-    op, ln, rn, left, right = (a[keep] for a in (op, ln, rn, left, right))
-    order = np.lexsort((rn, ln, right, left, op))
-    cols = (op[order], left[order], ln[order] == 1, right[order], rn[order] == 1)
-    return [PairHypothesis(OR if o else AND, *h) for o, *h in zip(*(c.tolist() for c in cols))]
-
-
 def learn_pair_node(
-    V: np.ndarray, y: np.ndarray, mode: str = "best-fit", *, base_count: int | None = None
+    V: np.ndarray, y: np.ndarray, mode: str = "best-fit"
 ) -> PairHypothesis | ReliablePairSet:
     """Exhaust the canonical pair space against the round's attribute rows
     V (A, m) and labels y. best-fit returns the first candidate with minimal
     disagreement in canonical order; reliable returns the whole
     zero-disagreement set with that best-fit pair as its primary, and the set
-    abstains when it has no member.
+    abstains when it has no member. Pairs name rows of V.
 
     Only the and counts are built: one contiguous array of planes k = 2 * ln
     + rn, indexed (k, left, right), in exact_float_dtype(m). Or plane (ln,
@@ -334,8 +325,9 @@ def learn_pair_node(
     not b). And wins a tie of the two minima; then the first (left, right)
     with a hit, and its smallest (ln, rn), is canonical: a non-canonical
     entry's twin (references swapped) has the same count and comes first.
-    That is the order _canonical_hypotheses sorts by, so when the set has
-    members the minimum is 0 and the best-fit pair is its first member.
+    Read as (op, left, right, ln, rn), the planes' C order is canonical
+    order, so the members are the canonical entries of one zero mask in
+    that order, and when the set has members the best-fit pair is its first.
 
     The planes are built first over the rows S that can join a zero-error
     pair (_zero_error_rows). An and pair with count 0 has both literals 1 on
@@ -346,19 +338,6 @@ def learn_pair_node(
     first hit in its order is the first overall, and each index maps through
     S. Otherwise, and when S is empty, the planes are built over every row.
 
-    With base_count, V holds the base_count base rows and then one row per
-    learned hypothesis, with no complement rows, and the result is stated in
-    the full attribute layout: hypothesis row base_count + r is attribute
-    base_count + 2r, and its complement the next. A session's pair rounds
-    learn this way. A pair that reads a complement has a twin that reads the
-    hypothesis with that reference's negation flipped: the same values, so
-    the same count, and a lower index, so the twin comes first in canonical
-    order. So best-fit never picks a complement, and its pick maps index by
-    index. The reliable set then holds no pair that reads a complement; each
-    such pair's twin is a member with the same values, so the set's votes
-    and its primary are those of the full layout. Reports and candidate
-    counts still describe the full canonical space.
-
     On an empty sample every count is 0, so best-fit returns the canonically
     first pair, and(0, 0) un-negated. The reliable set abstains with that
     pair as its primary: every pair fits no rows, and a pair and its
@@ -367,7 +346,6 @@ def learn_pair_node(
     if mode not in ("best-fit", "reliable"):
         raise InvalidParameterError(f"unknown learning mode {mode!r}")
     A, m = V.shape
-    n = A if base_count is None else base_count
     rows = _zero_error_rows(V, y)
     P = _and_planes(V[rows], y)
     if not ((P == 0).any() or (P == m).any()):
@@ -380,26 +358,22 @@ def learn_pair_node(
     hits = (P == (high if is_or else low)).reshape(4, a * a)[:: -1 if is_or else 1]
     p = int(hits.any(axis=0).argmax())
     k = int(hits[:, p].argmax())
-    left, right = (int(_attribute(rows[i], n)) for i in divmod(p, a))
+    left, right = (int(rows[i]) for i in divmod(p, a))
     best = PairHypothesis(OR if is_or else AND, left, bool(k >> 1), right, bool(k & 1))
     if mode == "best-fit":
         return best
     if m == 0:
         return ReliablePairSet(best, ())
-    zeros, fulls = np.flatnonzero(P == 0), np.flatnonzero(P == m)
-    op = np.repeat([0, 1], [zeros.size, fulls.size])
-    ks, lefts, rights = np.unravel_index(np.concatenate([zeros, fulls]), (4, a, a))
-    # an or hit's negation flags are those of its and plane, both flipped
-    ks = ks ^ 3 * op
-    refs = _attribute(rows[lefts], n), _attribute(rows[rights], n)
-    members = _canonical_hypotheses(op, ks >> 1, ks & 1, *refs)
+    # (left, right, k): an or count is m minus the flipped and plane; k = 2 is flags (1, 0)
+    planes = P.reshape(4, a, a).transpose(1, 2, 0)
+    op, left, right, k = np.argwhere(np.stack([planes == 0, planes[..., ::-1] == m])).T
+    keep = (left < right) | ((left == right) & (k != 2))
+    cols = op[keep], rows[left[keep]], k[keep] >> 1, rows[right[keep]], k[keep] & 1
+    members = [
+        PairHypothesis(OR if o else AND, lf, bool(ln), rt, bool(rn))
+        for o, lf, ln, rt, rn in zip(*(c.tolist() for c in cols))
+    ]
     return ReliablePairSet(best, tuple(members))
-
-
-def _attribute(i, base_count: int):
-    """The attribute read by row i of base and hypothesis rows: a base row's
-    own, and attribute base_count + 2r for hypothesis row base_count + r."""
-    return np.maximum(i, 2 * i - base_count)
 
 
 # ---------------------------------------------------------------------------

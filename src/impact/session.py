@@ -327,14 +327,29 @@ class _BitRounds:
         return extra
 
 
+def full_layout(h: PairHypothesis | ReliablePairSet, n: int) -> PairHypothesis | ReliablePairSet:
+    """h, learned on n base rows and one row per hypothesis, restated in the
+    full layout: row n + r, hypothesis r, is attribute n + 2r."""
+    if isinstance(h, ReliablePairSet):
+        members = tuple(full_layout(p, n) for p in h.members)
+        return ReliablePairSet(full_layout(h.primary, n), members)
+    left, right = (max(j, 2 * j - n) for j in (h.left_attr, h.right_attr))
+    return PairHypothesis(h.op, left, h.left_negated, right, h.right_negated)
+
+
 class _PairRounds(_BitRounds):
     """Pair rounds learn on the base rows and one hypothesis row per round,
     with no complement rows: V row n + r holds round r's hypothesis,
-    attribute n + 2r of the full layout. This is exact (see learn_pair_node's
-    base_count): no complement row adds a pair that best-fit can pick, and
-    the learned pairs, reports and candidate_count still describe the full
-    canonical space. self[j] reads attribute j of the full layout through the
-    same index map; a complement raises, as no pair a round picks reads one."""
+    attribute n + 2r of the full layout, where learn restates the learner's
+    pairs (full_layout). This is exact. A pair that reads a complement has a
+    twin that reads the hypothesis with that reference's negation flipped:
+    the same values, so the same count, and a lower index, so the twin comes
+    first in canonical order, which the map keeps. So best-fit never picks a
+    complement, and a reliable set, which holds no pair that reads one, has
+    each such pair's twin as a member and votes as the full layout's would.
+    Reports and candidate_count still describe the full canonical space.
+    self[j] reads attribute j of the full layout through the same map; a
+    complement raises, as no pair a round picks reads one."""
 
     classifier = DagClassifier
     rows_per_round = 1
@@ -360,7 +375,7 @@ class _PairRounds(_BitRounds):
         mode = self.mode if k == len(self.V) - 1 else "best-fit"
         # negative rows first: the learner's label split is then two views
         order = np.argsort(y, kind="stable")
-        return learn_pair_node(self.V[:k, kept[order]], y[order], mode, base_count=n)
+        return full_layout(learn_pair_node(self.V[:k, kept[order]], y[order], mode), n)
 
     def fill(self, A: int, h: PairHypothesis) -> np.ndarray:
         """Fill the row of attribute A, a hypothesis, with h; return it."""

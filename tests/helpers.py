@@ -8,6 +8,7 @@ from impact import (
     AcceptState,
     Adfsa,
     And,
+    AttributeSpace,
     BranchState,
     ConceptDag,
     Gate,
@@ -30,9 +31,13 @@ from impact.baselines import (
 from impact.concepts import packed_words
 from impact.learner import AND
 from impact.oracle import (
+    reference_adfsa_node,
+    reference_eval_table,
     reference_evaluate,
+    reference_offset_selection,
     reference_pair_candidates,
     reference_pair_errors,
+    reference_perceptron,
     relevance_by_substitution,
 )
 from impact.plan import postfix_order
@@ -235,7 +240,7 @@ def reference_stumps(s: Sample) -> BoostedStumpsClassifier:
 
 
 # ---------------------------------------------------------------------------
-# A slow reference session for formulas
+# Slow reference sessions
 # ---------------------------------------------------------------------------
 
 
@@ -254,10 +259,11 @@ def reference_session(concept: ConceptDag, d, m: int, mode: str, test_size: int 
     n bits and then each round's pair and its complement, and picks the first
     minimum of reference_pair_errors over reference_pair_candidates.
 
-    Returns the rounds as (node, subset size, training error, dont_know,
-    pair), and the final classifier's votes on the test inputs with its test
-    accuracy. In reliable mode the votes are those of the last round's
-    zero-error pairs: a label where they all agree, else -1.
+    Returns the rounds as (node, subset size, offset, training error,
+    dont_know, pair), with no offset, and the final classifier's votes on
+    the test inputs with its test accuracy. In reliable mode the votes are
+    those of the last round's zero-error pairs: a label where they all
+    agree, else -1.
     """
     taught = push_negations_to_leaves(concept)
     X = draw_inputs(d, m, stream=TRAIN_STREAM)[0]
@@ -277,7 +283,8 @@ def reference_session(concept: ConceptDag, d, m: int, mode: str, test_size: int 
         # a reliable round abstains when no pair fits its rows, and on no
         # rows, where every pair fits, and so does its negation
         dont_know = mode == "reliable" and (best > 0 or not kept)
-        rounds.append((node, len(kept), best / len(kept) if kept else 0.0, dont_know, pick))
+        error = best / len(kept) if kept else 0.0
+        rounds.append((node, len(kept), None, error, dont_know, pick))
         for rows in (train, test):
             values = [_pair_value(pick, rows, i) for i in range(len(rows[0]))]
             rows += [values, [1 - v for v in values]]
@@ -289,3 +296,76 @@ def reference_session(concept: ConceptDag, d, m: int, mode: str, test_size: int 
     truth = [reference_evaluate(concept, x) for x in T]
     accuracy = sum(v == t for v, t in zip(votes, truth)) / test_size
     return rounds, votes, accuracy
+
+
+def _gate_value(h, rows: list[list[int]], i: int) -> int:
+    return int(sum(w * rows[j][i] for j, w in enumerate(h.weights.tolist())) >= h.threshold)
+
+
+def reference_circuit_session(concept: ThresholdCircuit, d, m: int, test_size: int = 200):
+    """A threshold-circuit session rebuilt from oracle.py's references, one
+    example at a time. It draws from the session's named streams, labels
+    with reference_evaluate, teaches the gates of postfix_order, and keeps a
+    round's rows by relevance_by_substitution. Each round's gate is
+    reference_perceptron's, run for 1000 epochs over the full attribute
+    layout: the n bits and then each round's gate and its complement.
+
+    Returns the rounds as (node, subset size, offset, training error,
+    dont_know, weights, threshold), with no offset and dont_know False, and
+    the last gate's votes on the test inputs with its test accuracy.
+    """
+    X = draw_inputs(d, m, stream=TRAIN_STREAM)[0]
+    labels = [reference_evaluate(concept, x) for x in X]
+    T = draw_inputs(d, test_size, stream=TEST_STREAM)[0]
+    train = [[int(v) for v in row] for row in X.T]
+    test = [[int(v) for v in row] for row in T.T]
+    rounds = []
+    for node in postfix_order(concept):
+        kept = [i for i in range(m) if relevance_by_substitution(concept, node, X[i])]
+        V = np.array([[row[i] for i in kept] for row in train]).reshape(len(train), len(kept))
+        h = reference_perceptron(V, np.array([labels[i] for i in kept]), 1000)
+        wrong = sum(_gate_value(h, train, i) != labels[i] for i in kept)
+        error = wrong / len(kept) if kept else 0.0
+        rounds.append((node, len(kept), None, error, False, h.weights.tolist(), h.threshold))
+        for rows in (train, test):
+            values = [_gate_value(h, rows, i) for i in range(len(rows[0]))]
+            rows += [values, [1 - v for v in values]]
+    votes = [_gate_value(h, test, i) for i in range(test_size)]
+    truth = [reference_evaluate(concept, x) for x in T]
+    return rounds, votes, sum(v == t for v, t in zip(votes, truth)) / test_size
+
+
+def reference_automaton_session(a: Adfsa, d, m: int, test_size: int = 200):
+    """An automaton session rebuilt from oracle.py's references, string by
+    string. It draws from the session's named streams, labels with
+    reference_evaluate, and teaches the branch states of postfix_order. A
+    round keeps the rows and offset of reference_offset_selection; with no
+    rows it has no offset. Its step is reference_adfsa_node's over the
+    reference_eval_table of the steps so far, and its training error is
+    read off the new step's row at the step's own offset.
+
+    Returns the rounds as (node, subset size, offset, training error,
+    dont_know, step), with dont_know False, and the last step's votes on the test strings, read at its offset, with
+    its test accuracy.
+    """
+    X, lengths = draw_inputs(d, m, stream=TRAIN_STREAM)
+    labels = [reference_evaluate(a, X[i, : lengths[i]]) for i in range(m)]
+    s = Sample(bits=X, labels=np.array(labels, dtype=np.uint8), lengths=lengths)
+    steps, rounds = [], []
+
+    def table(bits, sizes):
+        return reference_eval_table(AttributeSpace("strings", 2, tuple(steps)), bits, sizes)
+
+    for node in postfix_order(a):
+        mask, offset = reference_offset_selection(a, s, node)
+        kept = [i for i in range(m) if mask[i]]
+        alone = Sample(bits=X[kept], labels=s.labels[kept], lengths=lengths[kept])
+        steps.append(reference_adfsa_node(table(X, lengths)[:, :, kept], alone))
+        row = table(X, lengths)[-2, steps[-1].offset]
+        wrong = sum(int(row[i]) != labels[i] for i in kept)
+        error = wrong / len(kept) if kept else 0.0
+        rounds.append((node, len(kept), offset if kept else None, error, False, steps[-1]))
+    T, test_lengths = draw_inputs(d, test_size, stream=TEST_STREAM)
+    votes = table(T, test_lengths)[-2, steps[-1].offset].tolist()
+    truth = [reference_evaluate(a, T[i, : test_lengths[i]]) for i in range(test_size)]
+    return rounds, votes, sum(v == t for v, t in zip(votes, truth)) / test_size

@@ -617,6 +617,8 @@ VERIFY_CASES = {
     "pair-disagreeing": (["parity", "parity01"], ["--exhaustive"], {}),
     "pair-automata-equivalent": (["chain", "chain"], ["--exhaustive"], {}),
     "pair-automata-disagreeing": (["chain", "bit"], ["--exhaustive"], {}),
+    "pair-automata-sampled": (["chain", "chain"], ["--samples", "300"], {}),
+    "pair-automata-sampled-disagreeing": (["chain", "bit"], ["--samples", "300"], {}),
     "pair-sampled": (["parity", "parity"], ["--samples", "500"], {}),
     "pair-sampled-disagreeing": (["parity", "parity01"], ["--samples", "500", "--seed", "7"], {}),
 }
@@ -640,6 +642,10 @@ VERIFY_DIGESTS = {
     "dag-sampled": "1d363201c611b0cdf6f07abc1bb776c9e45ba559e582f404296dfce721da8eaf",
     "pair-automata-disagreeing": "88f941f8d5f3d2b52373d093c8865bad3b8b07b9f690f0b272a4fcedf0165ccf",
     "pair-automata-equivalent": "3ae1e58c4a9450411d913a771deca828cd7fe5599900a8f9ba5e42ffb3b5b104",
+    "pair-automata-sampled": "c899be7b64ed4a950672ea3460cfcaeb43a5c657f89db100daf3765f08dbc33b",
+    "pair-automata-sampled-disagreeing": (
+        "ff92824df93dec213cbe348e7aa2654516565acf35629fb3b53942dce7aead0e"
+    ),
     "pair-disagreeing": "f03efba5b3905b3d7306b55c263028db0f4516fff740adf9c4f7ffda99c4f9a2",
     "pair-equivalent": "269fcd632baa8769450f2635a1ab9b0a815445e22e3115ee65716c77b79cbcce",
     "pair-sampled": "29156dc91a3c9b999cb3a38270795dc861d2a2f5b326c368aa7ba20adc96d833",

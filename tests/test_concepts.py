@@ -137,6 +137,14 @@ def test_invalid_concepts_raise(build, message):
         build()
 
 
+def test_a_gate_with_no_inputs_is_rejected():
+    """Before its threshold is read, whose range 1..0 would be empty; a
+    concept file can carry such a gate."""
+    raw = {"type": "threshold", "n": 2, "gates": [{"threshold": 0, "inputs": []}], "root": 0}
+    with pytest.raises(InvalidConceptError, match="gate 0 has no inputs"):
+        concept_from_dict(raw)
+
+
 def test_circuit_at_the_depth_cap_is_valid():
     assert gate_chain(8).depth == 8
 

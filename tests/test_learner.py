@@ -29,7 +29,6 @@ import impact.learner
 from impact.concepts import string_words
 from impact.learner import (
     _and_planes,
-    _canonical_hypotheses,
     adfsa_candidate_count,
     decode_planes,
     exact_float_dtype,
@@ -43,6 +42,7 @@ from impact.oracle import (
     reference_pair_errors,
     reference_perceptron,
 )
+from impact.session import full_layout
 
 
 def table_sample(n, fn):
@@ -72,16 +72,9 @@ def canonical_entries(errs):
     return errs[(left < right) | ((left == right) & (ln <= rn))]
 
 
-def learner_candidates(A):
-    """The learner's candidates: every entry of its layout through the
-    canonical filter and order its reliable mode applies."""
-    return _canonical_hypotheses(*np.indices((2, 2, 2, A, A)).reshape(5, -1))
-
-
 @pytest.mark.parametrize("A", [1, 2, 3, 5, 8])
 def test_candidate_count_matches_formula(A):
     assert len(reference_pair_candidates(A)) == pair_space_size(A)
-    assert len(learner_candidates(A)) == pair_space_size(A)
     V, y = np.zeros((A, 3), dtype=np.uint8), np.zeros(3, dtype=np.uint8)
     assert _and_planes(V, y).shape == (2, 2, A, A)
     assert canonical_entries(pair_errors(V, y)).size == pair_space_size(A)
@@ -89,7 +82,7 @@ def test_candidate_count_matches_formula(A):
 
 def test_candidates_are_canonical_and_distinct():
     """Left <= right, equal refs keep non-decreasing negation flags, and no
-    candidate appears twice; the learner's array order is the same order."""
+    candidate appears twice."""
     candidates = reference_pair_candidates(4)
     seen = set()
     for h in candidates:
@@ -98,7 +91,6 @@ def test_candidates_are_canonical_and_distinct():
             assert h.left_negated <= h.right_negated
         assert h not in seen
         seen.add(h)
-    assert learner_candidates(4) == candidates
 
 
 def test_identity_pair_represents_a_bare_attribute():
@@ -277,13 +269,13 @@ def test_pair_learner_returns_its_first_candidate_on_an_empty_sample():
     """On no rows every pair fits equally well, so best-fit returns the pair
     that minimises the reference counts first, and a reliable set abstains
     with that pair as its primary."""
-    for A, base_count in ((1, None), (4, None), (5, 3)):
+    for A, n in ((1, 1), (4, 4), (5, 3)):
         V = np.zeros((A, 0), dtype=np.uint8)
         y = np.zeros(0, dtype=np.uint8)
         first = reference_pair_candidates(A)[0]
         assert int(np.argmin(reference_pair_errors(V, y))) == 0
-        assert learn_pair_node(V, y, "best-fit", base_count=base_count) == first
-        h = learn_pair_node(V, y, "reliable", base_count=base_count)
+        assert full_layout(learn_pair_node(V, y, "best-fit"), n) == first
+        h = full_layout(learn_pair_node(V, y, "reliable"), n)
         assert h.abstains and h.primary == first
 
 
@@ -406,15 +398,15 @@ def spaces_with_complements(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_learning_on_hypothesis_rows_maps_back_to_the_full_layout(case, flips, mode):
-    """learn_pair_node on the base and hypothesis rows, with their base_count,
-    picks the full layout's first minimal pair by reference_pair_errors. Its
-    reliable set holds every zero-error pair of the full layout that reads no
-    complement, and abstains exactly when no pair fits every row; each pair
-    left out has a member twin with the same values, so the votes are those
-    of learn_pair_node on every row, complements included. Flipped labels
-    make rounds with no zero-error pair, where the search falls back to every
-    row. Columns sorted negatives first, as a session passes them, change
-    nothing."""
+    """learn_pair_node on the base and hypothesis rows, restated by the
+    session's full_layout, picks the full layout's first minimal pair by
+    reference_pair_errors. Its reliable set holds every zero-error pair of
+    the full layout that reads no complement, and abstains exactly when no
+    pair fits every row; each pair left out has a member twin with the same
+    values, so the votes are those of learn_pair_node on every row,
+    complements included. Flipped labels make rounds with no zero-error
+    pair, where the search falls back to every row. Columns sorted negatives
+    first, as a session passes them, change nothing."""
     z, V, y = case
     y = y.copy()
     y[[i for i in flips if i < len(y)]] ^= 1
@@ -425,8 +417,8 @@ def test_learning_on_hypothesis_rows_maps_back_to_the_full_layout(case, flips, m
     best = candidates[errors.index(min(errors))]
     order = np.argsort(y, kind="stable")
     for got in (
-        learn_pair_node(rows, y, mode, base_count=n),
-        learn_pair_node(rows[:, order], y[order], mode, base_count=n),
+        full_layout(learn_pair_node(rows, y, mode), n),
+        full_layout(learn_pair_node(rows[:, order], y[order], mode), n),
     ):
         if mode == "best-fit":
             assert got == best
@@ -544,6 +536,18 @@ def test_learned_attributes_follow_the_base_attributes_in_pairs():
     assert [z.learned(j) for j in range(2, 6)] == [(h1, False), (h1, True), (h2, False), (h2, True)]
     with pytest.raises(InvalidParameterError):
         z.learned(1)
+
+
+def test_a_space_refuses_what_its_mode_cannot_hold():
+    """A bit space has at least one input bit, and each mode evaluates only
+    its own kind of input."""
+    with pytest.raises(InvalidParameterError, match="at least one input bit"):
+        AttributeSpace.pure(0)
+    bits, lengths = np.zeros((3, 2), dtype=np.uint8), np.full(3, 2)
+    with pytest.raises(InvalidParameterError, match="bit-vector"):
+        AttributeSpace.terminals().values(bits)
+    with pytest.raises(InvalidParameterError, match="string attribute spaces"):
+        AttributeSpace.pure(2).eval_table(bits, lengths)
 
 
 def test_augment_rejects_mismatched_hypothesis_kind():

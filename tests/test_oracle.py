@@ -20,10 +20,13 @@ from impact import (
     Distribution,
     EnumerationCapError,
     ImpactError,
+    InvalidParameterError,
     Literal,
     Not,
     PairHypothesis,
+    UndefinedMetricError,
     build_parity,
+    run_teaching_session,
 )
 from impact.oracle import (
     DisagreementReport,
@@ -86,6 +89,15 @@ def test_run_automaton_exhaustion_is_undefined():
     assert run_automaton(a, (1, 1)) == 1
     assert run_automaton(a, (1, 0)) == 0
     assert run_automaton(a, (0,)) == 0
+
+
+def test_reference_evaluate_walks_an_automaton():
+    """An automaton's output where its walk ends at a terminal; a string that
+    runs out first has no output, which is an error here."""
+    a = chain_automaton()
+    assert [reference_evaluate(a, bits) for bits in ((0,), (1, 1), (1, 0))] == [0, 1, 0]
+    with pytest.raises(UndefinedMetricError, match="input exhausted"):
+        reference_evaluate(a, (1,))
 
 
 def test_relevance_by_substitution_blocked_and():
@@ -221,6 +233,40 @@ def test_sampled_disagreement_draws_product_bits():
     assert sampled_disagreement(x0, x0_not_x1, Distribution.product((1.0, 0.0), 0), 1000) == 0.0
     frac = sampled_disagreement(x0, x0_not_x1, Distribution.uniform(2, 0), 4000)
     assert frac == pytest.approx(0.25, abs=0.03)
+
+
+def test_sampled_disagreement_draws_strings_for_automata():
+    """Strings of every length from length_low to n: chain_automaton is
+    undefined on the 1-bit strings that start with 1, which leave the
+    comparison, and one_bit_acceptor(2) differs from it on 10 and on
+    nothing else it reads. Of the defined strings, 1/3 have length 1 and
+    start with 0, and 2/3 are 2 bits long, of which a quarter are 10."""
+    a, b = chain_automaton(), one_bit_acceptor(2)
+    d = Distribution.strings(2, 3)
+    assert sampled_disagreement(a, a, d, 3000) == 0.0
+    assert sampled_disagreement(a, b, d, 3000) == pytest.approx(1 / 6, abs=0.03)
+
+
+def test_sampled_disagreement_runs_a_classifier_on_the_drawn_inputs():
+    """A session's classifier against the concept it was taught; a learned
+    automaton abstains (-1) where its walk runs out, and those strings
+    leave the comparison."""
+    g = build_parity(4, (0, 2))
+    report = run_teaching_session(g, Distribution.uniform(4, 11), 200)
+    assert report.test_accuracy == 1.0
+    assert sampled_disagreement(report.classifier, g, Distribution.uniform(4, 5), 500) == 0.0
+    a = chain_automaton()
+    report = run_teaching_session(a, Distribution.strings_for(a, 13), 400)
+    assert report.test_accuracy == 1.0
+    assert sampled_disagreement(report.classifier, a, Distribution.strings(2, 5), 500) == 0.0
+
+
+def test_sampled_disagreement_needs_a_draw_and_a_defined_comparison():
+    d = Distribution.uniform(2, 0)
+    with pytest.raises(InvalidParameterError, match="m must be >= 1"):
+        sampled_disagreement(and_dag(), and_dag(), d, 0)
+    with pytest.raises(UndefinedMetricError, match="no input was defined"):
+        sampled_disagreement(lambda bits: -1, and_dag(), d, 10)
 
 
 def test_reference_perceptron_keeps_its_starting_point_on_an_empty_sample():

@@ -17,6 +17,8 @@ from helpers import (
     chain_automaton,
     layered_circuit,
     make_sample,
+    reference_automaton_session,
+    reference_circuit_session,
     reference_session,
     vote_circuit,
 )
@@ -66,7 +68,7 @@ from impact.oracle import (
 )
 from impact.learner import decode_planes
 from impact.plan import default_rule, postfix_order
-from impact.session import true_attribute_matrix
+from impact.session import full_layout, true_attribute_matrix
 
 
 def parity_session(mode="best-fit", m=80, seed=11, **kwargs):
@@ -328,15 +330,20 @@ def test_an_abstaining_final_set_reads_no_test_attribute(monkeypatch):
     )
 
 
-def test_automaton_round_without_data_degenerates_and_continues():
-    """An automaton round that moderation leaves empty keeps the learner's
-    first step, (offset 0, accept, accept), and the session goes on."""
+def starving_automaton():
+    # on two strings, the second round's bucket is empty
     a = Adfsa(
         (RejectState(), AcceptState(), BranchState(0, 1), BranchState(2, 2), BranchState(1, 3)),
         start=4,
         n=3,
     )
-    report = run_teaching_session(a, Distribution.strings(3, 4, length_low=1), 2, test_size=1)
+    return a, Distribution.strings(3, 4, length_low=1)
+
+
+def test_automaton_round_without_data_degenerates_and_continues():
+    """An automaton round that moderation leaves empty keeps the learner's
+    first step, (offset 0, accept, accept), and the session goes on."""
+    report = run_teaching_session(*starving_automaton(), 2, test_size=1)
     starved = report.rounds[1]
     assert starved.subset_size == 0
     # three offsets, and four attributes for each child
@@ -479,14 +486,20 @@ def test_unenforced_starvation_degenerates_and_continues():
     assert 0.0 <= report.test_accuracy <= 1.0
 
 
-def test_a_starved_threshold_round_learns_zero_weights():
-    """The inner gate matters only where bit 2 is 1, which the distribution
-    almost never draws: its round learns on no rows and keeps the
-    perceptron's starting point, zero weights and threshold 0.0."""
+def starving_circuit():
+    # the inner gate matters only where bit 2 is 1, which the distribution
+    # almost never draws
     inner = Gate(threshold=2, inputs=(Wire("bit", 0), Wire("bit", 1)))
     outer = Gate(threshold=2, inputs=(Wire("gate", 0), Wire("bit", 2)))
-    c = ThresholdCircuit(gates=(inner, outer), root=1, n=3)
-    report = run_teaching_session(c, Distribution.product([0.5, 0.5, 1e-12], seed=4), 40)
+    return ThresholdCircuit(gates=(inner, outer), root=1, n=3), Distribution.product(
+        [0.5, 0.5, 1e-12], seed=4
+    )
+
+
+def test_a_starved_threshold_round_learns_zero_weights():
+    """The inner gate's round learns on no rows and keeps the perceptron's
+    starting point, zero weights and threshold 0.0."""
+    report = run_teaching_session(*starving_circuit(), 40)
     starved = report.rounds[0]
     assert starved.subset_size == 0 and starved.training_error == 0.0
     gate = report.classifier.space.hypotheses[0]
@@ -677,9 +690,9 @@ def test_reliable_rounds_are_best_fit_rounds_that_abstain_by_their_error(monkeyp
     calls = []
     learn = impact.session.learn_pair_node
 
-    def recording(V, y, mode, **kwargs):
+    def recording(V, y, mode):
         calls.append((V, y, mode))
-        return learn(V, y, mode, **kwargs)
+        return learn(V, y, mode)
 
     def summary(report):
         return [(r.node, r.subset_size, r.training_error) for r in report.rounds]
@@ -695,7 +708,7 @@ def test_reliable_rounds_are_best_fit_rounds_that_abstain_by_their_error(monkeyp
         assert summary(report) == summary(best) and not any(r.dont_know for r in best.rounds)
         assert report.classifier.space == best.classifier.space
         for r, (V, y, _) in zip(report.rounds, calls, strict=True):
-            h = learn(V, y, "reliable", base_count=n)
+            h = full_layout(learn(V, y, "reliable"), n)
             assert h.abstains == r.dont_know
             assert all(j < n or (j - n) % 2 == 0 for p in h.members for j in (p.left_attr, p.right_attr))
             fed_abstentions += r.dont_know and r.subset_size > 0 and r.index < len(report.rounds) - 1
@@ -728,14 +741,29 @@ def test_every_pair_round_calls_the_learner_once(monkeypatch, mode):
         assert abstaining == ([(3, abstaining_size)] if mode == "reliable" else [])
 
 
+def session_rounds_and_votes(concept, d, m, state, test_size=200, mode="best-fit"):
+    """A session's rounds as (node, subset size, offset, training error,
+    dont_know, and each field of state(hypothesis)), its classifier's votes
+    on the test inputs, and its test accuracy."""
+    report = run_teaching_session(concept, d, m, mode=mode, test_size=test_size)
+    clf = report.classifier
+    rounds = [
+        (r.node, r.subset_size, r.offset, r.training_error, r.dont_know, *state(h))
+        for r, h in zip(report.rounds, [*clf.space.hypotheses, clf.final], strict=True)
+    ]
+    test = draw_sample(d, concept, test_size, stream=impact.session.TEST_STREAM)
+    return rounds, clf.predict_sample(test).tolist(), report.test_accuracy
+
+
 @pytest.mark.parametrize("mode", ["best-fit", "reliable"])
 def test_formula_sessions_equal_the_reference_session(mode):
     """Round by round, a formula session equals reference_session: the node,
-    the subset size, the training error, dont_know and the picked pair; and
-    its classifier's votes on the test inputs, with its test accuracy. The
-    reliable set is compared by its votes: the reference's zero-error set
-    also holds the pairs that read a complement row, which the session's
-    set drops, as each has a twin in the set with the same values. Three
+    the subset size, no offset, the training error, dont_know and the picked
+    pair; and its classifier's votes on the test inputs, with its test
+    accuracy. The reliable set is compared by its votes: the reference's
+    zero-error set also holds the pairs that read a complement row, which
+    the session's set drops, as each has a twin in the set with the same
+    values. Three
     sessions have a starved round (the last three cases, which include a
     product distribution), three have a fed round that abstains in
     reliable mode (seeds 53, 64 and 152), and five reliable classifiers
@@ -749,20 +777,67 @@ def test_formula_sessions_equal_the_reference_session(mode):
     ]
     seen = {"starved": 0, "fed abstention": 0, "abstaining vote": 0}
     for g, d, m in cases:
-        report = run_teaching_session(g, d, m, mode=mode, test_size=200)
-        clf = report.classifier
-        picks = [*clf.space.hypotheses, getattr(clf.final, "primary", clf.final)]
-        rounds = [
-            (r.node, r.subset_size, r.training_error, r.dont_know, h)
-            for r, h in zip(report.rounds, picks, strict=True)
-        ]
-        votes = clf.predict_sample(draw_sample(d, g, 200, stream=impact.session.TEST_STREAM))
-        ref_rounds, ref_votes, ref_accuracy = reference_session(g, d, m, mode, test_size=200)
-        assert rounds == ref_rounds
-        assert votes.tolist() == ref_votes
-        assert report.test_accuracy == ref_accuracy
-        seen["starved"] += any(r.subset_size == 0 for r in report.rounds)
-        seen["fed abstention"] += any(r.dont_know and r.subset_size for r in report.rounds)
-        seen["abstaining vote"] += bool((votes == -1).any())
+        rounds, votes, accuracy = session_rounds_and_votes(
+            g, d, m, lambda h: (getattr(h, "primary", h),), mode=mode
+        )
+        assert (rounds, votes, accuracy) == reference_session(g, d, m, mode, test_size=200)
+        seen["starved"] += any(size == 0 for _, size, *_ in rounds)
+        seen["fed abstention"] += any(size and dont_know for _, size, _, _, dont_know, _ in rounds)
+        seen["abstaining vote"] += -1 in votes
     reliable = mode == "reliable"
     assert seen == {"starved": 3, "fed abstention": 3 * reliable, "abstaining vote": 5 * reliable}
+
+
+def test_circuit_sessions_equal_the_reference_session():
+    """Round by round, a threshold-circuit session equals
+    reference_circuit_session: the node, the subset size, no offset, the
+    training error, no dont_know, and the gate's weights and threshold; and
+    its classifier's votes on the test inputs, with its test accuracy.
+    Three sessions have a starved round (starving_circuit among them), two
+    have a round whose gate errs on its rows, so its perceptron runs all its
+    epochs, and sixteen err on some test input."""
+    cases = [(random_circuit(6, 3, seed), Distribution.uniform(6, seed), 60) for seed in range(6)]
+    cases += [(random_circuit(8, 5, seed), Distribution.uniform(8, seed), 120) for seed in range(8)]
+    cases += [
+        (layered_circuit(), Distribution.uniform(4, 9), 60),
+        (vote_circuit(), Distribution.uniform(3, 1), 60),
+        (*starving_circuit(), 40),
+        (random_circuit(6, 4, 7, fan_in=2), Distribution.uniform(6, 7), 100),
+        (random_circuit(8, 3, 2, fan_in=4), Distribution.uniform(8, 2), 100),
+    ]
+    seen = {"starved": 0, "erring round": 0, "test error": 0}
+    for c, d, m in cases:
+        rounds, votes, accuracy = session_rounds_and_votes(
+            c, d, m, lambda h: (h.weights.tolist(), h.threshold)
+        )
+        assert (rounds, votes, accuracy) == reference_circuit_session(c, d, m)
+        seen["starved"] += any(size == 0 for _, size, *_ in rounds)
+        seen["erring round"] += any(error > 0 for *_, error, _, _, _ in rounds)
+        seen["test error"] += accuracy < 1
+    assert seen == {"starved": 3, "erring round": 2, "test error": 16}
+
+
+def test_automaton_sessions_equal_the_reference_session():
+    """Round by round, an automaton session equals
+    reference_automaton_session: the node, the subset size, the offset, the
+    training error, no dont_know and the step; and its classifier's votes on
+    the test strings, with its test accuracy. starving_automaton has a
+    starved round, which has no offset; five rounds learn a step at an
+    offset other than their bucket's, and three sessions err on some test
+    string."""
+    cases = [(random_automaton(5, 4, seed), seed, 60) for seed in range(6)]
+    cases += [(random_automaton(8, 6, seed), seed, 80) for seed in (0, 1, 2, 3, 7, 11)]
+    cases += [(random_automaton(6, 6, 5), 5, 60), (chain_automaton(), 13, 60)]
+    cases = [(a, Distribution.strings_for(a, seed), m, 200) for a, seed, m in cases]
+    # two training strings, and one test string, which must be long enough
+    cases += [(*starving_automaton(), 2, 1)]
+    seen = {"starved": 0, "moved offset": 0, "test error": 0}
+    for a, d, m, test_size in cases:
+        rounds, votes, accuracy = session_rounds_and_votes(a, d, m, lambda h: (h,), test_size)
+        assert (rounds, votes, accuracy) == reference_automaton_session(a, d, m, test_size)
+        seen["starved"] += sum(offset is None for _, _, offset, *_ in rounds)
+        seen["moved offset"] += sum(
+            offset is not None and step.offset != offset for *_, offset, _, _, step in rounds
+        )
+        seen["test error"] += accuracy < 1
+    assert seen == {"starved": 1, "moved offset": 5, "test error": 3}
