@@ -270,21 +270,12 @@ def exact_float_dtype(bound: int) -> type:
     return np.float32 if bound <= 2**24 else np.float64
 
 
-def _label_split(V: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of V (A, m) with label 0 and those with label 1. Labels
-    sorted negatives first split into two views; other labels need a gather."""
-    pos = y == 1
-    m0 = len(y) - int(np.count_nonzero(pos))
-    return (V[:, :m0], V[:, m0:]) if not pos[:m0].any() else (V[:, ~pos], V[:, pos])
-
-
-def _and_planes(V: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """learn_pair_node's and counts on attribute rows V (A, m) and labels y."""
-    A, m = V.shape
-    F0, F1 = _label_split(V, y)
-    m0, m1 = F0.shape[1], F1.shape[1]
-    # every value below is a row count or a difference of two: at most m
-    dtype = exact_float_dtype(m)
+def _and_planes(F0: np.ndarray, F1: np.ndarray) -> np.ndarray:
+    """learn_pair_node's and counts on the attribute rows of a round's
+    label-0 columns F0 (A, m0) and label-1 columns F1 (A, m1)."""
+    (A, m0), m1 = F0.shape, F1.shape[1]
+    # every value below is a row count or a difference of two: at most m0 + m1
+    dtype = exact_float_dtype(m0 + m1)
     F0, F1 = F0.astype(dtype), F1.astype(dtype)
     P = np.empty((2, 2, A, A), dtype=dtype)
     # rows where both plain refs are 1, negatives minus positives (Gram products: half the work)
@@ -300,24 +291,26 @@ def _and_planes(V: np.ndarray, y: np.ndarray) -> np.ndarray:
     return P
 
 
-def _zero_error_rows(V: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The ascending rows of V (A, m) that can join a zero-error pair: those
-    constant on the label-1 columns or constant on the label-0 columns."""
-    keep = np.zeros(len(V), dtype=bool)
-    for F in _label_split(V, y):
+def _zero_error_rows(F0: np.ndarray, F1: np.ndarray) -> np.ndarray:
+    """The ascending rows that can join a zero-error pair: those constant on
+    the label-1 columns F1 or constant on the label-0 columns F0."""
+    keep = np.zeros(len(F0), dtype=bool)
+    for F in (F0, F1):
         ones = F.sum(axis=1, dtype=np.int32)
         keep |= (ones == 0) | (ones == F.shape[1])
     return np.flatnonzero(keep)
 
 
 def learn_pair_node(
-    V: np.ndarray, y: np.ndarray, mode: str = "best-fit"
+    F0: np.ndarray, F1: np.ndarray, mode: str = "best-fit"
 ) -> PairHypothesis | ReliablePairSet:
     """Exhaust the canonical pair space against the round's attribute rows
-    V (A, m) and labels y. best-fit returns the first candidate with minimal
+    on its m0 label-0 columns F0 (A, m0) and its m1 label-1 columns F1
+    (A, m1), m = m0 + m1. best-fit returns the first candidate with minimal
     disagreement in canonical order; reliable returns the whole
     zero-disagreement set with that best-fit pair as its primary, and the set
-    abstains when it has no member. Pairs name rows of V.
+    abstains when it has no member. Pairs name rows of F0 and F1. Every count
+    is a sum over the columns of one class, so no column order is needed.
 
     Only the and counts are built: one contiguous array of planes k = 2 * ln
     + rn, indexed (k, left, right), in exact_float_dtype(m). Or plane (ln,
@@ -342,16 +335,21 @@ def learn_pair_node(
     first pair, and(0, 0) un-negated. The reliable set abstains with that
     pair as its primary: every pair fits no rows, and a pair and its
     negation disagree on every input, so all of them would abstain too.
+    F0 and F1 must be matrices over the same attribute rows, at least one.
     """
     if mode not in ("best-fit", "reliable"):
         raise InvalidParameterError(f"unknown learning mode {mode!r}")
-    A, m = V.shape
-    rows = _zero_error_rows(V, y)
-    P = _and_planes(V[rows], y)
+    if F0.ndim != 2 or F1.ndim != 2 or len(F0) != len(F1) or not len(F0):
+        raise InvalidParameterError(
+            f"need class matrices over the same attribute rows, got {F0.shape} and {F1.shape}"
+        )
+    A, m = len(F0), F0.shape[1] + F1.shape[1]
+    rows = _zero_error_rows(F0, F1)
+    P = _and_planes(F0[rows], F1[rows])
     if not ((P == 0).any() or (P == m).any()):
         # no zero-error pair, or no rows to hold one: every pair competes
         rows = np.arange(A)
-        P = _and_planes(V, y)
+        P = _and_planes(F0, F1)
     a = len(rows)
     low, high = P.min(), P.max()
     is_or = bool(low > m - high)
@@ -396,15 +394,18 @@ def learn_threshold_node(
     u += Z[k] updates. Integer margins are exact in any order, so scanning
     for the first mistake window by window equals a full rescan.
 
-    Z, off and u run in single precision while that is exact. After t
-    mistakes, an epoch adds at most m more, each moving every entry of u by
-    at most 1, so through the epoch every entry of u stays within t + m and
-    every partial sum of a margin within (A + 1)(t + m). Each epoch passes
-    that bound to exact_float_dtype, and the arrays move to float64 once, for
-    the rest of the run, when it passes 2**24. Weights and threshold are
-    returned as float64. An empty sample makes no mistake, so it gets the
-    starting point: zero weights and threshold 0.0.
+    Z, off and u run in single precision while that is exact. An epoch makes
+    at most m mistakes, each moving every entry of u by at most 1, so from
+    its start through its end ||u||_1 stays within its starting value plus
+    (A + 1)m, and since every entry of Z is 0 or +-1, so does every entry of
+    u and every partial sum of a margin. Each epoch passes that bound to
+    exact_float_dtype, and the arrays move to float64 once, for the rest of
+    the run, when it passes 2**24. Weights and threshold are returned as
+    float64. An empty sample makes no mistake, so it gets the starting
+    point: zero weights and threshold 0.0. y must hold one label per column.
     """
+    if V.ndim != 2 or y.shape != (V.shape[1],):
+        raise InvalidParameterError(f"need one label per column of {V.shape}, got {y.shape}")
     A, m = V.shape
     pos = y == 1
     dtype = exact_float_dtype((A + 1) * m)
@@ -416,12 +417,12 @@ def learn_threshold_node(
     u = np.zeros(A + 1, dtype=dtype)
     # zero weights call every row positive
     pocket_u, pocket_hits = u.copy(), int(np.count_nonzero(pos))
-    t = 0  # mistakes over all epochs so far
     for _ in range(max_epochs):
-        dtype = exact_float_dtype((A + 1) * (t + m))
+        # u's entries are exact integers; their sum is exact in float64
+        dtype = exact_float_dtype(int(np.abs(u).sum(dtype=np.float64)) + (A + 1) * m)
         if dtype != Z.dtype:
             Z, off, u = Z.astype(dtype), off.astype(dtype), u.astype(dtype)
-        i, epoch_start = 0, t
+        i, mistakes = 0, 0
         while i < m:
             end = i + _SCAN_WINDOW
             wrong = Z[i:end].dot(u) < off[i:end]
@@ -430,12 +431,12 @@ def learn_threshold_node(
                 i = end
                 continue
             u += Z[i + j]
-            t += 1
+            mistakes += 1
             i += j + 1
         hits = int(np.count_nonzero(Z.dot(u) >= off))
         if hits > pocket_hits:
             pocket_u, pocket_hits = u.copy(), hits
-        if t == epoch_start:
+        if not mistakes:
             break
     return PerceptronHypothesis(
         weights=pocket_u[:A].astype(np.float64), threshold=float(pocket_u[A])
@@ -467,7 +468,10 @@ def learn_adfsa_node(
     splits over the examined bit, the two children are chosen independently,
     and ties resolve to the lower offset then lower attribute indices. With
     no columns every count is 0, so the step is (offset 0, on0 0, on1 0).
+    agree must hold at least one attribute row.
     """
+    if not len(agree):
+        raise InvalidParameterError("need at least one attribute row to choose a child from")
     A, (bits, inside) = len(agree), strings
     chosen = np.zeros(64 * strings.shape[-1], dtype=bool)
     chosen[columns] = True

@@ -373,9 +373,8 @@ class _PairRounds(_BitRounds):
         # only the last round's members reach the classifier: earlier rounds
         # learn best-fit, and the session reads their abstention off its error
         mode = self.mode if k == len(self.V) - 1 else "best-fit"
-        # negative rows first: the learner's label split is then two views
-        order = np.argsort(y, kind="stable")
-        return full_layout(learn_pair_node(self.V[:k, kept[order]], y[order], mode), n)
+        V = self.V[:k]
+        return full_layout(learn_pair_node(V[:, kept[y == 0]], V[:, kept[y == 1]], mode), n)
 
     def fill(self, A: int, h: PairHypothesis) -> np.ndarray:
         """Fill the row of attribute A, a hypothesis, with h; return it."""

@@ -51,6 +51,12 @@ def table_sample(n, fn):
     return make_sample(X, labels)
 
 
+def by_label(V, y):
+    """The columns of attribute rows V with label 0 and those with label 1,
+    the two classes learn_pair_node takes."""
+    return V[:, y == 0], V[:, y == 1]
+
+
 # ---------------------------------------------------------------------------
 # Pair candidate space
 # ---------------------------------------------------------------------------
@@ -60,7 +66,7 @@ def pair_errors(V, y):
     """Every pair hypothesis's count in the learner's layout (op, left_negated,
     right_negated, left, right): its and planes, and the or half derived as m
     minus the and plane with both negation flags flipped."""
-    planes = _and_planes(V, y)
+    planes = _and_planes(*by_label(V, y))
     return np.stack([planes, V.shape[1] - planes[::-1, ::-1]])
 
 
@@ -76,7 +82,7 @@ def canonical_entries(errs):
 def test_candidate_count_matches_formula(A):
     assert len(reference_pair_candidates(A)) == pair_space_size(A)
     V, y = np.zeros((A, 3), dtype=np.uint8), np.zeros(3, dtype=np.uint8)
-    assert _and_planes(V, y).shape == (2, 2, A, A)
+    assert _and_planes(*by_label(V, y)).shape == (2, 2, A, A)
     assert canonical_entries(pair_errors(V, y)).size == pair_space_size(A)
 
 
@@ -153,8 +159,8 @@ def assert_pair_learner_matches_the_reference(V, y):
     candidates = reference_pair_candidates(V.shape[0])
     errors = reference_pair_errors(V, y)
     best = candidates[errors.index(min(errors))]
-    assert learn_pair_node(V, y) == best
-    out = learn_pair_node(V, y, mode="reliable")
+    assert learn_pair_node(*by_label(V, y)) == best
+    out = learn_pair_node(*by_label(V, y), mode="reliable")
     assert isinstance(out, ReliablePairSet)
     assert list(out.members) == [h for h, e in zip(candidates, errors) if e == 0]
     assert out.abstains == (min(errors) > 0)
@@ -185,7 +191,7 @@ def test_best_fit_prefers_and_when_the_or_half_ties_earlier():
     best = [h for h, e in zip(candidates, errors) if e == min(errors)]
     assert (best[0].op, best[0].left_attr) == ("and", 1)
     assert (best[1].op, best[1].left_attr, best[1].right_attr) == ("or", 0, 0)
-    assert learn_pair_node(V, y) == PairHypothesis("and", 1, False, 1, False)
+    assert learn_pair_node(*by_label(V, y)) == PairHypothesis("and", 1, False, 1, False)
 
 
 @pytest.mark.parametrize(
@@ -200,8 +206,9 @@ def test_best_fit_prefers_and_when_the_or_half_ties_earlier():
 def test_best_fit_breaks_a_shared_first_hit_by_negation_flags(rows, labels, expected):
     V, y = np.array(rows, dtype=np.uint8), np.array(labels, dtype=np.uint8)
     errors = reference_pair_errors(V, y)
-    assert learn_pair_node(V, y) == PairHypothesis(*expected)
-    assert learn_pair_node(V, y) == reference_pair_candidates(len(rows))[errors.index(min(errors))]
+    assert learn_pair_node(*by_label(V, y)) == PairHypothesis(*expected)
+    best = reference_pair_candidates(len(rows))[errors.index(min(errors))]
+    assert learn_pair_node(*by_label(V, y)) == best
 
 
 def test_exact_float_dtype_switches_at_two_to_the_24():
@@ -225,7 +232,7 @@ def test_and_planes_stay_exact_at_the_bound_they_pass(monkeypatch):
     for ones_frac, pos_frac in [(0.5, 0.5), (0.9, 0.95), (0.1, 0.05), (1.0, 1.0), (0.0, 0.0)]:
         V = (rng.random((6, m)) < ones_frac).astype(np.uint8)
         y = (rng.random(m) < pos_frac).astype(np.uint8)
-        planes = _and_planes(V, y)
+        planes = _and_planes(*by_label(V, y))
         assert planes.dtype == np.float16
         for ln, rn in np.ndindex(2, 2):
             direct = ((V[:, None] ^ ln) & (V[None, :] ^ rn)) != y
@@ -240,7 +247,7 @@ def test_and_planes_stay_exact_at_the_bound_they_pass(monkeypatch):
 def test_recovers_conjunction_exactly():
     z = AttributeSpace.pure(4)
     s = table_sample(4, lambda row: row[0] & row[1])
-    h = learn_pair_node(z.values(s.bits), s.labels)
+    h = learn_pair_node(*by_label(z.values(s.bits), s.labels))
     assert h == PairHypothesis(
         op="and", left_attr=0, left_negated=False, right_attr=1, right_negated=False
     )
@@ -250,7 +257,7 @@ def test_recovers_conjunction_exactly():
 def test_recovers_negated_disjunction():
     z = AttributeSpace.pure(3)
     s = table_sample(3, lambda row: (1 - row[0]) | row[2])
-    h = learn_pair_node(z.values(s.bits), s.labels)
+    h = learn_pair_node(*by_label(z.values(s.bits), s.labels))
     assert np.mean(h.evaluate_rows(z.values(s.bits)) != s.labels) == 0.0
     V = z.values(s.bits)
     assert np.array_equal(h.evaluate_rows(V), s.labels)
@@ -261,7 +268,7 @@ def test_parity_defeats_every_pair():
     error on the full table stays at or above 0.25."""
     z = AttributeSpace.pure(4)
     s = table_sample(4, lambda row: int(row.sum()) % 2)
-    h = learn_pair_node(z.values(s.bits), s.labels)
+    h = learn_pair_node(*by_label(z.values(s.bits), s.labels))
     assert np.mean(h.evaluate_rows(z.values(s.bits)) != s.labels) >= 0.25
 
 
@@ -274,8 +281,8 @@ def test_pair_learner_returns_its_first_candidate_on_an_empty_sample():
         y = np.zeros(0, dtype=np.uint8)
         first = reference_pair_candidates(A)[0]
         assert int(np.argmin(reference_pair_errors(V, y))) == 0
-        assert full_layout(learn_pair_node(V, y, "best-fit"), n) == first
-        h = full_layout(learn_pair_node(V, y, "reliable"), n)
+        assert full_layout(learn_pair_node(*by_label(V, y), "best-fit"), n) == first
+        h = full_layout(learn_pair_node(*by_label(V, y), "reliable"), n)
         assert h.abstains and h.primary == first
 
 
@@ -283,7 +290,23 @@ def test_unknown_mode_rejected():
     z = AttributeSpace.pure(2)
     s = table_sample(2, lambda row: row[0])
     with pytest.raises(InvalidParameterError):
-        learn_pair_node(z.values(s.bits), s.labels, mode="pac")
+        learn_pair_node(*by_label(z.values(s.bits), s.labels), mode="pac")
+
+
+@pytest.mark.parametrize(
+    "F0, F1",
+    [
+        # three attribute rows on the negatives, four on the positives
+        (np.zeros((3, 5), dtype=np.uint8), np.zeros((4, 2), dtype=np.uint8)),
+        # no attribute rows at all
+        (np.zeros((0, 3), dtype=np.uint8), np.zeros((0, 2), dtype=np.uint8)),
+        # one class given as a single column vector
+        (np.zeros((3, 5), dtype=np.uint8), np.zeros(3, dtype=np.uint8)),
+    ],
+)
+def test_pair_learner_rejects_classes_that_do_not_share_attribute_rows(F0, F1):
+    with pytest.raises(InvalidParameterError):
+        learn_pair_node(F0, F1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +317,7 @@ def test_unknown_mode_rejected():
 def test_reliable_set_members_all_fit_the_sample():
     z = AttributeSpace.pure(3)
     s = table_sample(3, lambda row: row[0] & row[1])
-    out = learn_pair_node(z.values(s.bits), s.labels, mode="reliable")
+    out = learn_pair_node(*by_label(z.values(s.bits), s.labels), mode="reliable")
     assert isinstance(out, ReliablePairSet)
     V = z.values(s.bits)
     for member in out.members:
@@ -310,7 +333,7 @@ def test_reliable_abstains_where_members_disagree():
         np.array([[0, 0], [1, 1]], dtype=np.uint8),
         np.array([0, 1], dtype=np.uint8),
     )
-    out = learn_pair_node(z.values(s.bits), s.labels, mode="reliable")
+    out = learn_pair_node(*by_label(z.values(s.bits), s.labels), mode="reliable")
     assert isinstance(out, ReliablePairSet)
     assert len(out.members) > 1
     V = z.values(np.array([[1, 0]], dtype=np.uint8))
@@ -326,9 +349,9 @@ def test_reliable_abstains_everywhere_on_contradiction():
         np.array([0, 1], dtype=np.uint8),
     )
     V = z.values(s.bits)
-    out = learn_pair_node(V, s.labels, mode="reliable")
+    out = learn_pair_node(*by_label(V, s.labels), mode="reliable")
     assert out.abstains and out.members == ()
-    assert out.primary == learn_pair_node(V, s.labels)
+    assert out.primary == learn_pair_node(*by_label(V, s.labels))
     assert out.classify_rows(z.values(all_inputs(2))).tolist() == [-1] * 4
     assert augment(z, out).hypotheses == (out.primary,)
 
@@ -374,6 +397,7 @@ def spaces_with_complements(draw):
     case=spaces_with_complements(),
     flips=st.sets(st.integers(0, 11), max_size=2),
     mode=st.sampled_from(["best-fit", "reliable"]),
+    seed=st.integers(0, 2**32 - 1),
 )
 # one hypothesis over x0 and constant labels: the reliable set holds pairs
 # reading that hypothesis twice with different flags, whose complement
@@ -382,12 +406,21 @@ def spaces_with_complements(draw):
     case=space_case(1, [("and", 0, False, 0, False)], [[0], [1]], [0, 0]),
     flips=set(),
     mode="reliable",
+    seed=0,
+)
+# the same with every label 1: no label-0 column
+@example(
+    case=space_case(1, [("and", 0, False, 0, False)], [[0], [1], [1]], [1, 1, 1]),
+    flips=set(),
+    mode="reliable",
+    seed=1,
 )
 # contradictory labels: reliable abstains, and its primary maps back
 @example(
     case=space_case(2, [("and", 0, False, 1, False)], [[1, 0], [1, 0]], [0, 1]),
     flips=set(),
     mode="reliable",
+    seed=0,
 )
 # parity of x0 and x1 over their and: only the and row is constant on a
 # label, and no pair over it fits every row
@@ -395,9 +428,10 @@ def spaces_with_complements(draw):
     case=space_case(2, [("and", 0, False, 1, False)], all_inputs(2), [0, 1, 1, 0]),
     flips=set(),
     mode="reliable",
+    seed=0,
 )
 @settings(max_examples=300, deadline=None)
-def test_learning_on_hypothesis_rows_maps_back_to_the_full_layout(case, flips, mode):
+def test_learning_on_hypothesis_rows_maps_back_to_the_full_layout(case, flips, mode, seed):
     """learn_pair_node on the base and hypothesis rows, restated by the
     session's full_layout, picks the full layout's first minimal pair by
     reference_pair_errors. Its reliable set holds every zero-error pair of
@@ -405,20 +439,21 @@ def test_learning_on_hypothesis_rows_maps_back_to_the_full_layout(case, flips, m
     pair fits every row; each pair left out has a member twin with the same
     values, so the votes are those of learn_pair_node on every row,
     complements included. Flipped labels make rounds with no zero-error
-    pair, where the search falls back to every row. Columns sorted negatives
-    first, as a session passes them, change nothing."""
+    pair, where the search falls back to every row. Shuffling the columns
+    within each class changes no pick, primary or member."""
     z, V, y = case
     y = y.copy()
     y[[i for i in flips if i < len(y)]] ^= 1
     n = z.base_count
-    rows = V[np.r_[0:n, n : len(z) : 2]]
+    classes = by_label(V[np.r_[0:n, n : len(z) : 2]], y)
     candidates = reference_pair_candidates(len(z))
     errors = reference_pair_errors(V, y)
     best = candidates[errors.index(min(errors))]
-    order = np.argsort(y, kind="stable")
+    rng = np.random.default_rng(seed)
+    shuffled = [F[:, rng.permutation(F.shape[1])] for F in classes]
     for got in (
-        full_layout(learn_pair_node(rows, y, mode), n),
-        full_layout(learn_pair_node(rows[:, order], y[order], mode), n),
+        full_layout(learn_pair_node(*classes, mode), n),
+        full_layout(learn_pair_node(*shuffled, mode), n),
     ):
         if mode == "best-fit":
             assert got == best
@@ -430,7 +465,8 @@ def test_learning_on_hypothesis_rows_maps_back_to_the_full_layout(case, flips, m
             for h, e in zip(candidates, errors)
             if e == 0 and all(j < n or (j - n) % 2 == 0 for j in (h.left_attr, h.right_attr))
         )
-        assert np.array_equal(got.classify_rows(V), learn_pair_node(V, y, mode).classify_rows(V))
+        votes = learn_pair_node(*by_label(V, y), mode).classify_rows(V)
+        assert np.array_equal(got.classify_rows(V), votes)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +479,9 @@ def spy_plane_rows(monkeypatch) -> list[int]:
     seen = []
     real = impact.learner._and_planes
 
-    def spying(V, y):
-        seen.append(V.shape[0])
-        return real(V, y)
+    def spying(F0, F1):
+        seen.append(len(F0))
+        return real(F0, F1)
 
     monkeypatch.setattr(impact.learner, "_and_planes", spying)
     return seen
@@ -467,7 +503,7 @@ def test_a_zero_error_round_builds_planes_over_its_candidate_rows_only(
     monkeypatch, V, y, expected, mode
 ):
     seen = spy_plane_rows(monkeypatch)
-    got = learn_pair_node(V, y, mode)
+    got = learn_pair_node(*by_label(V, y), mode)
     assert seen == expected
     candidates = reference_pair_candidates(V.shape[0])
     errors = reference_pair_errors(V, y)
@@ -495,7 +531,7 @@ def test_a_zero_error_round_builds_planes_over_its_candidate_rows_only(
 )
 def test_a_round_without_a_zero_error_pair_falls_back_to_every_row(monkeypatch, V, y, expected):
     seen = spy_plane_rows(monkeypatch)
-    got = learn_pair_node(V, y, "reliable")
+    got = learn_pair_node(*by_label(V, y), "reliable")
     assert seen == expected
     errors = reference_pair_errors(V, y)
     assert min(errors) > 0
@@ -560,7 +596,7 @@ def test_augment_rejects_mismatched_hypothesis_kind():
 def test_augment_unwraps_a_reliable_set_to_its_primary():
     z = AttributeSpace.pure(3)
     s = table_sample(3, lambda row: row[0] & row[1])
-    out = learn_pair_node(z.values(s.bits), s.labels, mode="reliable")
+    out = learn_pair_node(*by_label(z.values(s.bits), s.labels), mode="reliable")
     grown = augment(z, out)
     X = all_inputs(3)
     rows = grown.values(X)
@@ -707,6 +743,13 @@ def test_perceptron_pocket_survives_nonseparable_labels():
     assert err <= 0.5
 
 
+def test_perceptron_rejects_a_label_count_other_than_the_column_count():
+    V = np.zeros((3, 5), dtype=np.uint8)
+    for shape in (4, 6, (1, 5)):
+        with pytest.raises(InvalidParameterError):
+            learn_threshold_node(V, np.zeros(shape, dtype=np.uint8))
+
+
 def test_perceptron_returns_its_starting_point_on_an_empty_sample():
     """An empty sample makes no mistake, so the perceptron keeps its
     starting point: zero float64 weights and threshold 0.0."""
@@ -753,25 +796,29 @@ def test_perceptron_matches_the_reference(problem):
 def test_perceptron_stays_exact_across_its_precision_switch(monkeypatch):
     """Every margin and weight lies within the bound the perceptron passes to
     exact_float_dtype each epoch. Modelled at half precision, exact for
-    integers up to 2**11, each problem starts in half precision, crosses
-    the bound as mistakes accumulate, finishes in float64, and still keeps
-    the reference's weights and threshold. A run's values stay near its
-    starting bound, and numpy sums float16 dot products in float32, so a run
-    that never left float16 would keep them too: the model also records the
-    dtype of the learner's Z each time it is asked, and every epoch must
-    hold what the call before it chose."""
+    integers up to 2**11, and switched past each problem's first-epoch
+    bound (A + 1)m <= 2**11, each problem starts in half precision, crosses
+    the bound once its first mistakes leave u nonzero, finishes in float64,
+    and still keeps the reference's weights and threshold. A run's values
+    stay near its starting bound, and numpy sums float16 dot products in
+    float32, so a run that never left float16 would keep them too: the model
+    also records the dtype of the learner's Z each time it is asked, and
+    every epoch must hold what the call before it chose."""
     chosen, held = [], []
 
-    def half_up_to_2_11(bound):
+    def half_up_to_the_first_bound(bound):
         held.append(getattr(sys._getframe(1).f_locals.get("Z"), "dtype", None))
-        chosen.append(np.float16 if bound <= 2**11 else np.float64)
+        chosen.append(np.float16 if bound <= limit else np.float64)
         return chosen[-1]
 
-    monkeypatch.setattr("impact.learner.exact_float_dtype", half_up_to_2_11)
+    monkeypatch.setattr("impact.learner.exact_float_dtype", half_up_to_the_first_bound)
     rng = np.random.default_rng(12)
     for _ in range(30):
-        A = int(rng.integers(1, 12))
+        # at least two attributes: a single one can cycle u back to zero at
+        # every epoch's start, and so rightly never leave half precision
+        A = int(rng.integers(2, 12))
         m = int(rng.integers(2**11 // (A + 1) // 2, 2**11 // (A + 1) + 1))
+        limit = (A + 1) * m
         V = rng.integers(0, 2, size=(A, m)).astype(np.uint8)
         y = (rng.integers(-3, 4, size=A) @ V >= rng.integers(-2, 4)).astype(np.uint8)
         y ^= (rng.random(m) < 0.1).astype(np.uint8)
@@ -783,6 +830,75 @@ def test_perceptron_stays_exact_across_its_precision_switch(monkeypatch):
         assert held[0] is None and held[1:] == chosen[:-1]
         assert h.weights.tobytes() == reference.weights.tobytes()
         assert repr(h.threshold) == repr(reference.threshold)
+
+
+def replayed_epochs(V, y, max_epochs):
+    """The full-rescan perceptron replayed in Python ints: per epoch, ||u||_1
+    at its start, the largest ||u||_1 it reaches, and the largest magnitude
+    of an entry of u or of a partial sum, in any order, of a margin Z[k] @ u
+    over every row k and every u the epoch holds."""
+    A, m = V.shape
+    Z = [[int(v) if y[k] else -int(v) for v in V[:, k]] + [-1 if y[k] else 1] for k in range(m)]
+    u, epochs = [0] * (A + 1), []
+
+    def largest(u):
+        terms = [[a * b for a, b in zip(z, u)] for z in Z]
+        sides = [sum(t for t in row if t > 0) for row in terms]
+        sides += [-sum(t for t in row if t < 0) for row in terms]
+        return max(*map(abs, u), *sides)
+
+    for _ in range(max_epochs):
+        start = sum(map(abs, u))
+        norm, value, mistakes = start, largest(u), 0
+        for z, label in zip(Z, y):
+            if sum(a * b for a, b in zip(z, u)) < (0 if label else 1):
+                u = [a + b for a, b in zip(u, z)]
+                mistakes += 1
+                norm, value = max(norm, sum(map(abs, u))), max(value, largest(u))
+        epochs.append((start, norm, value))
+        if not mistakes:
+            break
+    return epochs
+
+
+def boundary_rows(width, c):
+    """Attribute rows (width, m) and labels of the inputs next to the boundary
+    of x >= c, bits most significant first: c, c - 1, and for each bit b from
+    the highest down, c with b set and the bits below it cleared where c's b
+    is 0, or with b cleared and the bits below it set where it is 1.
+    Separating them needs weights that grow along the bits, so the
+    perceptron takes hundreds of epochs."""
+    values = [c, c - 1]
+    for b in reversed(range(width)):
+        low = (1 << b) - 1
+        values.append((c | 1 << b) & ~low if not c >> b & 1 else (c & ~(1 << b)) | low)
+    V = np.array([[v >> (width - 1 - i) & 1 for v in values] for i in range(width)])
+    return V.astype(np.uint8), np.array([v >= c for v in values], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("width, c", [(7, 0b1010101), (8, 0b01010101)])
+def test_every_epoch_bound_holds_the_epoch_and_needs_both_terms(monkeypatch, width, c):
+    """Each epoch passes exact_float_dtype ||u||_1 at its start plus (A + 1)m,
+    and, replayed in Python ints, every epoch's ||u||_1, entries of u and
+    partial sums of margins stay within it. Neither term is enough alone:
+    some epoch's ||u||_1 rises above its start, and some epoch's rises
+    above (A + 1)m."""
+    bounds = []
+
+    def recording(bound):
+        bounds.append(bound)
+        return exact_float_dtype(bound)
+
+    monkeypatch.setattr("impact.learner.exact_float_dtype", recording)
+    V, y = boundary_rows(width, c)
+    A, m = V.shape
+    learn_threshold_node(V, y)
+    epochs = replayed_epochs(V, y, 1000)
+    assert len(bounds) == 1 + len(epochs) and 100 < len(epochs) < 1000
+    for bound, (start, norm, value) in zip(bounds[1:], epochs):
+        assert value <= norm <= bound == start + (A + 1) * m
+    assert any(norm > start for start, norm, _ in epochs)
+    assert max(norm for _, norm, _ in epochs) > (A + 1) * m
 
 
 # ---------------------------------------------------------------------------
@@ -893,6 +1009,14 @@ def test_adfsa_learner_returns_its_first_step_on_an_empty_sample():
     bits, lengths = random_strings(np.random.default_rng(3), 20, 3)
     s = make_sample(bits, np.arange(20) % 2, lengths)
     assert learn_adfsa_node(*cube_of(z, s), np.empty(0, dtype=np.intp)) == step
+
+
+def test_adfsa_learner_rejects_a_cube_with_no_attribute_rows():
+    bits, lengths = random_strings(np.random.default_rng(3), 20, 3)
+    s = make_sample(bits, np.arange(20) % 2, lengths)
+    agree, strings = cube_of(AttributeSpace.terminals(), s)
+    with pytest.raises(InvalidParameterError):
+        learn_adfsa_node(agree[:0], strings, np.arange(20))
 
 
 @st.composite

@@ -690,9 +690,9 @@ def test_reliable_rounds_are_best_fit_rounds_that_abstain_by_their_error(monkeyp
     calls = []
     learn = impact.session.learn_pair_node
 
-    def recording(V, y, mode):
-        calls.append((V, y, mode))
-        return learn(V, y, mode)
+    def recording(F0, F1, mode):
+        calls.append((F0, F1, mode))
+        return learn(F0, F1, mode)
 
     def summary(report):
         return [(r.node, r.subset_size, r.training_error) for r in report.rounds]
@@ -707,8 +707,8 @@ def test_reliable_rounds_are_best_fit_rounds_that_abstain_by_their_error(monkeyp
         assert [mode for *_, mode in calls].count("reliable") == 1 and calls[-1][2] == "reliable"
         assert summary(report) == summary(best) and not any(r.dont_know for r in best.rounds)
         assert report.classifier.space == best.classifier.space
-        for r, (V, y, _) in zip(report.rounds, calls, strict=True):
-            h = full_layout(learn(V, y, "reliable"), n)
+        for r, (F0, F1, _) in zip(report.rounds, calls, strict=True):
+            h = full_layout(learn(F0, F1, "reliable"), n)
             assert h.abstains == r.dont_know
             assert all(j < n or (j - n) % 2 == 0 for p in h.members for j in (p.left_attr, p.right_attr))
             fed_abstentions += r.dont_know and r.subset_size > 0 and r.index < len(report.rounds) - 1

@@ -56,7 +56,7 @@ def test_oracle_imports_only_concept_classes_and_never_reads_children():
     they must not share packed words or count packed bits with
     bitwise_count. The reference pair counts score every pair, so they must
     not share the learner's pruning to the rows that can join a zero-error
-    pair, or its label split."""
+    pair."""
     path = Path(impact.__file__).parent / "oracle.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     names, modules = [], []
@@ -80,7 +80,6 @@ def test_oracle_imports_only_concept_classes_and_never_reads_children():
         "exact_float_dtype",
         "bitwise_count",
         "_zero_error_rows",
-        "_label_split",
     }
     assert shared.isdisjoint(names + modules)
     assert [
