@@ -24,14 +24,13 @@ from .concepts import (
 )
 from .errors import (
     ConfigError,
-    EnumerationCapError,
     ImpactError,
     InsufficientDataError,
     InvalidParameterError,
 )
 from .experiments import load_config, run_sweep, write_outputs
 from .oracle import (
-    ENUMERATION_CAP,
+    all_inputs,
     sampled_disagreement,
     exhaustive_equivalence,
     exhaustive_string_equivalence,
@@ -80,14 +79,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _all_inputs(n: int) -> np.ndarray:
-    if n > ENUMERATION_CAP:
-        raise EnumerationCapError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    count = 1 << n
-    rows = np.arange(count, dtype=np.uint32)
-    return ((rows[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
-
-
 def _check(name: str, passed: bool, **details) -> dict:
     """One entry of verify's checks."""
     return {"name": name, "passed": passed, "details": details}
@@ -119,7 +110,7 @@ def _verify_single(concept, args) -> list[dict]:
             # every string of each length from the longest walk's up to n
             supported = range(depth, concept.n + 1)
             X = np.concatenate(
-                [np.pad(_all_inputs(k), ((0, 0), (0, concept.n - k))) for k in supported]
+                [np.pad(all_inputs(k), ((0, 0), (0, concept.n - k))) for k in supported]
             )
             lengths = np.repeat(supported, [1 << k for k in supported])
         else:
@@ -132,7 +123,7 @@ def _verify_single(concept, args) -> list[dict]:
         ]
 
     if args.exhaustive:
-        X = _all_inputs(concept.n)
+        X = all_inputs(concept.n)
     else:
         X = draw_inputs(_default_distribution(concept, args.seed), args.samples)[0]
     if isinstance(concept, ConceptDag):

@@ -403,54 +403,58 @@ def reachable_indices(concept: Concept, top: int | None = None) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
+def _emit_postorder(top, parts, nodes: list) -> int:
+    """Append to `nodes`, children first, the nodes that key `top` stands for
+    and that are not emitted yet, and return top's index. parts(key) gives
+    the keys its node is built from, in the order they are emitted, and a
+    function from their indices to the node, or to the index of an existing
+    node the key stands for. One explicit stack serves any depth."""
+    index: dict = {}
+    # (key, None) until the key is expanded, then (key, its parts) below its kids
+    stack = [(top, None)]
+    while stack:
+        key, expanded = stack.pop()
+        if expanded is None:
+            if key not in index:
+                expanded = parts(key)
+                stack.append((key, expanded))
+                stack += [(kid, None) for kid in expanded[0][::-1] if kid not in index]
+            continue
+        kids, build = expanded
+        made = build(*[index[kid] for kid in kids])
+        if isinstance(made, int):
+            index[key] = made
+        else:
+            nodes.append(made)
+            index[key] = len(nodes) - 1
+    return index[top]
+
+
 def push_negations_to_leaves(g: ConceptDag) -> ConceptDag:
     """Equivalent DAG in which Not nodes appear only directly above literals.
 
     Builds positive and negated variants of the reachable nodes on demand,
     applying the usual and/or duality, so the output has at most twice as
-    many nodes as the input.
+    many nodes as the input. A Not is no node of its own: it flips the
+    polarity its child is read at.
     """
-    out_nodes: list[DagNode] = []
-    memo: dict[tuple[int, bool], int] = {}
 
-    def emit(node: DagNode) -> int:
-        out_nodes.append(node)
-        return len(out_nodes) - 1
+    def read(idx: int, neg: bool) -> tuple[int, bool]:
+        while isinstance(g.nodes[idx], Not):
+            idx, neg = g.nodes[idx].child, not neg
+        return idx, neg
 
-    # Iterative post-order: (index, negated, children_done).
-    stack: list[tuple[int, bool, bool]] = [(g.root, False, False)]
-    while stack:
-        idx, neg, ready = stack.pop()
-        if (idx, neg) in memo:
-            continue
+    def parts(key: tuple[int, bool]):
+        idx, neg = key
         node = g.nodes[idx]
-        if isinstance(node, Not):
-            # Pure alias, no node of its own.
-            if (node.child, not neg) in memo:
-                memo[(idx, neg)] = memo[(node.child, not neg)]
-            else:
-                stack.append((idx, neg, False))
-                stack.append((node.child, not neg, False))
-            continue
         if isinstance(node, Literal):
-            if not neg:
-                memo[(idx, False)] = emit(Literal(node.bit))
-            else:
-                if (idx, False) not in memo:
-                    memo[(idx, False)] = emit(Literal(node.bit))
-                memo[(idx, True)] = emit(Not(memo[(idx, False)]))
-            continue
-        if not ready:
-            stack.append((idx, neg, True))
-            stack.append((node.left, neg, False))
-            stack.append((node.right, neg, False))
-            continue
-        left = memo[(node.left, neg)]
-        right = memo[(node.right, neg)]
-        want_and = isinstance(node, And) != neg
-        memo[(idx, neg)] = emit(And(left, right) if want_and else Or(left, right))
+            return (((idx, False),), Not) if neg else ((), lambda: node)
+        op = And if isinstance(node, And) != neg else Or
+        return (read(node.right, neg), read(node.left, neg)), lambda right, left: op(left, right)
 
-    return ConceptDag(nodes=tuple(out_nodes), root=memo[(g.root, False)], n=g.n)
+    nodes: list[DagNode] = []
+    root = _emit_postorder(read(g.root, False), parts, nodes)
+    return ConceptDag(nodes=tuple(nodes), root=root, n=g.n)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,15 @@ from .sampling import Distribution, Sample, rng_from
 ENUMERATION_CAP = 20
 
 
+def all_inputs(n: int) -> np.ndarray:
+    """All 2**n inputs of n bits, a (2**n, n) uint8 matrix whose row i holds
+    i's bits, least significant first. n above ENUMERATION_CAP raises."""
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
+    rows = np.arange(1 << n, dtype=np.uint32)
+    return ((rows[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
+
+
 def _eval_dag(c: ConceptDag, bits, target: int, override: dict[int, int] | None = None) -> int:
     memo: dict[int, int] = {}
     stack = [target]

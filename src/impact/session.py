@@ -20,6 +20,7 @@ from .concepts import (
     Or,
     RejectState,
     ThresholdCircuit,
+    _emit_postorder,
     concept_to_dict,
     node_values,  # noqa: F401 (perfbench/spans.py traces the Teacher's calls here too)
     push_negations_to_leaves,
@@ -91,46 +92,34 @@ class DagClassifier(_ConceptExport):
         return self.final.evaluate_rows(rows).astype(np.int8)
 
     def to_concept(self) -> ConceptDag:
-        """Expand every learned attribute into plain DAG nodes."""
+        """Expand every learned attribute into plain DAG nodes. A key is an
+        attribute read plainly or negated; the final pair is attribute
+        len(space), where augment would put it."""
         final = self.final
         if isinstance(final, ReliablePairSet):
             if final.abstains:
                 raise InvalidParameterError("an always-abstaining classifier has no DAG form")
             final = final.primary
         space = self.space
-        nodes = []
-        attr_memo: dict[int, int] = {}
-        neg_memo: dict[int, int] = {}
 
-        def emit(node) -> int:
-            nodes.append(node)
-            return len(nodes) - 1
+        def read(j: int, neg: bool) -> tuple[int, bool]:
+            # a complement is the Not of the attribute just below it
+            if not neg and j >= space.base_count and space.learned(j)[1]:
+                return j - 1, True
+            return j, neg
 
-        def hyp_node(h: PairHypothesis) -> int:
-            left = ref_node(h.left_attr, h.left_negated)
-            right = ref_node(h.right_attr, h.right_negated)
-            return emit((And if h.op == "and" else Or)(left, right))
+        def parts(key: tuple[int, bool]):
+            j, neg = key
+            if neg:
+                return (read(j, False),), Not
+            if j < space.base_count:
+                return (), lambda: Literal(j)
+            h = final if j == len(space) else space.learned(j)[0]
+            refs = (read(h.left_attr, h.left_negated), read(h.right_attr, h.right_negated))
+            return refs, (And if h.op == "and" else Or)
 
-        def negated(idx: int) -> int:
-            if idx not in neg_memo:
-                neg_memo[idx] = emit(Not(idx))
-            return neg_memo[idx]
-
-        def attr_node(j: int) -> int:
-            if j not in attr_memo:
-                if j < space.base_count:
-                    attr_memo[j] = emit(Literal(j))
-                else:
-                    h, complemented = space.learned(j)
-                    # a complement is the Not of the attribute just below it
-                    attr_memo[j] = negated(attr_node(j - 1)) if complemented else hyp_node(h)
-            return attr_memo[j]
-
-        def ref_node(j: int, neg: bool) -> int:
-            base = attr_node(j)
-            return negated(base) if neg else base
-
-        root = hyp_node(final)
+        nodes: list = []
+        root = _emit_postorder((len(space), False), parts, nodes)
         return ConceptDag(nodes=tuple(nodes), root=root, n=space.base_count)
 
 
@@ -174,34 +163,31 @@ class AutomatonClassifier(_ConceptExport):
         return table[len(self.space), self.final.offset]
 
     def to_concept(self) -> Adfsa:
-        """Expand the learned steps into automaton states. A leading chain of
-        two-way identical branches replays the final hypothesis offset."""
-        states: list = [RejectState(), AcceptState()]
+        """Expand the learned steps into automaton states. A key is a round's
+        step read with its outcomes swapped or not; the final step is round
+        len(space.hypotheses). A leading chain of two-way identical branches
+        replays the final hypothesis offset."""
         space = self.space
-        memo: dict[tuple[int, bool], int] = {}
+        final_round = len(space.hypotheses)
 
-        def emit(state) -> int:
-            states.append(state)
-            return len(states) - 1
+        def read(j: int, swapped: bool) -> tuple[int, bool]:
+            # the terminals are round -1: accept, then its complement, reject
+            r, complemented = divmod(j - space.base_count, 2)
+            return r, swapped != bool(complemented)
 
-        def attr_state(j: int, swapped: bool) -> int:
-            if j < space.base_count:
-                # attribute 0 accepts (state 1), attribute 1 rejects (state 0)
-                return int((j == 0) != swapped)
-            h, complemented = space.learned(j)
-            return hyp_state(h, swapped != complemented)
+        def parts(key: tuple[int, bool]):
+            r, swapped = key
+            if r < 0:
+                # reject is state 0, accept state 1
+                return (), lambda: int(not swapped)
+            h = self.final if r == final_round else space.hypotheses[r]
+            return (read(h.on0, swapped), read(h.on1, swapped)), BranchState
 
-        def hyp_state(h: AdfsaNodeHypothesis, swapped: bool) -> int:
-            key = (id(h), swapped)
-            if key not in memo:
-                s0 = attr_state(h.on0, swapped)
-                s1 = attr_state(h.on1, swapped)
-                memo[key] = emit(BranchState(on0=s0, on1=s1))
-            return memo[key]
-
-        start = hyp_state(self.final, False)
+        states: list = [RejectState(), AcceptState()]
+        start = _emit_postorder((final_round, False), parts, states)
         for _ in range(self.final.offset):
-            start = emit(BranchState(on0=start, on1=start))
+            states.append(BranchState(on0=start, on1=start))
+            start = len(states) - 1
         return Adfsa(states=tuple(states), start=start, n=self.n)
 
 

@@ -31,6 +31,7 @@ from impact.baselines import (
 from impact.concepts import packed_words
 from impact.learner import AND
 from impact.oracle import (
+    all_inputs,  # noqa: F401 (the tests import it from here)
     reference_adfsa_node,
     reference_eval_table,
     reference_evaluate,
@@ -43,11 +44,6 @@ from impact.oracle import (
 from impact.plan import postfix_order
 from impact.sampling import draw_inputs
 from impact.session import TEST_STREAM, TRAIN_STREAM
-
-
-def all_inputs(n: int) -> np.ndarray:
-    rows = np.arange(1 << n, dtype=np.uint32)
-    return ((rows[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
 
 
 def and_dag(n: int = 2) -> ConceptDag:

@@ -58,7 +58,7 @@ from impact import (
 import impact.concepts
 import impact.session
 import impact.teacher
-from impact.concepts import string_words
+from impact.concepts import max_path_depth, string_words
 from impact.generate import random_automaton, random_circuit, random_dag
 from impact.oracle import (
     exhaustive_equivalence,
@@ -291,6 +291,45 @@ def test_automaton_expansion_replays_a_late_final_offset():
     expanded = clf.to_concept()
     assert [run_automaton(expanded, bits) for bits in strings] == predicted.tolist()
     assert set(predicted.tolist()) == {-1, 0, 1}
+
+
+def test_a_deep_pair_stack_exports_its_dag():
+    """Export has no depth limit: a final pair on a chain of 2,000 learned
+    pairs, each reading the one before it (every fourth through its
+    complement attribute, every third negated), exports a DAG that agrees
+    with the classifier on sampled inputs."""
+    n, chain = 5, 2000
+    space = AttributeSpace.pure(n)
+    for r in range(chain):
+        below = len(space) - 2 + (r % 4 == 3) if r else 0
+        h = PairHypothesis(("and", "or")[r % 2], below, r % 3 == 0, r % n, r % 5 == 0)
+        space = augment(space, h)
+    clf = DagClassifier(space=space, final=PairHypothesis("or", len(space) - 2, True, 1, False))
+    assert clf.model_dict()["type"] == "dag"
+    X = np.random.default_rng(7).integers(0, 2, size=(300, n), dtype=np.uint8)
+    predicted = clf.predict_sample(make_sample(X, np.zeros(len(X))))
+    assert np.array_equal(evaluate_batch(clf.to_concept(), X).astype(np.int8), predicted)
+    assert set(predicted.tolist()) == {0, 1}
+
+
+def test_a_deep_step_chain_exports_one_state_per_step_and_reading():
+    """Export has no depth limit: on a chain of 2,000 learned steps, each
+    step reads the step below it on 0 and that step's complement on 1, so
+    every step is read both ways. A complement read the other way is its
+    step, so each step gives exactly two states, and the final offset adds
+    its leading chain."""
+    chain, offset = 2000, 3
+    space = AttributeSpace.terminals()
+    for r in range(chain):
+        below = len(space) - 2 if r else 0
+        space = augment(space, AdfsaNodeHypothesis(offset=0, on0=below, on1=below + 1))
+    final = AdfsaNodeHypothesis(offset=offset, on0=len(space) - 2, on1=len(space) - 1)
+    n = chain + 1 + offset
+    clf = AutomatonClassifier(space=space, final=final, n=n)
+    expanded = clf.to_concept()
+    assert expanded.size == 2 + 2 * chain + 1 + offset
+    assert clf.model_dict()["type"] == "adfsa"
+    assert max_path_depth(expanded) == n
 
 
 def test_abstaining_classifier_reports_why_it_has_no_model():
