@@ -427,6 +427,10 @@ BROKEN_CONCEPT_FILES = {
         {"type": "dag", "n": 1, "nodes": [{"op": "xor", "left": 0, "right": 0}], "root": 0},
         "unknown record op 'xor'",
     ),
+    "unknown-wire": (
+        {"type": "threshold", "n": 1, "gates": [{"threshold": 1, "inputs": [{"node": 0}]}], "root": 0},
+        "unknown wire",
+    ),
 }
 
 

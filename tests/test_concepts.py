@@ -101,12 +101,6 @@ def test_circuit_rejects_forward_gate_wire():
         ThresholdCircuit(gates=(g, g2), root=0, n=1)
 
 
-def test_concept_file_rejects_a_wire_of_unknown_source():
-    data = {"type": "threshold", "n": 1, "gates": [{"threshold": 1, "inputs": [{"node": 0}]}], "root": 0}
-    with pytest.raises(InvalidConceptError, match="unknown wire"):
-        concept_from_dict(data)
-
-
 def test_automaton_needs_both_terminals():
     with pytest.raises(InvalidConceptError):
         Adfsa(states=(RejectState(), BranchState(on0=0, on1=0)), start=1, n=1)
