@@ -21,6 +21,7 @@ from .concepts import (
     ConceptDag,
     Literal,
     Not,
+    Or,
     RejectState,
     ThresholdCircuit,
 )
@@ -38,75 +39,60 @@ from .sampling import Distribution, Sample, rng_from
 ENUMERATION_CAP = 20
 
 
+def _check_cap(n: int) -> None:
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
+
+
 def all_inputs(n: int) -> np.ndarray:
     """All 2**n inputs of n bits, a (2**n, n) uint8 matrix whose row i holds
     i's bits, least significant first. n above ENUMERATION_CAP raises."""
-    if n > ENUMERATION_CAP:
-        raise EnumerationCapError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
+    _check_cap(n)
     rows = np.arange(1 << n, dtype=np.uint32)
     return ((rows[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
 
 
-def _eval_dag(c: ConceptDag, bits, target: int, override: dict[int, int] | None = None) -> int:
-    memo: dict[int, int] = {}
-    stack = [target]
-    while stack:
-        i = stack[-1]
-        if i in memo:
-            stack.pop()
-            continue
-        if override is not None and i in override:
-            memo[i] = override[i]
-            stack.pop()
-            continue
-        node = c.nodes[i]
-        if isinstance(node, Literal):
-            memo[i] = int(bits[node.bit])
-            stack.pop()
-        elif isinstance(node, Not):
-            if node.child in memo:
-                memo[i] = 1 - memo[node.child]
-                stack.pop()
-            else:
-                stack.append(node.child)
-        else:
-            left_ready = node.left in memo
-            right_ready = node.right in memo
-            if left_ready and right_ready:
-                a, b = memo[node.left], memo[node.right]
-                memo[i] = (a & b) if isinstance(node, And) else (a | b)
-                stack.pop()
-            else:
-                if not left_ready:
-                    stack.append(node.left)
-                if not right_ready:
-                    stack.append(node.right)
-    return memo[target]
-
-
-def _eval_circuit(
-    c: ThresholdCircuit, bits, target: int, override: dict[int, int] | None = None
+def _eval(
+    concept: ConceptDag | ThresholdCircuit, bits, target: int, pins: dict[int, int] | None = None
 ) -> int:
-    memo: dict[int, int] = {}
+    """Node (or gate) `target`'s value on one input, by one explicit stack
+    walk. The memo starts from `pins`, so a pinned node is never evaluated.
+    A node stays on the stack until its inputs have values; formula nodes
+    and circuit gates differ only in the body that then computes its own."""
+    items = concept.nodes if isinstance(concept, ConceptDag) else concept.gates
+    memo = {} if pins is None else dict(pins)
     stack = [target]
     while stack:
         i = stack[-1]
         if i in memo:
             stack.pop()
             continue
-        if override is not None and i in override:
-            memo[i] = override[i]
-            stack.pop()
-            continue
-        gate = c.gates[i]
-        pending = [w.index for w in gate.inputs if w.source == "gate" and w.index not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        total = 0
-        for w in gate.inputs:
-            total += int(bits[w.index]) if w.source == "bit" else memo[w.index]
-        memo[i] = 1 if total >= gate.threshold else 0
+        item = items[i]
+        kind = type(item)
+        if kind is And or kind is Or:
+            a, b = memo.get(item.left), memo.get(item.right)
+            if a is None or b is None:
+                stack += (item.left, item.right)
+                continue
+            value = a & b if kind is And else a | b
+        elif kind is Not:
+            a = memo.get(item.child)
+            if a is None:
+                stack.append(item.child)
+                continue
+            value = 1 - a
+        elif kind is Literal:
+            value = int(bits[item.bit])
+        else:
+            pending = [w.index for w in item.inputs if w.source == "gate" and w.index not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            total = 0
+            for w in item.inputs:
+                total += int(bits[w.index]) if w.source == "bit" else memo[w.index]
+            value = 1 if total >= item.threshold else 0
+        memo[i] = value
         stack.pop()
     return memo[target]
 
@@ -130,10 +116,8 @@ def run_automaton(a: Adfsa, bits) -> int:
 
 def reference_evaluate(concept: Concept, bits) -> int:
     """One input, one output, no vectorization."""
-    if isinstance(concept, ConceptDag):
-        return _eval_dag(concept, bits, concept.root)
-    if isinstance(concept, ThresholdCircuit):
-        return _eval_circuit(concept, bits, concept.root)
+    if not isinstance(concept, Adfsa):
+        return _eval(concept, bits, concept.root)
     out = run_automaton(concept, bits)
     if out < 0:
         raise UndefinedMetricError("input exhausted before the walk finished")
@@ -141,22 +125,13 @@ def reference_evaluate(concept: Concept, bits) -> int:
 
 
 def reference_node_value(concept: ConceptDag | ThresholdCircuit, node: int, bits) -> int:
-    if isinstance(concept, ConceptDag):
-        return _eval_dag(concept, bits, node)
-    return _eval_circuit(concept, bits, node)
+    return _eval(concept, bits, node)
 
 
-def relevance_by_substitution(
-    concept: ConceptDag | ThresholdCircuit, node: int, bits
-) -> bool:
+def relevance_by_substitution(concept: ConceptDag | ThresholdCircuit, node: int, bits) -> bool:
     """A node matters on an input exactly when pinning it to 0 versus 1
     changes the root."""
-    if isinstance(concept, ConceptDag):
-        low = _eval_dag(concept, bits, concept.root, {node: 0})
-        high = _eval_dag(concept, bits, concept.root, {node: 1})
-    else:
-        low = _eval_circuit(concept, bits, concept.root, {node: 0})
-        high = _eval_circuit(concept, bits, concept.root, {node: 1})
+    low, high = (_eval(concept, bits, concept.root, {node: pin}) for pin in (0, 1))
     return low != high
 
 
@@ -346,40 +321,52 @@ class DisagreementReport:
 
 def _apply_bits(f, bits) -> int:
     if isinstance(f, (ConceptDag, ThresholdCircuit)):
-        return reference_evaluate(f, bits)
+        return _eval(f, bits, f.root)
     if isinstance(f, Adfsa):
         return run_automaton(f, bits)
     return int(f(bits))
 
 
-def exhaustive_equivalence(
-    f, g, n: int, *, witness_limit: int = 5
+def _check_width(n: int, *predictors) -> None:
+    """Each concept among the predictors must read the n bits compared on;
+    a callable or classifier is taken as it is."""
+    for h in predictors:
+        if isinstance(h, (ConceptDag, ThresholdCircuit, Adfsa)) and h.n != n:
+            raise InvalidParameterError(f"a concept of n={h.n} cannot be compared on n={n} bits")
+
+
+def _compare(
+    f, g, inputs, ignore_undefined: bool, witness_limit: int
 ) -> DisagreementReport | None:
-    """Compare two fixed-width predictors on every one of the 2**n inputs.
-    Returns None when they agree everywhere. Witnesses are re-evaluated
+    """Compare two predictors on every input of an iterable. Returns None
+    when they agree on all of them. With ignore_undefined only inputs
+    defined for both sides (output >= 0) count. Witnesses are re-evaluated
     before being recorded, so a report never lies about its examples."""
-    if n > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"refusing to enumerate 2**{n} inputs (cap is n <= {ENUMERATION_CAP})"
-        )
-    disagreements = 0
+    checked = disagreements = 0
     witnesses = []
-    for bits in itertools.product((0, 1), repeat=n):
+    for bits in inputs:
         a = _apply_bits(f, bits)
         b = _apply_bits(g, bits)
+        if ignore_undefined and (a < 0 or b < 0):
+            continue
+        checked += 1
         if a != b:
             disagreements += 1
             if len(witnesses) < witness_limit:
-                again_a = _apply_bits(f, bits)
-                again_b = _apply_bits(g, bits)
-                if (again_a, again_b) != (a, b):
+                if (_apply_bits(f, bits), _apply_bits(g, bits)) != (a, b):
                     raise ImpactError(f"a predictor answered differently on repeated input {bits}")
                 witnesses.append((bits, a, b))
     if disagreements == 0:
         return None
-    return DisagreementReport(
-        checked=2**n, disagreements=disagreements, witnesses=tuple(witnesses)
-    )
+    return DisagreementReport(checked, disagreements, tuple(witnesses))
+
+
+def exhaustive_equivalence(f, g, n: int, *, witness_limit: int = 5) -> DisagreementReport | None:
+    """Compare two fixed-width predictors on every one of the 2**n inputs.
+    Returns None when they agree everywhere."""
+    _check_cap(n)
+    _check_width(n, f, g)
+    return _compare(f, g, itertools.product((0, 1), repeat=n), False, witness_limit)
 
 
 def exhaustive_string_equivalence(
@@ -395,30 +382,11 @@ def exhaustive_string_equivalence(
     strings defined for both sides count."""
     if max_len is None:
         max_len = max(f.n, g.n)
-    if max_len > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"refusing to enumerate strings up to length {max_len} "
-            f"(cap is {ENUMERATION_CAP})"
-        )
-    checked = 0
-    disagreements = 0
-    witnesses = []
-    for length in range(max_len + 1):
-        for bits in itertools.product((0, 1), repeat=length):
-            a = run_automaton(f, bits)
-            b = run_automaton(g, bits)
-            if ignore_undefined and (a < 0 or b < 0):
-                continue
-            checked += 1
-            if a != b:
-                disagreements += 1
-                if len(witnesses) < witness_limit:
-                    witnesses.append((bits, a, b))
-    if disagreements == 0:
-        return None
-    return DisagreementReport(
-        checked=checked, disagreements=disagreements, witnesses=tuple(witnesses)
+    _check_cap(max_len)
+    strings = itertools.chain.from_iterable(
+        itertools.product((0, 1), repeat=length) for length in range(max_len + 1)
     )
+    return _compare(f, g, strings, ignore_undefined, witness_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +399,7 @@ def sampled_disagreement(f, g, d: Distribution, m: int) -> float:
     Draws its own inputs rather than trusting the library sampler."""
     if m < 1:
         raise InvalidParameterError("m must be >= 1")
+    _check_width(d.n, f, g)
     rng = rng_from(d.seed, "oracle-disagreement", 0)
     n = d.n
     if d.kind == "strings":

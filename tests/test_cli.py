@@ -454,6 +454,20 @@ def test_verify_exhaustive_refuses_past_the_enumeration_cap(tmp_path, capsys):
     assert out == "" and "n=21 exceeds the enumeration cap 20" in err
 
 
+def test_verify_pair_exhaustive_refuses_past_the_enumeration_cap(tmp_path, capsys):
+    """The pair comparison shares the cap check, and so its one message."""
+    left, right = tmp_path / "left.json", tmp_path / "right.json"
+    save_concept(build_parity(21, (0, 20)), left)
+    save_concept(build_parity(21, (1, 20)), right)
+    code, out, err = run_main(
+        capsys, ["verify", "--concept", str(left), "--against", str(right), "--exhaustive"]
+    )
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines and len(lines) == 1
+    assert "n=21 exceeds the enumeration cap 20" in err and "Traceback" not in err
+
+
 def test_verify_equivalent_pair(parity_file, tmp_path, capsys):
     copy = tmp_path / "copy.json"
     save_concept(build_parity(4, (0, 2)), copy)

@@ -7,6 +7,7 @@ from helpers import (
     all_inputs,
     and_dag,
     chain_automaton,
+    layered_circuit,
     mixed_relevance_dag,
     nand_dag,
     one_bit_acceptor,
@@ -30,6 +31,7 @@ from impact import (
 )
 from impact.oracle import (
     DisagreementReport,
+    _eval,
     exhaustive_equivalence,
     exhaustive_string_equivalence,
     reference_evaluate,
@@ -125,6 +127,31 @@ def test_relevance_by_substitution_circuit():
     assert relevance_by_substitution(c, 0, (0, 0, 0))
 
 
+def _and_chain(depth: int) -> ConceptDag:
+    """x0 and x0 and ... x0, each And one level above the last."""
+    nodes = [Literal(bit=0)] + [And(left=i, right=0) for i in range(depth)]
+    return ConceptDag(nodes=tuple(nodes), root=depth, n=1)
+
+
+@pytest.mark.parametrize(
+    "concept, bits, target, pins, expected",
+    [
+        pytest.param(and_dag(), (1, 1), 2, {2: 0}, 0, id="pinned-target-node"),
+        pytest.param(layered_circuit(), (1, 1, 1, 0), 2, {2: 0}, 0, id="pinned-target-gate"),
+        pytest.param(and_dag(), (1, 0), 0, {1: 1, 2: 1}, 1, id="pins-off-cone-node"),
+        pytest.param(layered_circuit(), (1, 1, 0, 0), 1, {0: 0, 2: 1}, 0, id="pins-off-cone-gate"),
+        pytest.param(_and_chain(5000), (1,), 5000, None, 1, id="5000-level-and-chain"),
+    ],
+)
+def test_eval_reads_pins_and_walks_deep_concepts(concept, bits, target, pins, expected):
+    """A pinned target reads its pin, a pin on a node the target does not
+    read changes nothing, and the walk keeps its own stack, so no depth
+    reaches Python's recursion limit."""
+    assert _eval(concept, bits, target, pins) == expected
+    if pins and target not in pins:
+        assert _eval(concept, bits, target) == expected
+
+
 def test_exhaustive_equivalence_equal_returns_none():
     assert exhaustive_equivalence(and_dag(), and_dag(), 2) is None
 
@@ -172,6 +199,22 @@ def test_witness_limit_respected():
     )
     assert report.disagreements == 8
     assert len(report.witnesses) == 3
+
+
+def test_comparisons_refuse_a_concept_of_another_width():
+    """A concept compared on more bits than it reads, or on fewer, is an
+    error rather than an IndexError or a silent verdict; a callable is
+    taken as it is."""
+    four, six = build_parity(4, (0, 3)), build_parity(6, (0, 3))
+    with pytest.raises(InvalidParameterError, match="n=4 cannot be compared on n=3"):
+        exhaustive_equivalence(four, four, 3)
+    with pytest.raises(InvalidParameterError, match="n=6 cannot be compared on n=4"):
+        exhaustive_equivalence(four, six, 4)
+    with pytest.raises(InvalidParameterError, match="n=4 cannot be compared on n=6"):
+        sampled_disagreement(four, six, Distribution.uniform(6, 0), 100)
+    with pytest.raises(InvalidParameterError, match="n=2 cannot be compared on n=3"):
+        sampled_disagreement(chain_automaton(), chain_automaton(), Distribution.strings(3, 0), 100)
+    assert exhaustive_equivalence(four, lambda bits: bits[0] ^ bits[3], 4) is None
 
 
 def test_string_equivalence_strict_vs_ignore_undefined():
