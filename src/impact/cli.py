@@ -22,12 +22,7 @@ from .concepts import (
     push_negations_to_leaves,
     relevance_mask,
 )
-from .errors import (
-    ConfigError,
-    ImpactError,
-    InsufficientDataError,
-    InvalidParameterError,
-)
+from .errors import ConfigError, ImpactError, InsufficientDataError
 from .experiments import load_config, run_sweep, write_outputs
 from .oracle import (
     all_inputs,
@@ -147,10 +142,6 @@ def _verify_single(concept, args) -> list[dict]:
 
 
 def _verify_pair(concept, other, args) -> list[dict]:
-    if isinstance(concept, Adfsa) != isinstance(other, Adfsa):
-        raise InvalidParameterError("cannot compare string and fixed-width concepts")
-    if not isinstance(concept, Adfsa) and concept.n != other.n:
-        raise InvalidParameterError("concepts have different input widths")
     if args.exhaustive:
         if isinstance(concept, Adfsa):
             report = exhaustive_string_equivalence(concept, other, ignore_undefined=True)
@@ -225,7 +216,7 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ImpactError, OSError, json.JSONDecodeError) as exc:
+    except (ImpactError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

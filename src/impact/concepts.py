@@ -667,12 +667,22 @@ def concept_to_dict(concept: Concept) -> dict:
     }
 
 
+def read_json(path: str | Path, error: type[Exception]):
+    """The JSON value of an input file. A file that cannot be read or parsed
+    raises `error`; ValueError covers invalid JSON, text that is not UTF-8,
+    and integers too long for Python to convert."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
 def json_int(value) -> int:
-    """An integer field of an input file. Floats and bools raise TypeError
-    instead of truncating, so 0.5 never becomes 0 nor 2.7 become 2."""
-    if isinstance(value, (bool, float)):
+    """An integer field of an input file. Anything but a JSON integer, bools
+    included, raises TypeError, so neither 2.7 nor "2" ever becomes 2."""
+    if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def _gate_from_dict(entry: dict) -> Gate:
@@ -716,13 +726,7 @@ def concept_from_dict(data: dict) -> Concept:
 
 
 def load_concept(path: str | Path) -> Concept:
-    try:
-        data = json.loads(Path(path).read_text())
-    # ValueError covers invalid JSON, text that is not UTF-8, and integers
-    # too long for Python to convert
-    except (OSError, ValueError) as exc:
-        raise InvalidConceptError(f"cannot read concept file {path}: {exc}") from exc
-    return concept_from_dict(data)
+    return concept_from_dict(read_json(path, InvalidConceptError))
 
 
 def save_concept(concept: Concept, path: str | Path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import fit_majority, fit_stumps, fit_tree
-from .concepts import build_parity, json_int
+from .concepts import build_parity, json_int, read_json
 from .errors import ConfigError
 from .generate import random_parity_subset
 from .sampling import Distribution, accuracy, derive_seed, draw_sample
@@ -122,15 +122,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
 
 
 def load_config(path) -> SweepConfig:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    # ValueError covers invalid JSON, text that is not UTF-8, and integers
-    # too long for Python to convert
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse config as JSON: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(read_json(path, ConfigError))
 
 
 # a ResultRow's measured columns, which the summary rows aggregate, and their

@@ -34,9 +34,10 @@ from .learner import (
     PairHypothesis,
     PerceptronHypothesis,
 )
-from .sampling import Distribution, Sample, rng_from
+from .sampling import Distribution, Sample, require_inputs, rng_from
 
 ENUMERATION_CAP = 20
+WITNESS_LIMIT = 5
 
 
 def _check_cap(n: int) -> None:
@@ -327,17 +328,15 @@ def _apply_bits(f, bits) -> int:
     return int(f(bits))
 
 
-def _check_width(n: int, *predictors) -> None:
-    """Each concept among the predictors must read the n bits compared on;
-    a callable or classifier is taken as it is."""
+def _check_comparable(n: int, strings: bool, *predictors) -> None:
+    """Each concept among the predictors must read the inputs compared on
+    (sampling.require_inputs); a callable or classifier is taken as it is."""
     for h in predictors:
-        if isinstance(h, (ConceptDag, ThresholdCircuit, Adfsa)) and h.n != n:
-            raise InvalidParameterError(f"a concept of n={h.n} cannot be compared on n={n} bits")
+        if isinstance(h, (ConceptDag, ThresholdCircuit, Adfsa)):
+            require_inputs(h, n, strings)
 
 
-def _compare(
-    f, g, inputs, ignore_undefined: bool, witness_limit: int
-) -> DisagreementReport | None:
+def _compare(f, g, inputs, ignore_undefined: bool) -> DisagreementReport | None:
     """Compare two predictors on every input of an iterable. Returns None
     when they agree on all of them. With ignore_undefined only inputs
     defined for both sides (output >= 0) count. Witnesses are re-evaluated
@@ -352,7 +351,7 @@ def _compare(
         checked += 1
         if a != b:
             disagreements += 1
-            if len(witnesses) < witness_limit:
+            if len(witnesses) < WITNESS_LIMIT:
                 if (_apply_bits(f, bits), _apply_bits(g, bits)) != (a, b):
                     raise ImpactError(f"a predictor answered differently on repeated input {bits}")
                 witnesses.append((bits, a, b))
@@ -361,32 +360,26 @@ def _compare(
     return DisagreementReport(checked, disagreements, tuple(witnesses))
 
 
-def exhaustive_equivalence(f, g, n: int, *, witness_limit: int = 5) -> DisagreementReport | None:
+def exhaustive_equivalence(f, g, n: int) -> DisagreementReport | None:
     """Compare two fixed-width predictors on every one of the 2**n inputs.
     Returns None when they agree everywhere."""
     _check_cap(n)
-    _check_width(n, f, g)
-    return _compare(f, g, itertools.product((0, 1), repeat=n), False, witness_limit)
+    _check_comparable(n, False, f, g)
+    return _compare(f, g, itertools.product((0, 1), repeat=n), False)
 
 
 def exhaustive_string_equivalence(
-    f: Adfsa,
-    g: Adfsa,
-    *,
-    max_len: int | None = None,
-    ignore_undefined: bool = False,
-    witness_limit: int = 5,
+    f: Adfsa, g: Adfsa, *, ignore_undefined: bool = False
 ) -> DisagreementReport | None:
-    """Compare two automata on every bit string up to max_len. Outcomes are
-    three-valued (accept / reject / undefined); with ignore_undefined only
-    strings defined for both sides count."""
-    if max_len is None:
-        max_len = max(f.n, g.n)
-    _check_cap(max_len)
+    """Compare two automata of one n on every bit string of length up to n.
+    Outcomes are three-valued (accept / reject / undefined); with
+    ignore_undefined only strings defined for both sides count."""
+    _check_cap(f.n)
+    _check_comparable(f.n, True, f, g)
     strings = itertools.chain.from_iterable(
-        itertools.product((0, 1), repeat=length) for length in range(max_len + 1)
+        itertools.product((0, 1), repeat=length) for length in range(f.n + 1)
     )
-    return _compare(f, g, strings, ignore_undefined, witness_limit)
+    return _compare(f, g, strings, ignore_undefined)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +392,7 @@ def sampled_disagreement(f, g, d: Distribution, m: int) -> float:
     Draws its own inputs rather than trusting the library sampler."""
     if m < 1:
         raise InvalidParameterError("m must be >= 1")
-    _check_width(d.n, f, g)
+    _check_comparable(d.n, d.kind == "strings", f, g)
     rng = rng_from(d.seed, "oracle-disagreement", 0)
     n = d.n
     if d.kind == "strings":

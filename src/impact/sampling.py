@@ -135,16 +135,20 @@ def draw_inputs(d: Distribution, m: int, *, stream=0) -> tuple[np.ndarray, np.nd
     return bits, np.full(m, d.n, dtype=np.int64)
 
 
+def require_inputs(concept: Concept, n: int, strings: bool) -> None:
+    """Refuse inputs the concept cannot read. An automaton reads strings of
+    length up to its n, and a formula or circuit reads vectors of its n
+    bits; anything else raises InvalidParameterError, the kind before n."""
+    if isinstance(concept, Adfsa) != strings:
+        given = "strings" if strings else "fixed-width vectors"
+        raise InvalidParameterError(f"a concept of kind {concept.kind!r} cannot read {given}")
+    if concept.n != n:
+        raise InvalidParameterError(f"a concept of n={concept.n} cannot be compared on n={n} bits")
+
+
 def draw_sample(d: Distribution, concept: Concept, m: int, *, stream=0) -> Sample:
     """Draw m examples (see draw_inputs) and label them with the concept."""
-    if d.n != concept.n:
-        raise InvalidParameterError(
-            f"distribution is over {d.n} bits but the concept reads {concept.n}"
-        )
-    if isinstance(concept, Adfsa) != (d.kind == "strings"):
-        raise InvalidParameterError(
-            "string concepts need a strings distribution and vice versa"
-        )
+    require_inputs(concept, d.n, d.kind == "strings")
     bits, lengths = draw_inputs(d, m, stream=stream)
     if isinstance(concept, Adfsa):
         labels = adfsa_labels(concept, bits, lengths)

@@ -313,6 +313,18 @@ def test_sweep_rejects_unparseable_config(tmp_path, capsys, content):
     assert out == ""
 
 
+def test_sweep_rejects_an_integer_written_as_a_string(tmp_path, capsys):
+    """An integer field must be a JSON integer; "4" is not read as 4."""
+    cfg = sweep_config(tmp_path, n="4")
+    code, out, err = run_main(
+        capsys, ["sweep", "--mode", "m", "--config", str(cfg), "--out", str(tmp_path / "x")]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "expected an integer" in err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -431,6 +443,10 @@ BROKEN_CONCEPT_FILES = {
         {"type": "threshold", "n": 1, "gates": [{"threshold": 1, "inputs": [{"node": 0}]}], "root": 0},
         "unknown wire",
     ),
+    "string-integer": (
+        {"type": "threshold", "n": "1", "gates": [{"threshold": 1, "inputs": [{"bit": 0}]}], "root": 0},
+        "expected an integer",
+    ),
 }
 
 
@@ -512,17 +528,30 @@ def test_verify_sampled_pair(parity_file, tmp_path, capsys):
     assert json.loads(out)["checks"][0]["name"] == "sampled-agreement"
 
 
-@pytest.mark.parametrize("exhaustive", [[], ["--exhaustive"]], ids=["sampled", "exhaustive"])
-def test_verify_pair_of_different_widths_rejected(parity_file, tmp_path, capsys, exhaustive):
-    wider = tmp_path / "wider.json"
-    save_concept(build_parity(5, (0, 4)), wider)
+@pytest.mark.parametrize(
+    "build,exhaustive",
+    [
+        pytest.param(lambda n: build_parity(n, (0, 2)), [], id="sampled"),
+        pytest.param(lambda n: build_parity(n, (0, 2)), ["--exhaustive"], id="exhaustive"),
+        pytest.param(one_bit_acceptor, [], id="automaton-sampled"),
+        pytest.param(one_bit_acceptor, ["--exhaustive"], id="automaton-exhaustive"),
+    ],
+)
+def test_verify_pair_of_different_widths_rejected(tmp_path, capsys, build, exhaustive):
+    """One concept saved at n=3 and at n=4 is no pair to compare, in either
+    mode and of either kind."""
+    narrow, wider = tmp_path / "narrow.json", tmp_path / "wider.json"
+    save_concept(build(3), narrow)
+    save_concept(build(4), wider)
     code, out, err = run_main(
         capsys,
-        ["verify", "--concept", str(parity_file), "--against", str(wider), *exhaustive],
+        ["verify", "--concept", str(narrow), "--against", str(wider), *exhaustive],
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "n=4 cannot be compared on n=3" in err
 
 
 def test_verify_mixed_kinds_rejected(parity_file, automaton_file, capsys):

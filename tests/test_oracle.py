@@ -30,6 +30,7 @@ from impact import (
     run_teaching_session,
 )
 from impact.oracle import (
+    WITNESS_LIMIT,
     DisagreementReport,
     _eval,
     exhaustive_equivalence,
@@ -194,11 +195,9 @@ def test_exhaustive_equivalence_rejects_an_unstable_predictor():
 
 
 def test_witness_limit_respected():
-    report = exhaustive_equivalence(
-        build_parity(4, (0, 1, 2, 3)), lambda bits: 0, 4, witness_limit=3
-    )
+    report = exhaustive_equivalence(build_parity(4, (0, 1, 2, 3)), lambda bits: 0, 4)
     assert report.disagreements == 8
-    assert len(report.witnesses) == 3
+    assert len(report.witnesses) == WITNESS_LIMIT
 
 
 def test_comparisons_refuse_a_concept_of_another_width():
@@ -221,18 +220,46 @@ def test_string_equivalence_strict_vs_ignore_undefined():
     a = chain_automaton()
     b = one_bit_acceptor(n=2)
     # they agree whenever both are defined, but differ in definedness
-    strict = exhaustive_string_equivalence(a, b, max_len=2)
+    strict = exhaustive_string_equivalence(a, b)
     assert strict is not None
-    relaxed = exhaustive_string_equivalence(a, b, max_len=2, ignore_undefined=True)
+    relaxed = exhaustive_string_equivalence(a, b, ignore_undefined=True)
     assert relaxed is not None  # "0" is defined for both and they disagree
     assert ((0,), 0, 0) not in relaxed.witnesses
-    same = exhaustive_string_equivalence(a, chain_automaton(), max_len=4)
+    same = exhaustive_string_equivalence(a, chain_automaton())
     assert same is None
 
 
 def test_string_equivalence_cap():
     with pytest.raises(EnumerationCapError):
-        exhaustive_string_equivalence(chain_automaton(), chain_automaton(), max_len=21)
+        exhaustive_string_equivalence(one_bit_acceptor(n=21), one_bit_acceptor(n=21))
+
+
+@pytest.mark.parametrize(
+    "compare,message",
+    [
+        (
+            lambda: sampled_disagreement(
+                build_parity(3, (0, 2)), build_parity(3, (0, 2)), Distribution.strings(3, 0), 50
+            ),
+            "kind 'dag' cannot read strings",
+        ),
+        (
+            lambda: exhaustive_equivalence(chain_automaton(), chain_automaton(), 2),
+            "kind 'adfsa' cannot read fixed-width vectors",
+        ),
+        (
+            lambda: exhaustive_string_equivalence(one_bit_acceptor(n=3), one_bit_acceptor(n=4)),
+            "n=4 cannot be compared on n=3",
+        ),
+    ],
+    ids=["formula-on-strings", "automaton-on-vectors", "automata-of-two-widths"],
+)
+def test_comparisons_refuse_inputs_a_concept_cannot_read(compare, message):
+    """Every comparison refuses the pairs that draw_sample refuses: a formula
+    on strings, an automaton on fixed-width vectors, and automata of
+    different n, which would otherwise be compared on the longer strings."""
+    with pytest.raises(InvalidParameterError, match=message):
+        compare()
 
 
 def test_empirical_concentrates_on_distribution_norm():

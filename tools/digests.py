@@ -4,7 +4,7 @@
 
 BEFORE and AFTER are checkouts of this repository (any directories holding
 `src/impact`). Each runs the corpus in a fresh interpreter that imports
-`impact` from its `src`. The corpus has five families of fixed-seed items:
+`impact` from its `src`. The corpus has six families of fixed-seed items:
 - `restructured`: `push_negations_to_leaves` of `random_dag(10, 40, seed)`
   for seeds 0-119, and of `build_parity(n, range(n))` at n = 16 and 32, as
   concept files;
